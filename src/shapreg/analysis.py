@@ -11,9 +11,9 @@ import numpy as np
 
 from .basis import DesignMatrix, design_matrix
 from .data import gen_random_noise
-from .model import ShapleyModel
+from .model import ShapleyModel, apply_normalization
 from .parallel import map_ordered
-from .train import FitConfig, _apply_normalization, fit, learn_normalization
+from .train import FitConfig, fit, learn_normalization
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def gap_experiment(
             train = test = ds
         out = {}
         deffs = {}
-        x_norm = _apply_normalization(train.x, learn_normalization(train.x))
+        x_norm = apply_normalization(train.x, learn_normalization(train.x))
         for k in k_values:
             design = design_matrix(x_norm, k)
             deffs[k] = effective_dimension(design)

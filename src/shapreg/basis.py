@@ -3,10 +3,13 @@
 The predictor of a Shapley regression is a k-additive cooperative game; its
 Choquet integral can be written either in the Moebius basis, as
 sum_T m(T) min_{i in T} x_i, or in the interaction-index parameterization,
-as sum_A I(A) phi_A(x).  The basis functions here are the min-terms recombined
-with the inversion weights of the Moebius<->Shapley bijection, which makes the
-two evaluations agree identically and lets a plain logistic regression learn
-the interaction indices directly.
+as sum_A I(A) phi_A(x).  Both go through one linear map: m = W I, with the
+sparse superset map W[C, B] = r_{|B|-|C|} (C <= B, inversion weights r) that
+``games.k_additive_maps`` builds once per (n, k).  So with the min-term
+matrix M of the samples, the design is M W, each column phi_A a weighted sum
+of the min-terms over the subcoalitions of A, and the two evaluations agree
+identically; a plain logistic regression on the design learns the
+interaction indices directly.
 
 Up to pairs the basis has the familiar closed forms:
 
@@ -20,61 +23,27 @@ vanishing on the diagonal x_i = x_j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .games import (
-    coalition_size,
-    enumerate_coalitions,
-    indices_of,
-    interaction_inversion_weights,
-    mask_of,
-    num_coalitions,
-)
-
-
-def _min_columns(x: np.ndarray, masks: list[int]) -> dict[int, np.ndarray]:
-    """min_{i in C} x[:, i] for every coalition C in ``masks``, plus all their
-    subcoalitions (the enumeration is size-major, so prefixes exist already)."""
-    mins: dict[int, np.ndarray] = {}
-    for mask in masks:
-        idx = indices_of(mask)
-        if len(idx) == 1:
-            mins[mask] = x[:, idx[0]]
-        else:
-            # peel the highest feature; the remainder precedes mask in size-major order
-            rest = mask ^ (1 << idx[-1])
-            mins[mask] = np.minimum(mins[rest], x[:, idx[-1]])
-    return mins
+from .games import enumerate_coalitions, indices_of, k_additive_maps, mask_of, min_terms, num_coalitions
 
 
 def phi(coalition, x) -> float:
     """Basis function phi_A at a single point x in [0,1]^n.
 
-    Weighted alternating sum of min-terms over the subcoalitions of A, with
-    min over the empty coalition taken as 0 (the constant is the bias's job).
+    Weighted sum of min-terms over the subcoalitions of A, with min over the
+    empty coalition taken as 0 (the constant is the bias's job): the last
+    design column of the point restricted to the members of A.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError("phi expects x in [0,1]^n")
-    x = np.clip(x, 0.0, 1.0)
     mask = coalition if isinstance(coalition, int) else mask_of(coalition)
     if mask == 0:
         raise ValueError("phi is undefined for the empty coalition")
-    members = indices_of(mask)
-    a = len(members)
+    members = list(indices_of(mask))
     if members[-1] >= x.shape[0]:
-        raise ValueError(f"coalition {members} exceeds point dimension {x.shape[0]}")
-    r = interaction_inversion_weights(a)
-    total = 0.0
-    for csize in range(1, a + 1):
-        w = r[a - csize]
-        if w == 0.0:
-            continue
-        for sub in combinations(members, csize):
-            total += w * min(x[i] for i in sub)
-    return float(total)
+        raise ValueError(f"coalition {tuple(members)} exceeds point dimension {x.shape[0]}")
+    return float(design_matrix(x[None, members], len(members)).values[0, -1])
 
 
 @dataclass(frozen=True)
@@ -98,32 +67,11 @@ def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:
     x must already be normalized to [0,1]; column j is phi_A for the j-th
     coalition of enumerate_coalitions(n, k).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D sample matrix, got shape {x.shape}")
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError("design_matrix expects inputs normalized to [0,1]")
-    x = np.clip(x, 0.0, 1.0)
-    n = x.shape[1]
-    masks = enumerate_coalitions(n, k)
-    mins = _min_columns(x, masks)
-    r = interaction_inversion_weights(k)
-    cols = np.empty((x.shape[0], len(masks)))
-    for j, mask in enumerate(masks):
-        members = indices_of(mask)
-        a = len(members)
-        if a == 1:
-            cols[:, j] = mins[mask]
-            continue
-        col = mins[mask].copy()  # subcoalition C = A, weight r_0 = 1
-        for csize in range(1, a):
-            w = r[a - csize]
-            if w == 0.0:
-                continue
-            for sub in combinations(members, csize):
-                col += w * mins[mask_of(sub)]
-        cols[:, j] = col
-    return DesignMatrix(values=cols, column_coalitions=masks, n=n, k=k)
+    terms = min_terms(x, k)  # rejects anything but a 2-D sample matrix in [0,1]
+    n = np.shape(x)[1]
+    # dense @ sparse comes back column-major; keep designs row-major like the samples
+    values = np.ascontiguousarray(terms @ k_additive_maps(n, k).to_mobius)
+    return DesignMatrix(values=values, column_coalitions=enumerate_coalitions(n, k), n=n, k=k)
 
 
 def max_row_norm(design: DesignMatrix) -> float:

@@ -38,8 +38,8 @@ from .cv import (
     resource_profile,
 )
 from .data import DataError, Dataset, gen_pure_pairwise, gen_random_noise, load_csv, undersample
-from .model import ShapleyModel
-from .train import FitConfig, fit, learn_normalization, _apply_normalization, sensitivity_to_label_flip
+from .model import ShapleyModel, apply_normalization
+from .train import FitConfig, fit, learn_normalization, sensitivity_to_label_flip
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -379,7 +379,7 @@ def cmd_bounds(args) -> int:
     if args.lipschitz is not None:
         lipschitz = args.lipschitz
     else:
-        x_norm = _apply_normalization(sens_ds.x, learn_normalization(sens_ds.x))
+        x_norm = apply_normalization(sens_ds.x, learn_normalization(sens_ds.x))
         lipschitz = max_row_norm(design_matrix(x_norm, args.sens_k))
     if args.model is not None:
         b_norm = float(np.abs(ShapleyModel.load(args.model).indices).sum())

@@ -17,6 +17,10 @@ Three bases are supported:
 The canonical coalition order is size-major: singletons ascending, then pairs
 in lexicographic order, then triples, and so on.  All vectors in this package
 are aligned to that order.
+
+The Moebius <-> Shapley transforms, the min-term matrix behind every Choquet
+evaluation and (in basis.py) the design matrices all derive from one
+structure, built once per (n, k) and cached: see :func:`k_additive_maps`.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 # Full-order operations need 2^n values; the bit-mask convention also assumes
 # masks fit comfortably in an int64 when handed to numpy.
@@ -233,16 +239,6 @@ def capacity_from_mobius(m: SetFunction) -> SetFunction:
     return _from_lattice(f, m.n, m.n, Basis.CAPACITY)
 
 
-def _subsets(mask: int):
-    """All submasks of ``mask``, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def shapley_from_mobius(m: SetFunction) -> SetFunction:
     """Interaction indices from Moebius coefficients.
 
@@ -251,17 +247,8 @@ def shapley_from_mobius(m: SetFunction) -> SetFunction:
     the singleton indices sum to v(F) = sum_T m(T) (efficiency).
     """
     _require_basis(m, Basis.MOBIUS, "shapley_from_mobius")
-    index = coalition_index(m.n, m.k)
-    out = np.zeros_like(m.values)
-    for mask, v in zip(m.coalitions(), m.values):
-        if v == 0.0:
-            continue
-        b = coalition_size(mask)
-        for sub in _subsets(mask):
-            if sub == 0:
-                continue
-            out[index[sub]] += v / (b - coalition_size(sub) + 1)
-    return SetFunction(n=m.n, k=m.k, basis=Basis.SHAPLEY, values=out)
+    values = k_additive_maps(m.n, m.k).to_shapley @ m.values
+    return SetFunction(n=m.n, k=m.k, basis=Basis.SHAPLEY, values=values)
 
 
 def interaction_inversion_weights(max_order: int) -> np.ndarray:
@@ -281,24 +268,103 @@ def interaction_inversion_weights(max_order: int) -> np.ndarray:
 def mobius_from_shapley(index_fn: SetFunction) -> SetFunction:
     """Moebius coefficients from interaction indices (inverse of shapley_from_mobius).
 
-    For k <= 2 this is the closed form m({i,j}) = I({i,j}) and
-    m({i}) = I({i}) - 1/2 sum_j I({i,j}); for larger k the same superset sum
-    with the higher-order inversion weights solves the triangular system.
+    m(A) = sum over supersets B >= A of r_{|B|-|A|} I(B) with the inversion
+    weights r; for k <= 2 this is the closed form m({i,j}) = I({i,j}) and
+    m({i}) = I({i}) - 1/2 sum_j I({i,j}).
     """
     _require_basis(index_fn, Basis.SHAPLEY, "mobius_from_shapley")
-    n, k = index_fn.n, index_fn.k
-    index = coalition_index(n, k)
-    r = interaction_inversion_weights(k)
-    out = np.zeros_like(index_fn.values)
-    for mask, v in zip(index_fn.coalitions(), index_fn.values):
-        if v == 0.0:
-            continue
-        b = coalition_size(mask)
-        for sub in _subsets(mask):
-            if sub == 0:
-                continue
-            out[index[sub]] += r[b - coalition_size(sub)] * v
-    return SetFunction(n=n, k=k, basis=Basis.MOBIUS, values=out)
+    values = k_additive_maps(index_fn.n, index_fn.k).to_mobius @ index_fn.values
+    return SetFunction(n=index_fn.n, k=index_fn.k, basis=Basis.MOBIUS, values=values)
+
+
+@dataclass(frozen=True)
+class KAdditiveMaps:
+    """The k-additive structure on n features, built once per (n, k).
+
+    ``peel`` holds, for each order a >= 2, the canonical-order slice of the
+    order-a coalitions, the position of each one's parent (the coalition
+    minus its highest member) and that highest member.  ``to_mobius`` and
+    ``to_shapley`` are the sparse superset maps W[C, B] = w_{|B|-|C|} over
+    non-empty C <= B, with the inversion weights r_d and the averaging
+    weights 1 / (d + 1) respectively, so m = to_mobius @ I and
+    I = to_shapley @ m.
+    """
+
+    peel: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+    to_mobius: sparse.csr_matrix = field(repr=False)
+    to_shapley: sparse.csr_matrix = field(repr=False)
+
+
+@lru_cache(maxsize=32)
+def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
+    """Build (or fetch from the cache) the k-additive structure on n features.
+
+    Size-major lexicographic order lists the order-a coalitions parent by
+    parent, each parent P followed by P | {j} for j = top(P)+1, ..., n-1, so
+    every order is generated from the one below without masks or lookups.
+    """
+    size = num_coalitions(n, k)
+    top = np.empty(size, dtype=np.int64)  # highest member of each coalition
+    first_child = np.empty(size, dtype=np.int64)  # position of C | {top(C) + 1}
+    top[:n] = np.arange(n)
+    # positions of the non-empty subsets of each coalition in the current
+    # order, and their sizes (the same for every coalition of one order)
+    subsets = np.arange(n)[:, None]
+    sizes = np.ones(1, dtype=np.int64)
+    entries = [(subsets.ravel(), np.arange(n), np.zeros(n, dtype=np.int64))]
+    peel = []
+    lo, hi = 0, n
+    for a in range(2, k + 1):
+        children = n - 1 - top[lo:hi]
+        parent = np.repeat(np.arange(lo, hi), children)
+        first = np.cumsum(children) - children
+        first_child[lo:hi] = hi + first
+        block = slice(hi, hi + parent.size)
+        top[block] = top[parent] + 1 + np.arange(parent.size) - first[parent - lo]
+        peel.append((block, parent, top[block]))
+        # subsets of P | {t}: those of P, then {t}, then S | {t} for each S <= P
+        inherited = subsets[parent - lo]
+        t = top[block][:, None]
+        subsets = np.hstack([inherited, t, first_child[inherited] + t - top[inherited] - 1])
+        sizes = np.concatenate([sizes, [1], sizes + 1])
+        entries.append((subsets.ravel(), np.repeat(np.arange(block.start, block.stop), sizes.size),
+                        np.tile(a - sizes, parent.size)))
+        lo, hi = block.start, block.stop
+    sub, sup, depth = (np.concatenate(parts) for parts in zip(*entries))
+
+    def superset_map(weights: np.ndarray) -> sparse.csr_matrix:
+        data = weights[depth]
+        keep = data != 0.0
+        return sparse.csr_matrix((data[keep], (sub[keep], sup[keep])), shape=(size, size))
+
+    for _, parent, members in peel:
+        parent.setflags(write=False)
+        members.setflags(write=False)
+    return KAdditiveMaps(
+        peel=tuple(peel),
+        to_mobius=superset_map(interaction_inversion_weights(k)),
+        to_shapley=superset_map(1.0 / np.arange(1, k + 1)),
+    )
+
+
+def min_terms(x, k: int) -> np.ndarray:
+    """Min-term matrix M[:, T] = min_{i in T} x[:, i] for every coalition of
+    size <= k, in canonical order; rows of x are points of [0,1]^n.
+
+    Each order comes from the one below by peeling the highest member,
+    min over T = min(min over T minus top(T), x_top(T)), written straight
+    into one preallocated array.
+    """
+    x = _check_unit_box(x)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-D sample matrix, got shape {x.shape}")
+    n = x.shape[1]
+    maps = k_additive_maps(n, k)
+    out = np.empty((x.shape[0], maps.to_mobius.shape[0]))
+    out[:, :n] = x
+    for block, parent, members in maps.peel:
+        np.minimum(out[:, parent], x[:, members], out=out[:, block])
+    return out
 
 
 def truncate_k_additive(m: SetFunction, k: int) -> SetFunction:
@@ -328,12 +394,7 @@ def choquet_mobius(m: SetFunction, x) -> float:
     sum_T m(T) * min_{i in T} x_i.
     """
     _require_basis(m, Basis.MOBIUS, "choquet_mobius")
-    x = _check_unit_box(x)
+    x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise ValueError(f"expected a point in R^{m.n}, got shape {x.shape}")
-    total = 0.0
-    for mask, v in zip(m.coalitions(), m.values):
-        if v == 0.0:
-            continue
-        total += v * min(x[i] for i in indices_of(mask))
-    return float(total)
+    return float(min_terms(x[None, :], m.k)[0] @ m.values)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,8 @@ def roc_auc(y_true: np.ndarray, y_score: np.ndarray) -> float | None:
     Tie groups contribute diagonal segments, which the rank formulation below
     accounts for exactly.  None when only one class is present.
     """
+    from scipy.stats import rankdata  # deferred: scipy.stats costs ~40 MB and ~0.8 s at import
+
     y_true = np.asarray(y_true)
     pos = int(y_true.sum())
     neg = y_true.size - pos

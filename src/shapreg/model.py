@@ -8,8 +8,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .basis import design_matrix
-from .games import Basis, SetFunction, num_coalitions
+from .games import Basis, SetFunction, k_additive_maps, min_terms, num_coalitions
+
+
+def apply_normalization(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Map inputs through per-feature (min, max) bounds, clipping to [0,1].
+
+    Features with min == max (constant on the data the bounds came from) map
+    to 0.
+    """
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    span = hi - lo
+    safe = np.where(span > 0, span, 1.0)
+    out = (np.asarray(x, dtype=float) - lo) / safe
+    out[:, span == 0] = 0.0
+    return np.clip(out, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -18,7 +31,9 @@ class ShapleyModel:
     normalization learned at fit time.
 
     ``indices`` is aligned with the canonical coalition order; the logit of a
-    point is bias + sum_A I(A) phi_A(x_normalized).
+    point is bias + sum_A I(A) phi_A(x_normalized).  Prediction evaluates the
+    same game through its Moebius coefficients ``mobius``, derived from the
+    indices at construction: bias + sum_T m(T) min_{i in T} x_i.
     """
 
     feature_names: list[str]
@@ -26,6 +41,7 @@ class ShapleyModel:
     bias: float
     indices: np.ndarray = field(repr=False)
     normalization: np.ndarray = field(repr=False)  # shape (n, 2): per-feature (min, max)
+    mobius: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=float)
@@ -40,10 +56,12 @@ class ShapleyModel:
             raise ValueError(f"normalization must have shape ({n}, 2), got {norm.shape}")
         if np.any(norm[:, 0] > norm[:, 1]):
             raise ValueError("normalization requires min <= max per feature")
+        mobius = k_additive_maps(n, self.k).to_mobius @ idx
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "normalization", norm)
-        idx.setflags(write=False)
-        norm.setflags(write=False)
+        object.__setattr__(self, "mobius", mobius)
+        for arr in (idx, norm, mobius):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -53,24 +71,15 @@ class ShapleyModel:
         return SetFunction(n=self.n, k=self.k, basis=Basis.SHAPLEY, values=self.indices)
 
     def normalize(self, x_raw: np.ndarray) -> np.ndarray:
-        """Map raw inputs through the stored min-max bounds, clipping to [0,1].
-
-        Features that were constant on the training data map to 0.
-        """
+        """Map raw inputs through the stored min-max bounds (see apply_normalization)."""
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
         if x.shape[1] != self.n:
             raise ValueError(f"model has {self.n} features, input has {x.shape[1]}")
-        lo, hi = self.normalization[:, 0], self.normalization[:, 1]
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        out = (x - lo) / safe
-        out[:, span == 0] = 0.0
-        return np.clip(out, 0.0, 1.0)
+        return apply_normalization(x, self.normalization)
 
     def logit_normalized(self, x_norm: np.ndarray) -> np.ndarray:
         """Logits for inputs already in [0,1]^n (skips normalization)."""
-        design = design_matrix(np.atleast_2d(x_norm), self.k)
-        return self.bias + design.values @ self.indices
+        return self.bias + min_terms(np.atleast_2d(x_norm), self.k) @ self.mobius
 
     def logit(self, x_raw: np.ndarray) -> np.ndarray:
         return self.logit_normalized(self.normalize(x_raw))

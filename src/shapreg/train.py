@@ -22,7 +22,7 @@ from scipy.special import expit
 
 from .basis import DesignMatrix, design_matrix, max_row_norm
 from .data import Dataset
-from .model import ShapleyModel
+from .model import ShapleyModel, apply_normalization
 
 logger = logging.getLogger(__name__)
 
@@ -116,43 +116,25 @@ def _validate_labels(design_values: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y.astype(float)
 
 
-def _penalty_value(indices: np.ndarray, penalty: str, lam: float) -> float:
-    if penalty == "l1":
-        return lam * float(np.abs(indices).sum())
-    if penalty == "l2":
-        return lam * float(indices @ indices)
-    return 0.0
-
-
 def loss_and_gradient(
     params: tuple[float, np.ndarray],
     design: DesignMatrix | np.ndarray,
     y: np.ndarray,
     config: FitConfig,
 ) -> tuple[float, np.ndarray]:
-    """Objective value and gradient at (bias, indices).
+    """Objective value and gradient at (bias, indices), as the solver sees them.
 
     The value includes the penalty.  The gradient covers the smooth part only:
     exact for 'none' and 'l2', and for 'l1' the non-smooth term is left to the
     proximal step.  Layout is [d/d_bias, d/d_indices...].
     """
     bias, indices = params
-    indices = np.asarray(indices, dtype=float)
     phi = design.values if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
     y = _validate_labels(phi, y)
-    w = sample_weights(y, config.class_weighting)
-
-    z = bias + phi @ indices
-    value = float(w @ (np.logaddexp(0.0, z) - y * z))
-    value += _penalty_value(indices, config.penalty, config.lam)
-
-    residual = w * (expit(z) - y)
-    grad = np.empty(indices.size + 1)
-    grad[0] = residual.sum()
-    grad[1:] = phi.T @ residual
-    if config.penalty == "l2":
-        grad[1:] += 2.0 * config.lam * indices
-    return value, grad
+    obj = _Objective(phi, y, sample_weights(y, config.class_weighting), config.penalty, config.lam)
+    theta = np.concatenate([[bias], np.asarray(indices, dtype=float)])
+    value, grad = obj.smooth_value_grad(theta)
+    return value + obj.nonsmooth(theta), grad
 
 
 def per_sample_losses(model: ShapleyModel, x_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -338,7 +320,7 @@ def fit(dataset: Dataset, k: int, config: FitConfig) -> FitResult:
             f"need at least 2 samples of each class, got {neg} negative / {pos} positive"
         )
     normalization = learn_normalization(dataset.x)
-    x_norm = _apply_normalization(dataset.x, normalization)
+    x_norm = apply_normalization(dataset.x, normalization)
     design = design_matrix(x_norm, k)
     y = _validate_labels(design.values, dataset.y)
     w = sample_weights(dataset.y, config.class_weighting)
@@ -367,15 +349,6 @@ def fit(dataset: Dataset, k: int, config: FitConfig) -> FitResult:
         iterations=iterations,
         grad_norm=residual,
     )
-
-
-def _apply_normalization(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    out = (np.asarray(x, dtype=float) - lo) / safe
-    out[:, span == 0] = 0.0
-    return np.clip(out, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

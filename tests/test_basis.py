@@ -5,12 +5,13 @@ from shapreg.basis import basis_dimension, design_matrix, max_row_norm, phi
 from shapreg.games import (
     Basis,
     SetFunction,
-    choquet_mobius,
     mobius_from_shapley,
     num_coalitions,
     shapley_from_mobius,
 )
 from shapreg.model import ShapleyModel
+
+from choquet_reference import capacity_lattice, choquet_sorted
 
 
 def test_phi_singleton_is_identity():
@@ -77,15 +78,17 @@ def test_pair_columns_in_minus_half_zero():
 
 def test_basis_equivalence_against_mobius_path():
     """Shapley-basis evaluation equals the Choquet integral of the
-    corresponding Moebius game, for every supported order."""
+    corresponding Moebius game, for every supported order; the reference
+    integrates the full-lattice capacity by sorting the point."""
     rng = np.random.default_rng(4)
-    for n, k in [(4, 1), (6, 2), (8, 3), (5, 4)]:
+    for n, k in [(4, 1), (6, 2), (8, 3), (5, 4), (8, 8)]:
         vals = rng.normal(size=num_coalitions(n, k))
         index_fn = SetFunction(n=n, k=k, basis=Basis.SHAPLEY, values=vals)
         m = mobius_from_shapley(index_fn)
         x = rng.uniform(size=(10, n))
         lhs = design_matrix(x, k).values @ vals
-        rhs = np.array([choquet_mobius(m, row) for row in x])
+        lattice = capacity_lattice(m)
+        rhs = np.array([choquet_sorted(lattice, row) for row in x])
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
