@@ -271,7 +271,7 @@ def gap_experiment(
             design = design_matrix(x_norm, k)
             deffs[k] = effective_dimension(design)
             for pen in penalties:
-                config = FitConfig(penalty=pen, lam=lam if pen != "none" else 0.0)
+                config = FitConfig(penalty=pen, lam=lam)
                 result = fit(train, k, config)
                 train_err = float((result.model.predict(train.x) != train.y).mean())
                 test_err = float((result.model.predict(test.x) != test.y).mean())

@@ -143,15 +143,6 @@ class CVReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _fit_config(penalty: str, lam: float, class_weighting: str, seed: int) -> FitConfig:
-    return FitConfig(
-        penalty=penalty,
-        lam=lam if penalty != "none" else 0.0,
-        class_weighting=class_weighting,
-        seed=seed,
-    )
-
-
 def nested_cv(
     dataset: Dataset,
     k: int,
@@ -198,7 +189,8 @@ def nested_cv(
                 train.y, inner_folds, np.random.SeedSequence([seed, 1, fold_id])
             )
             for lam in grid:
-                config = _fit_config(penalty, lam, class_weighting, seed)
+                config = FitConfig(penalty=penalty, lam=lam,
+                                   class_weighting=class_weighting, seed=seed)
                 scores = []
                 for inner_id in range(inner_folds):
                     val_rows = inner[inner_id]
@@ -213,7 +205,9 @@ def nested_cv(
         else:
             best_lam = grid[0]
 
-        result = fit(train, k, _fit_config(penalty, best_lam, class_weighting, seed))
+        config = FitConfig(penalty=penalty, lam=best_lam,
+                           class_weighting=class_weighting, seed=seed)
+        result = fit(train, k, config)
         fold_report = FoldReport(
             fold=fold_id,
             selected_lam=best_lam,
@@ -308,7 +302,7 @@ def bootstrap_stability(
     that were never drawn.  Degenerate resamples (missing a class, or an empty
     out-of-bag set) are skipped and counted.
     """
-    config = _fit_config(penalty, lam, class_weighting, seed)
+    config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting, seed=seed)
 
     def one(b: int) -> float | None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
@@ -364,7 +358,7 @@ def resource_profile(
     add per design-matrix entry of the test fold.
     """
     assignments = stratified_folds(dataset.y, folds, np.random.SeedSequence([seed, 0]))
-    config = _fit_config(penalty, lam, "off", seed)
+    config = FitConfig(penalty=penalty, lam=lam, seed=seed)
     d_k = basis_dimension(dataset.n_features, k)
 
     train_times, infer_times, test_sizes = [], [], []

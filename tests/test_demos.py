@@ -11,3 +11,28 @@ def test_set_function_bases_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "Moebius -> Shapley -> Moebius, max error" in out
     assert "efficiency:" in out
+
+
+def test_planted_interactions_demo_runs(capsys):
+    """Nested CV at k = 1, 2 without a penalty, then the consensus ranking of
+    pair interactions; the strongest learned pair must be a planted one."""
+    runpy.run_path(str(DEMOS / "02_planted_interactions.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "k=2 nested-CV accuracy (no penalty):" in out
+    ranking = out.split("strongest learned interactions (planted marked *):\n")[1]
+    assert ranking.splitlines()[0].endswith("*")
+
+
+def test_label_flip_stability_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "03_label_flip_stability.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "Every per-index shift is bounded by the full-vector shift:" in out
+    ratio = float(out.split("max over trials of (per-index / vector) =")[1].split()[0])
+    assert ratio <= 1.0
+
+
+def test_dimension_vs_gap_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "04_dimension_vs_gap.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert " 8  255" in out
+    assert "plug-in bound values" in out

@@ -162,9 +162,79 @@ def test_objective_matches_reference_optimizer():
 
 def test_trace_non_increasing():
     ds = toy_dataset(seed=12)
-    for penalty, lam in [("none", 0.0), ("l2", 0.5), ("l1", 0.5)]:
+    for penalty, lam in [("none", 0.0), ("l2", 0.5), ("l1", 0.5), ("l2", 1e3), ("l1", 1e-3)]:
         result = fit(ds, 2, FitConfig(penalty=penalty, lam=lam))
         assert np.diff(result.objective_trace).max() <= 1e-12
+
+
+def test_l2_fits_converge_in_few_newton_steps():
+    """Penalty curvature on the unpenalized bias slows Newton to a linear
+    crawl at large lam; a correct Hessian needs a handful of steps."""
+    ds = toy_dataset(seed=17)
+    for lam in (1e-3, 1.0, 1e3):
+        result = fit(ds, 2, FitConfig(penalty="l2", lam=lam))
+        assert result.converged and result.iterations <= 20, (lam, result.iterations)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+def test_constant_and_duplicated_features_converge(k, penalty):
+    """A constant feature makes every pair column {i, c} a multiple of x_i and
+    a duplicated feature repeats columns, so the Hessian is singular."""
+    ds = toy_dataset(n=4, big_n=200, seed=18)
+    x = ds.x.copy()
+    x[:, 2] = 0.5
+    x[:, 3] = x[:, 0]
+    ds = Dataset(x=x, y=ds.y, feature_names=ds.feature_names)
+    result = fit(ds, k, FitConfig(penalty=penalty, lam=0.1))
+    assert result.converged and result.grad_norm <= 1e-8
+
+
+def _lbfgsb_reference(design, y, w, penalty, lam):
+    """Minimum of the training objective by scipy's L-BFGS-B, written
+    independently of the production solver; l1 is split as u - v, u, v >= 0."""
+    from scipy.optimize import minimize
+
+    d = design.shape[1]
+    split = penalty == "l1"
+
+    def objective(params):
+        coef = params[1:d + 1] - params[d + 1:] if split else params[1:]
+        z = params[0] + design @ coef
+        r = w * (1 / (1 + np.exp(-z)) - y)
+        g_coef = design.T @ r
+        value = float(w @ (np.logaddexp(0, z) - y * z))
+        if penalty == "l2":
+            value += lam * float(coef @ coef)
+            g_coef = g_coef + 2 * lam * coef
+        if split:
+            value += lam * float(params[1:].sum())
+            g_coef = np.concatenate([g_coef + lam, -g_coef + lam])
+        return value, np.concatenate([[r.sum()], g_coef])
+
+    size = 1 + (2 * d if split else d)
+    bounds = [(None, None)] + [(0, None) if split else (None, None)] * (size - 1)
+    res = minimize(objective, np.zeros(size), jac=True, method="L-BFGS-B", bounds=bounds,
+                   options={"maxiter": 100_000, "maxfun": 100_000, "ftol": 1e-15, "gtol": 1e-12})
+    return res.fun, objective
+
+
+@pytest.mark.parametrize("class_weighting", ["off", "inverse_frequency"])
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.3), ("l1", 3.0), ("l2", 0.5)])
+def test_objective_matches_lbfgsb_reference(penalty, lam, class_weighting):
+    ds = toy_dataset(n=3, big_n=80, seed=19)
+    result = fit(ds, 2, FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting))
+    design = design_matrix(result.model.normalize(ds.x), 2).values
+    y = ds.y.astype(float)
+    ref_value, objective = _lbfgsb_reference(design, y, sample_weights(ds.y, class_weighting),
+                                             penalty, lam)
+    coef = result.model.indices
+    ours = np.concatenate([[result.model.bias], np.maximum(coef, 0), np.maximum(-coef, 0)]) \
+        if penalty == "l1" else result.parameters
+    ours_value, _ = objective(ours)
+    assert result.converged
+    assert abs(ours_value - ref_value) <= 1e-8 * abs(ref_value)
+    assert result.objective_trace[-1] == pytest.approx(ours_value, rel=1e-12)
 
 
 def test_fit_is_deterministic():
