@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import enumerate_coalitions, indices_of, k_additive_maps, mask_of, min_terms, num_coalitions
+from .games import indices_of, k_additive_maps, mask_of, min_terms, num_coalitions
 
 
 def phi(coalition, x) -> float:
@@ -52,9 +52,6 @@ class DesignMatrix:
     canonical order."""
 
     values: np.ndarray = field(repr=False)
-    column_coalitions: list[int]
-    n: int
-    k: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,7 +68,7 @@ def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:
     n = np.shape(x)[1]
     # dense @ sparse comes back column-major; keep designs row-major like the samples
     values = np.ascontiguousarray(terms @ k_additive_maps(n, k).to_mobius)
-    return DesignMatrix(values=values, column_coalitions=enumerate_coalitions(n, k), n=n, k=k)
+    return DesignMatrix(values=values)
 
 
 def max_row_norm(design: DesignMatrix) -> float:

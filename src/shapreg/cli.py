@@ -2,9 +2,12 @@
 
 Subcommands: fit, predict, bench, bounds, interactions, synth.  Reports are
 written as files under --out-dir; stdout carries a one-line summary.  All
-randomness flows from --seed, so reruns with identical flags reproduce every
-report byte for byte (resource profiles, which measure wall-clock time, are
-the documented exception and live in their own file).
+randomness flows from --seed (fit, bench, bounds, synth), so reruns with
+identical flags reproduce every report byte for byte, for any --jobs value
+(bench, bounds); resource profiles, which measure wall-clock time, are the
+documented exception and live in their own file.  CSV parsing, the data
+generators and every analysis live in the library; this module maps flags to
+library calls and writes the reports.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence.
 """
@@ -20,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    bound_curves,
     bound_report,
     consensus_interactions,
     filter_stable,
@@ -28,25 +30,25 @@ from .analysis import (
     main_effects,
     top_by_strength,
 )
-from .basis import design_matrix, max_row_norm
-from .cv import (
-    ResourceProfile,
-    SweepReport,
-    default_lambda_grid,
-    k_sweep_benchmark,
-    nested_cv,
-    resource_profile,
+from .cv import k_sweep_benchmark, resource_profile
+from .data import (
+    DataError,
+    Dataset,
+    gen_pure_pairwise,
+    gen_random_noise,
+    load_csv,
+    load_feature_matrix,
+    undersample,
 )
-from .data import DataError, Dataset, gen_pure_pairwise, gen_random_noise, load_csv, undersample
-from .model import ShapleyModel, apply_normalization
-from .train import FitConfig, fit, learn_normalization, sensitivity_to_label_flip
+from .model import ShapleyModel
+from .train import FitConfig, fit, sensitivity_to_label_flip
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NO_CONVERGENCE = 3
 
-GENERATORS = ("random-noise", "pure-pairwise")
+GENERATORS = {"random-noise": gen_random_noise, "pure-pairwise": gen_pure_pairwise}
 
 
 class UsageError(Exception):
@@ -54,6 +56,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: a removed flag must not resolve to a longer one
+        # (bench --lambda to --lambda-grid, say)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # route argparse failures to our exit code
         raise UsageError(message)
 
@@ -89,35 +96,36 @@ def _json_text(payload) -> str:
 # shared argument groups
 # ---------------------------------------------------------------------------
 
-def _add_data_args(p: _Parser, require_label: bool = True) -> None:
+def _add_generator_args(p: _Parser, required: bool = False) -> None:
+    p.add_argument("--generator", choices=GENERATORS, required=required,
+                   help="synthesize data instead of reading a CSV")
+    p.add_argument("--gen-n", type=int, help="generator feature count")
+    p.add_argument("--gen-samples", type=int, help="generator sample count")
+    p.add_argument("--gen-pairs", type=int, help="planted pairs for pure-pairwise")
+
+
+def _add_data_args(p: _Parser) -> None:
     p.add_argument("--dataset", help="CSV file with a header row")
     p.add_argument("--label-column", help="name of the label column")
     p.add_argument("--positive-class", help="label token mapped to 1 (others to 0)")
     p.add_argument("--delimiter", default=",")
     p.add_argument("--drop-missing", action="store_true",
                    help="drop rows with missing cells instead of failing")
-    p.add_argument("--generator", choices=GENERATORS,
-                   help="synthesize data instead of reading a CSV")
-    p.add_argument("--gen-n", type=int, help="generator feature count")
-    p.add_argument("--gen-samples", type=int, help="generator sample count")
-    p.add_argument("--gen-pairs", type=int, default=5,
-                   help="planted pairs for pure-pairwise (default 5)")
+    _add_generator_args(p)
     p.add_argument("--undersample-ratio", type=float,
                    help="subsample the majority class to this minority/majority ratio")
 
 
-def _add_fit_args(p: _Parser) -> None:
+def _add_model_args(p: _Parser) -> None:
     p.add_argument("--k", type=int, default=2, help="additivity order (default 2)")
-    p.add_argument("--penalty", choices=("none", "l1", "l2"), default="l2")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--lambda", dest="lam", type=float, help="regularization strength")
-    group.add_argument("--c", dest="c", type=float, help="reciprocal strength c = 1/lambda")
     p.add_argument("--class-weight", choices=("off", "inverse-frequency"), default="off")
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="max parallel workers")
+def _add_common(p: _Parser, seed: bool = True, jobs: bool = False) -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if jobs:
+        p.add_argument("--jobs", type=int, default=1, help="max parallel workers")
     p.add_argument("--out-dir", required=True)
 
 
@@ -125,21 +133,29 @@ def _class_weighting(args) -> str:
     return args.class_weight.replace("-", "_")
 
 
-def _resolve_lambda(args, default: float = 1.0) -> float:
-    if getattr(args, "c", None) is not None:
+def _resolve_lambda(args) -> float:
+    if args.c is not None:
         if args.c <= 0:
             raise UsageError("--c must be > 0")
         return 1.0 / args.c
-    if getattr(args, "lam", None) is not None:
+    if args.lam is not None:
         if args.lam < 0:
             raise UsageError("--lambda must be >= 0")
         return args.lam
-    return default
+    return 1.0
+
+
+def _generate(args) -> Dataset:
+    """The --generator dataset; sizes left unset take the generator's defaults."""
+    options = {"n": args.gen_n, "big_n": args.gen_samples}
+    if args.generator == "pure-pairwise":
+        options["pairs"] = args.gen_pairs
+    return GENERATORS[args.generator](
+        seed=args.seed, **{key: value for key, value in options.items() if value is not None})
 
 
 def _load_dataset(args) -> Dataset:
-    sources = [args.dataset is not None, args.generator is not None]
-    if sum(sources) != 1:
+    if (args.dataset is None) == (args.generator is None):
         raise UsageError("exactly one data source required: --dataset or --generator")
     if args.dataset is not None:
         if not args.label_column:
@@ -151,15 +167,8 @@ def _load_dataset(args) -> Dataset:
             delimiter=args.delimiter,
             drop_missing=args.drop_missing,
         )
-    elif args.generator == "random-noise":
-        ds = gen_random_noise(
-            n=args.gen_n or 10, big_n=args.gen_samples or 100, seed=args.seed
-        )
     else:
-        ds = gen_pure_pairwise(
-            n=args.gen_n or 15, big_n=args.gen_samples or 1000,
-            pairs=args.gen_pairs, seed=args.seed,
-        )
+        ds = _generate(args)
     if args.undersample_ratio is not None:
         ds = undersample(ds, args.undersample_ratio, seed=args.seed)
     return ds
@@ -208,7 +217,6 @@ def cmd_fit(args) -> int:
         penalty=args.penalty,
         lam=_resolve_lambda(args),
         class_weighting=_class_weighting(args),
-        seed=args.seed,
     )
     result = fit(ds, args.k, config)
     out = Path(args.out_dir)
@@ -236,7 +244,7 @@ def cmd_predict(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise DataError(f"cannot read model file {args.model}: {exc}") from exc
 
-    names, x = _load_feature_matrix(args)
+    x = load_feature_matrix(args.dataset, args.delimiter, drop_column=args.label_column)
     if x.shape[1] != model.n:
         raise DataError(
             f"dimension mismatch: model expects {model.n} features, data has {x.shape[1]}"
@@ -251,39 +259,9 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_feature_matrix(args) -> tuple[list[str], np.ndarray]:
-    """Feature matrix for prediction; --label-column, when given, is dropped
-    without interpreting its values."""
-    if not args.dataset:
-        raise UsageError("--dataset is required")
-    with open(args.dataset, newline="") as fh:
-        reader = csv.reader(fh, delimiter=args.delimiter)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{args.dataset}: empty file") from None
-        drop = None
-        if args.label_column:
-            if args.label_column not in header:
-                raise DataError(f"{args.dataset}: label column '{args.label_column}' not in header")
-            drop = header.index(args.label_column)
-        names = [h for i, h in enumerate(header) if i != drop]
-        rows = []
-        for r, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            try:
-                rows.append([float(tok) for i, tok in enumerate(record) if i != drop])
-            except ValueError:
-                raise DataError(f"{args.dataset}: non-numeric cell in data row {r}") from None
-    if not rows:
-        raise DataError(f"{args.dataset}: no data rows")
-    return names, np.asarray(rows, dtype=float)
-
-
 def cmd_bench(args) -> int:
     ds = _load_dataset(args)
-    penalties = [p.strip() for p in args.penalties.split(",")] if args.penalties else [args.penalty]
+    penalties = [p.strip() for p in args.penalties.split(",")]
     for pen in penalties:
         if pen not in ("none", "l1", "l2"):
             raise UsageError(f"unknown penalty '{pen}'")
@@ -339,29 +317,27 @@ def cmd_bench(args) -> int:
 
 def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
+    c_grid = _parse_float_list(args.c_grid, "--c-grid")
+    k_range = _parse_k_range(args.gap_k_range, args.gap_n)
 
     # label-flip sensitivity curve on the synthetic noise protocol
     sens_ds = gen_random_noise(args.sens_n, args.sens_samples, seed=args.seed)
-    c_grid = _parse_float_list(args.c_grid, "--c-grid")
-    sens_rows = []
-    for c in c_grid:
-        study = sensitivity_to_label_flip(
-            sens_ds, args.sens_k,
-            FitConfig.with_c(c, penalty="l2", seed=args.seed),
-            repeats=args.sens_repeats,
-        )
-        sens_rows.append([c, 1.0 / c, study.mean_shift, study.std_shift,
-                          study.median_shift, float(study.risk_diffs.max()),
-                          study.stability_ceiling])
+    studies = [
+        sensitivity_to_label_flip(sens_ds, args.sens_k, FitConfig.with_c(c, penalty="l2"),
+                                  repeats=args.sens_repeats, seed=args.seed)
+        for c in c_grid
+    ]
     _write_csv(out / "sensitivity_curve.csv",
                ["C", "lambda", "mean_shift", "std_shift", "median_shift",
                 "max_risk_diff", "stability_ceiling"],
-               sens_rows)
+               [[c, 1.0 / c, study.mean_shift, study.std_shift, study.median_shift,
+                 float(study.risk_diffs.max()), study.stability_ceiling]
+                for c, study in zip(c_grid, studies)])
 
     # generalization-gap experiment
     exp = gap_experiment(
         n=args.gap_n, big_n=args.gap_samples,
-        k_range=_parse_k_range(args.gap_k_range, args.gap_n),
+        k_range=k_range,
         penalties=("none", "l2"),
         iterations=args.gap_iterations,
         seed=args.seed,
@@ -375,24 +351,16 @@ def cmd_bounds(args) -> int:
                gap_rows)
 
     # plug-in bound curves; L defaults to the max design-row norm of the
-    # sensitivity dataset at the largest k
-    if args.lipschitz is not None:
-        lipschitz = args.lipschitz
-    else:
-        x_norm = apply_normalization(sens_ds.x, learn_normalization(sens_ds.x))
-        lipschitz = max_row_norm(design_matrix(x_norm, args.sens_k))
+    # sensitivity dataset at --sens-k, which every label-flip study measured
+    lipschitz = args.lipschitz if args.lipschitz is not None else studies[0].row_norm
     if args.model is not None:
         b_norm = float(np.abs(ShapleyModel.load(args.model).indices).sum())
     else:
         b_norm = args.b_norm
-    curve = bound_curves(args.gap_n, args.gap_samples,
-                         _parse_k_range(args.gap_k_range, args.gap_n),
-                         lam=args.gap_lambda, norm_bound=b_norm, lipschitz=lipschitz)
+    report = bound_report(exp, norm_bound=b_norm, lipschitz=lipschitz)
     _write_csv(out / "bound_curves.csv",
                ["k", "D_k", "vc", "rademacher", "stability"],
-               [[r["k"], r["D_k"], r["vc"], r["rademacher"], r["stability"]] for r in curve])
-
-    report = bound_report(exp, norm_bound=b_norm, lipschitz=lipschitz)
+               [[r["k"], r["D_k"], r["vc"], r["rademacher"], r["stability"]] for r in report])
     _write_text(out / "bound_report.json", _json_text({
         "settings": {"n": args.gap_n, "N": args.gap_samples,
                      "iterations": args.gap_iterations, "lambda": args.gap_lambda,
@@ -440,13 +408,7 @@ def cmd_interactions(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.generator == "random-noise":
-        ds = gen_random_noise(n=args.gen_n or 10, big_n=args.gen_samples or 100, seed=args.seed)
-    elif args.generator == "pure-pairwise":
-        ds = gen_pure_pairwise(n=args.gen_n or 15, big_n=args.gen_samples or 1000,
-                               pairs=args.gen_pairs, seed=args.seed)
-    else:
-        raise UsageError(f"unknown generator '{args.generator}'")
+    ds = _generate(args)
     out = Path(args.out_dir)
     rows = [[*map(float, ds.x[i]), int(ds.y[i])] for i in range(ds.n_samples)]
     _write_csv(out / f"{ds.name}.csv", [*ds.feature_names, "label"], rows)
@@ -467,7 +429,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a model and write model.json")
     _add_data_args(p)
-    _add_fit_args(p)
+    _add_model_args(p)
+    p.add_argument("--penalty", choices=("none", "l1", "l2"), default="l2")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--lambda", dest="lam", type=float, help="regularization strength")
+    group.add_argument("--c", dest="c", type=float, help="reciprocal strength c = 1/lambda")
     _add_common(p)
     p.add_argument("--verbose-trace", action="store_true",
                    help="include the full objective trace in fit_report.json")
@@ -475,15 +441,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="per-row probabilities from a saved model")
     p.add_argument("--model", required=True)
-    _add_data_args(p)
-    _add_common(p)
+    p.add_argument("--dataset", required=True, help="CSV file with a header row")
+    p.add_argument("--label-column", help="column dropped without reading its values")
+    p.add_argument("--delimiter", default=",")
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="nested-CV benchmark, optionally sweeping k")
     _add_data_args(p)
-    _add_fit_args(p)
-    _add_common(p)
-    p.add_argument("--penalties", help="comma list overriding --penalty, e.g. none,l1,l2")
+    _add_model_args(p)
+    _add_common(p, jobs=True)
+    p.add_argument("--penalties", default="l2", help="comma list, e.g. none,l1,l2 (default l2)")
     p.add_argument("--sweep-k", action="store_true")
     p.add_argument("--k-range", help="'lo..hi' or comma list (with --sweep-k)")
     p.add_argument("--lambda-grid", help="comma list of lambda values")
@@ -496,7 +464,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bounds", help="stability curve, gap experiment, bound curves")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--sens-n", type=int, default=10)
     p.add_argument("--sens-samples", type=int, default=100)
     p.add_argument("--sens-k", type=int, default=2)
@@ -519,14 +487,11 @@ def build_parser() -> _Parser:
     p.add_argument("--top-k", type=int, help="restrict to K strongest features (default min(30, n))")
     p.add_argument("--min-support", type=float, default=0.7)
     p.add_argument("--zero-tol", type=float, default=1e-8)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_interactions)
 
     p = sub.add_parser("synth", help="write a synthetic dataset CSV + provenance")
-    p.add_argument("--generator", choices=GENERATORS, required=True)
-    p.add_argument("--gen-n", type=int)
-    p.add_argument("--gen-samples", type=int)
-    p.add_argument("--gen-pairs", type=int, default=5)
+    _add_generator_args(p, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 

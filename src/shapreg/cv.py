@@ -189,8 +189,7 @@ def nested_cv(
                 train.y, inner_folds, np.random.SeedSequence([seed, 1, fold_id])
             )
             for lam in grid:
-                config = FitConfig(penalty=penalty, lam=lam,
-                                   class_weighting=class_weighting, seed=seed)
+                config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
                 scores = []
                 for inner_id in range(inner_folds):
                     val_rows = inner[inner_id]
@@ -205,8 +204,7 @@ def nested_cv(
         else:
             best_lam = grid[0]
 
-        config = FitConfig(penalty=penalty, lam=best_lam,
-                           class_weighting=class_weighting, seed=seed)
+        config = FitConfig(penalty=penalty, lam=best_lam, class_weighting=class_weighting)
         result = fit(train, k, config)
         fold_report = FoldReport(
             fold=fold_id,
@@ -302,7 +300,7 @@ def bootstrap_stability(
     that were never drawn.  Degenerate resamples (missing a class, or an empty
     out-of-bag set) are skipped and counted.
     """
-    config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting, seed=seed)
+    config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
 
     def one(b: int) -> float | None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
@@ -333,15 +331,6 @@ class ResourceProfile:
     flops: float
     folds: int
 
-    def to_dict(self) -> dict:
-        return {
-            "train_time_s": self.train_time_s,
-            "infer_time_s": self.infer_time_s,
-            "model_size_mb": self.model_size_mb,
-            "flops": self.flops,
-            "folds": self.folds,
-        }
-
 
 def resource_profile(
     dataset: Dataset,
@@ -358,7 +347,7 @@ def resource_profile(
     add per design-matrix entry of the test fold.
     """
     assignments = stratified_folds(dataset.y, folds, np.random.SeedSequence([seed, 0]))
-    config = FitConfig(penalty=penalty, lam=lam, seed=seed)
+    config = FitConfig(penalty=penalty, lam=lam)
     d_k = basis_dimension(dataset.n_features, k)
 
     train_times, infer_times, test_sizes = [], [], []

@@ -77,8 +77,68 @@ def _parse_cell(token: str, row: int, column: str) -> float:
             f"non-numeric cell '{token}' at data row {row}, column '{column}'"
         ) from None
     if not np.isfinite(value):
-        raise DataError(f"missing value at data row {row}, column '{column}'")
+        raise DataError(f"non-finite value '{token}' at data row {row}, column '{column}'")
     return value
+
+
+def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: bool):
+    """Parse a headered CSV of numbers: the one reader behind
+    :func:`load_csv` and :func:`load_feature_matrix`.
+
+    ``drop_column``, when given, must be in the header; its tokens are split
+    off unparsed.  Every other cell must be a finite number.  Blank lines are
+    skipped.  A row with the wrong field count aborts, and so does a missing,
+    non-numeric or non-finite cell unless ``drop_missing`` drops its row; the
+    error names the data row and column.  Returns (feature names, matrix,
+    stripped tokens of ``drop_column`` or None, dropped row count).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        drop = None
+        if drop_column is not None:
+            if drop_column not in header:
+                raise DataError(f"{path}: label column '{drop_column}' not in header {header}")
+            drop = header.index(drop_column)
+        records = list(reader)
+    row_numbers = range(1, len(records) + 1)
+    if set(map(len, records)) - {len(header)}:  # blank lines or ragged rows
+        for r, record in enumerate(records, start=1):
+            if record and len(record) != len(header):
+                raise DataError(f"{path}: data row {r} has {len(record)} fields, expected {len(header)}")
+        row_numbers = [r for r, record in enumerate(records, start=1) if record]
+        records = [record for record in records if record]
+    if not records:
+        raise DataError(f"{path}: no data rows")
+    names = [h for i, h in enumerate(header) if i != drop]
+    tokens = None if drop is None else [record.pop(drop).strip() for record in records]
+
+    # one bulk conversion (numpy parses a str cell exactly as float() does);
+    # only a file with a bad cell is rescanned, to name that cell or drop rows
+    try:
+        x = np.array(records, dtype=float)
+        clean = bool(np.isfinite(x).all())
+    except ValueError:
+        clean = False
+    if clean:
+        return names, x, tokens, 0
+    kept, rows = [], []
+    for i, (r, record) in enumerate(zip(row_numbers, records)):
+        try:
+            rows.append([_parse_cell(tok, r, name) for tok, name in zip(record, names)])
+        except DataError:
+            if not drop_missing:
+                raise
+            continue
+        kept.append(i)
+    if not rows:
+        raise DataError(f"{path}: no usable data rows")
+    if tokens is not None:
+        tokens = [tokens[i] for i in kept]
+    return names, np.array(rows, dtype=float), tokens, len(records) - len(kept)
 
 
 def load_csv(
@@ -97,44 +157,9 @@ def load_csv(
     values abort with the offending row/column named, unless ``drop_missing``
     removes those rows (count logged).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataError(f"{path}: label column '{label_column}' not in header {header}")
-        label_pos = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_pos]
-
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        dropped = 0
-        for r, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataError(f"{path}: data row {r} has {len(record)} fields, expected {len(header)}")
-            try:
-                values = [
-                    _parse_cell(tok, r, header[i])
-                    for i, tok in enumerate(record)
-                    if i != label_pos
-                ]
-            except DataError:
-                if drop_missing:
-                    dropped += 1
-                    continue
-                raise
-            rows.append(values)
-            raw_labels.append(record[label_pos].strip())
-
+    feature_names, x, raw_labels, dropped = _read_table(path, delimiter, label_column, drop_missing)
     if dropped:
         logger.info("%s: dropped %d rows with missing values", path, dropped)
-    if not rows:
-        raise DataError(f"{path}: no usable data rows")
 
     if positive_class is not None:
         y = np.array([1 if lab == positive_class else 0 for lab in raw_labels])
@@ -153,13 +178,20 @@ def load_csv(
         y = numeric.astype(int)
 
     return Dataset(
-        x=np.asarray(rows, dtype=float),
+        x=x,
         y=y,
         feature_names=feature_names,
         name=name or str(path),
         provenance={"source": str(path), "label_column": label_column,
                     "positive_class": positive_class, "dropped_rows": dropped},
     )
+
+
+def load_feature_matrix(path, delimiter: str = ",", drop_column: str | None = None) -> np.ndarray:
+    """Feature matrix of a headered CSV, for prediction.  Cells are parsed and
+    checked as :func:`load_csv` parses features; ``drop_column`` (a label
+    column, say) is dropped without interpreting its values."""
+    return _read_table(path, delimiter, drop_column, drop_missing=False)[1]
 
 
 def gen_random_noise(n: int = 10, big_n: int = 100, seed: int = 0) -> Dataset:

@@ -35,9 +35,12 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
-# Full-order operations need 2^n values; the bit-mask convention also assumes
-# masks fit comfortably in an int64 when handed to numpy.
+# The bit-mask convention assumes masks fit comfortably in an int64 when
+# handed to numpy.
 MAX_FULL_ORDER_N = 62
+# Full-lattice transforms hold 2^n values (8 MiB at n = 20) and enumerate
+# every coalition in Python; larger universes fail before allocating.
+MAX_LATTICE_N = 20
 
 
 class Basis(str, Enum):
@@ -197,6 +200,14 @@ def _from_lattice(full: np.ndarray, n: int, k: int, basis: Basis) -> SetFunction
     return SetFunction(n=n, k=k, basis=basis, values=full[masks])
 
 
+def _check_lattice(n: int) -> None:
+    if n > MAX_LATTICE_N:
+        raise ValueError(
+            f"full-lattice transform on n={n} features needs 2^{n} values; "
+            f"capped at n={MAX_LATTICE_N}"
+        )
+
+
 def mobius_from_capacity(mu: SetFunction) -> SetFunction:
     """Moebius coefficients of a full-order game: m(A) = sum_{B<=A} (-1)^{|A\\B|} v(B).
 
@@ -206,8 +217,7 @@ def mobius_from_capacity(mu: SetFunction) -> SetFunction:
     _require_basis(mu, Basis.CAPACITY, "mobius_from_capacity")
     if mu.k != mu.n:
         raise ValueError("mobius_from_capacity needs a full-order game (k = n)")
-    if mu.n > MAX_FULL_ORDER_N:
-        raise ValueError(f"full-order transform capped at n={MAX_FULL_ORDER_N}")
+    _check_lattice(mu.n)
     f = _to_lattice(mu)
     masks = np.arange(1 << mu.n)
     for i in range(mu.n):
@@ -224,8 +234,7 @@ def capacity_from_mobius(m: SetFunction) -> SetFunction:
     with zeros above order k.
     """
     _require_basis(m, Basis.MOBIUS, "capacity_from_mobius")
-    if m.n > MAX_FULL_ORDER_N:
-        raise ValueError(f"full-order transform capped at n={MAX_FULL_ORDER_N}")
+    _check_lattice(m.n)
     lifted = m if m.k == m.n else SetFunction(
         n=m.n, k=m.n, basis=Basis.MOBIUS,
         values=np.concatenate([m.values, np.zeros(num_coalitions(m.n, m.n) - m.values.size)]),
@@ -384,8 +393,9 @@ def truncate_k_additive(m: SetFunction, k: int) -> SetFunction:
 
 def _check_unit_box(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError("inputs must lie in [0,1]; normalize upstream")
+    # written so that NaN, which fails every comparison, fails the check
+    if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
+        raise ValueError("inputs must be finite and lie in [0,1]; normalize upstream")
     return np.clip(x, 0.0, 1.0)
 
 

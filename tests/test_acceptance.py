@@ -260,7 +260,7 @@ def flip_studies():
     t0 = time.perf_counter()
     studies = {
         c: sensitivity_to_label_flip(
-            ds, 2, FitConfig.with_c(c, penalty="l2", seed=7), repeats=20
+            ds, 2, FitConfig.with_c(c, penalty="l2"), repeats=20, seed=7
         )
         for c in C_GRID
     }

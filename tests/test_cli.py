@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shapreg import cli
 from shapreg.cli import (
     EXIT_DATA,
     EXIT_NO_CONVERGENCE,
@@ -84,10 +86,23 @@ def test_fit_nonconvergence_exit_code(toy_csv, tmp_path):
     # k > n is a usage error
     assert run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "9",
                "--out-dir", tmp_path / "x") == EXIT_USAGE
-    # one-iteration budget cannot converge
+    # a weakly regularized fit ends converged or not, never with an error
     code = run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "2",
                "--lambda", "0.01", "--out-dir", tmp_path / "nc")
     assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+
+
+def test_fit_budget_exit_code(toy_csv, tmp_path, monkeypatch, capsys):
+    # a one-iteration budget cannot converge from the zero start
+    library_fit = cli.fit
+    monkeypatch.setattr(cli, "fit", lambda ds, k, config: library_fit(
+        ds, k, dataclasses.replace(config, max_iters=1)))
+    code = run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "2",
+               "--lambda", "0.01", "--out-dir", tmp_path / "nc")
+    assert code == EXIT_NO_CONVERGENCE
+    assert "NOT converged in 1 iterations" in capsys.readouterr().out
+    report = json.loads((tmp_path / "nc/fit_report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 1
 
 
 def test_fit_predict_round_trip(toy_csv, tmp_path):
@@ -124,6 +139,64 @@ def test_predict_malformed_model(toy_csv, tmp_path):
     broken.write_text("{not json")
     assert run("predict", "--model", broken, "--dataset", toy_csv,
                "--label-column", "y", "--out-dir", tmp_path) == EXIT_DATA
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.1,nan,0.3,0.4,1", "data row 2, column 'f1'"),
+    ("0.1,0.2,inf,0.4,0", "data row 2, column 'f2'"),
+    ("NA,0.2,0.3,0.4,1", "data row 2, column 'f0'"),
+    ("0.1,0.2,,0.4,0", "data row 2, column 'f2'"),
+    ("0.1,0.2,0.3,1", "data row 2 has 4 fields, expected 5"),
+])
+def test_predict_rejects_unscorable_rows(toy_csv, tmp_path, capsys, bad_row, message):
+    out = tmp_path / "run"
+    run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "1",
+        "--lambda", "1.0", "--out-dir", out)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1,f2,f3,y\n0.5,0.5,0.5,0.5,1\n" + bad_row + "\n0.2,0.2,0.2,0.2,0\n")
+    capsys.readouterr()
+    assert run("predict", "--model", out / "model.json", "--dataset", rows,
+               "--label-column", "y", "--out-dir", tmp_path / "pred") == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pred/predictions.csv").exists()
+
+
+# flags that changed nothing, or that another flag overrode; each must now be
+# rejected rather than silently accepted
+VALID_ARGV = {
+    "fit": ["--generator", "random-noise"],
+    "predict": ["--model", "model.json", "--dataset", "rows.csv"],
+    "bench": ["--generator", "random-noise"],
+    "interactions": ["--models", "model.json"],
+    "synth": ["--generator", "random-noise"],
+}
+REMOVED_FLAGS = [
+    ("fit", ["--jobs", "2"]),
+    ("predict", ["--positive-class", "case"]),
+    ("predict", ["--drop-missing"]),
+    ("predict", ["--generator", "random-noise"]),
+    ("predict", ["--gen-n", "5"]),
+    ("predict", ["--gen-samples", "50"]),
+    ("predict", ["--gen-pairs", "2"]),
+    ("predict", ["--undersample-ratio", "0.1"]),
+    ("predict", ["--seed", "5"]),
+    ("predict", ["--jobs", "9"]),
+    ("bench", ["--lambda", "123"]),
+    ("bench", ["--c", "2"]),
+    ("bench", ["--penalty", "l1"]),
+    ("interactions", ["--seed", "1"]),
+    ("interactions", ["--jobs", "2"]),
+    ("synth", ["--jobs", "2"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in REMOVED_FLAGS])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # the argv is complete without the flag, so the only error is the flag;
+    # parsing fails before any file is read
+    assert run(command, *VALID_ARGV[command], "--out-dir", tmp_path, *flag) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_missing_file_is_data_error(tmp_path):

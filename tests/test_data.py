@@ -7,6 +7,7 @@ from shapreg.data import (
     gen_pure_pairwise,
     gen_random_noise,
     load_csv,
+    load_feature_matrix,
     undersample,
 )
 
@@ -37,6 +38,36 @@ def test_drop_missing_flag(tmp_path):
     ds = load_csv(path, label_column="y", drop_missing=True)
     assert ds.n_samples == 2
     assert ds.provenance["dropped_rows"] == 1
+
+
+def test_blank_lines_keep_row_numbers(tmp_path):
+    path = write(tmp_path, "a,b,y\n1,2,0\n\n3,,1\n")
+    with pytest.raises(DataError, match=r"row 3, column 'b'"):
+        load_csv(path, label_column="y")
+
+
+def test_non_finite_cell_named_or_dropped(tmp_path):
+    path = write(tmp_path, "a,b,y\n1,2,0\n3,-inf,1\n5,6,1\n")
+    with pytest.raises(DataError, match=r"non-finite value '-inf' at data row 2, column 'b'"):
+        load_csv(path, label_column="y")
+    ds = load_csv(path, label_column="y", drop_missing=True)
+    assert ds.x.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+    assert list(ds.y) == [0, 1]
+
+
+def test_ragged_row_rejected(tmp_path):
+    path = write(tmp_path, "a,b,y\n1,2,0\n3,1\n")
+    with pytest.raises(DataError, match="data row 2 has 2 fields, expected 3"):
+        load_csv(path, label_column="y", drop_missing=True)
+
+
+def test_feature_matrix_drops_column_unparsed(tmp_path):
+    path = write(tmp_path, "a,y,b\n1,case,2\n3,,4\n")
+    assert load_feature_matrix(path, drop_column="y").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(DataError, match=r"non-numeric cell 'case' at data row 1, column 'y'"):
+        load_feature_matrix(path)
+    with pytest.raises(DataError, match="label column 'z' not in header"):
+        load_feature_matrix(path, drop_column="z")
 
 
 def test_non_numeric_cell(tmp_path):

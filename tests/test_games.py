@@ -14,6 +14,7 @@ from shapreg.games import (
     indices_of,
     interaction_inversion_weights,
     mask_of,
+    min_terms,
     mobius_from_capacity,
     mobius_from_shapley,
     num_coalitions,
@@ -306,6 +307,23 @@ def test_choquet_rejects_out_of_box():
     m = make_sf(2, 2, Basis.MOBIUS, [0.5, 0.3, 0.2])
     with pytest.raises(ValueError):
         choquet_mobius(m, [1.2, 0.5])
+
+
+def test_min_terms_reject_nan():
+    # NaN fails every comparison, so a box check written as "any x out of
+    # bounds" lets it through
+    with pytest.raises(ValueError, match="finite"):
+        min_terms(np.array([[0.2, np.nan, 0.5]]), 2)
+
+
+def test_full_lattice_transforms_fail_before_allocating():
+    # a 2-additive game on 40 features is small; its lattice has 2^40 values
+    m = make_sf(40, 2, Basis.MOBIUS, np.zeros(num_coalitions(40, 2)))
+    with pytest.raises(ValueError, match=r"2\^40"):
+        capacity_from_mobius(m)
+    mu = make_sf(21, 21, Basis.CAPACITY, np.zeros(num_coalitions(21, 21)))
+    with pytest.raises(ValueError, match=r"2\^21"):
+        mobius_from_capacity(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,12 @@ def test_json_round_trip_bit_exact(tmp_path):
     assert back.to_json() == model.to_json()
 
 
+def test_nan_input_rejected():
+    model = make_model()
+    with pytest.raises(ValueError, match="finite"):
+        model.predict_proba(np.array([[0.1, np.nan, 0.3]]))
+
+
 def test_dimension_mismatch_rejected():
     model = make_model()
     with pytest.raises(ValueError):

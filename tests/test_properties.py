@@ -1,11 +1,13 @@
-"""Property tests for the k-additive structure: the peel recurrence behind
-the min-term matrix and the Shapley <-> Moebius superset maps."""
+"""Property tests for the k-additive structure (the peel recurrence behind
+the min-term matrix and the Shapley <-> Moebius superset maps) and for the
+CSV loader."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shapreg.data import load_csv
 from shapreg.games import (
     Basis,
     SetFunction,
@@ -47,3 +49,20 @@ def test_shapley_mobius_round_trip(data, universe):
     index_fn = SetFunction(n=n, k=k, basis=Basis.SHAPLEY, values=values)
     back = shapley_from_mobius(mobius_from_shapley(index_fn))
     assert np.abs(back.values - values).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 4)))
+def test_csv_loader_parses_cells_like_float(tmp_path_factory, data, shape):
+    values = data.draw(arrays(float, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    fmt = data.draw(st.sampled_from([repr, "{:.5e}".format, "{:.3f}".format, " {!r}".format]))
+    labels = data.draw(arrays(int, shape[0], elements=st.integers(0, 1)))
+    tokens = [[fmt(float(v)) for v in row] for row in values]
+    lines = [",".join([f"f{j}" for j in range(shape[1])] + ["y"])]
+    lines += [",".join(row + [str(y)]) for row, y in zip(tokens, labels)]
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    ds = load_csv(path, label_column="y")
+    expected = np.array([[float(tok) for tok in row] for row in tokens])
+    assert np.array_equal(ds.x.view(np.int64), expected.view(np.int64))  # bit for bit
+    assert np.array_equal(ds.y, labels)
