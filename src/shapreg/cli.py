@@ -150,6 +150,9 @@ def _generate(args) -> Dataset:
     options = {"n": args.gen_n, "big_n": args.gen_samples}
     if args.generator == "pure-pairwise":
         options["pairs"] = args.gen_pairs
+    elif args.gen_pairs is not None:
+        raise UsageError(f"--gen-pairs applies only to --generator pure-pairwise, "
+                         f"not {args.generator}")
     return GENERATORS[args.generator](
         seed=args.seed, **{key: value for key, value in options.items() if value is not None})
 
@@ -189,18 +192,20 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_k_range(text: str, n: int) -> list[int]:
+def _parse_k_range(text: str, n: int, flag: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
             ks = list(range(int(lo), int(hi) + 1))
         except ValueError:
-            raise UsageError("--k-range expects 'lo..hi' or a comma list") from None
+            raise UsageError(f"{flag} expects 'lo..hi' or a comma list") from None
     else:
         try:
             ks = [int(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            raise UsageError("--k-range expects 'lo..hi' or a comma list") from None
+            raise UsageError(f"{flag} expects 'lo..hi' or a comma list") from None
+    if not ks:
+        raise UsageError(f"{flag} '{text}' contains no k")
     for k in ks:
         _check_k(k, n)
     return ks
@@ -266,7 +271,7 @@ def cmd_bench(args) -> int:
         if pen not in ("none", "l1", "l2"):
             raise UsageError(f"unknown penalty '{pen}'")
     if args.sweep_k:
-        k_values = _parse_k_range(args.k_range, ds.n_features) if args.k_range \
+        k_values = _parse_k_range(args.k_range, ds.n_features, "--k-range") if args.k_range \
             else list(range(1, ds.n_features + 1))
     else:
         _check_k(args.k, ds.n_features)
@@ -318,7 +323,13 @@ def cmd_bench(args) -> int:
 def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
     c_grid = _parse_float_list(args.c_grid, "--c-grid")
-    k_range = _parse_k_range(args.gap_k_range, args.gap_n)
+    k_range = _parse_k_range(args.gap_k_range, args.gap_n, "--gap-k-range")
+    if not args.gap_lambda > 0:
+        raise UsageError(f"--gap-lambda must be > 0, got {args.gap_lambda}")
+    if not args.b_norm >= 0:
+        raise UsageError(f"--b-norm must be >= 0, got {args.b_norm}")
+    if args.lipschitz is not None and not args.lipschitz >= 0:
+        raise UsageError(f"--lipschitz must be >= 0, got {args.lipschitz}")
 
     # label-flip sensitivity curve on the synthetic noise protocol
     sens_ds = gen_random_noise(args.sens_n, args.sens_samples, seed=args.seed)

@@ -230,6 +230,14 @@ def test_bench_invalid_penalty_is_usage_error(toy_csv, tmp_path):
                "--penalties", "ridge", "--out-dir", tmp_path) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("k_range", ["3..1", ","])
+def test_bench_empty_k_range_is_usage_error(toy_csv, tmp_path, capsys, k_range):
+    assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--sweep-k",
+               "--k-range", k_range, "--out-dir", tmp_path / "b") == EXIT_USAGE
+    assert "--k-range" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_bench_requires_single_data_source(toy_csv, tmp_path):
     assert run("bench", "--dataset", toy_csv, "--label-column", "y",
                "--generator", "random-noise", "--out-dir", tmp_path) == EXIT_USAGE
@@ -253,6 +261,22 @@ def test_bounds_outputs(tmp_path):
     validate(out / "bound_report.json", "bound_report.schema.json")
     gap_header = (out / "gap_experiment.csv").read_text().splitlines()[0]
     assert gap_header == "k,D_k,d_eff,gap_unreg,gap_unreg_std,gap_l2,gap_l2_std"
+
+
+@pytest.mark.parametrize("flag", [
+    ["--gap-k-range", "3..1"],
+    ["--gap-lambda", "0"],
+    ["--gap-lambda", "nan"],
+    ["--b-norm", "-1"],
+    ["--lipschitz", "-0.5"],
+])
+def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, flag):
+    out = tmp_path / "bounds"
+    assert run("bounds", "--sens-samples", "40", "--sens-repeats", "2", "--c-grid", "1.0",
+               "--gap-n", "4", "--gap-samples", "80", "--gap-k-range", "1..2",
+               "--gap-iterations", "1", *flag, "--out-dir", out) == EXIT_USAGE
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +361,18 @@ def test_synth_deterministic_bytes(tmp_path):
         "--out-dir", tmp_path / "s2")
     assert (tmp_path / "s1/pure_pairwise.csv").read_bytes() == \
         (tmp_path / "s2/pure_pairwise.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("fit", ["--k", "1"]),
+    ("bench", ["--k", "1"]),
+    ("synth", []),
+])
+def test_gen_pairs_needs_pure_pairwise(tmp_path, capsys, command, extra):
+    assert run(command, "--generator", "random-noise", "--gen-pairs", "3", *extra,
+               "--out-dir", tmp_path / "out") == EXIT_USAGE
+    assert "--gen-pairs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_unknown_generator(tmp_path):

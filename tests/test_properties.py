@@ -1,6 +1,6 @@
 """Property tests for the k-additive structure (the peel recurrence behind
-the min-term matrix and the Shapley <-> Moebius superset maps) and for the
-CSV loader."""
+the min-term matrix and the Shapley <-> Moebius superset maps), for the CSV
+loader and for the model file."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shapreg.data import load_csv
+from shapreg.model import ShapleyModel
 from shapreg.games import (
     Basis,
     SetFunction,
@@ -66,3 +67,30 @@ def test_csv_loader_parses_cells_like_float(tmp_path_factory, data, shape):
     expected = np.array([[float(tok) for tok in row] for row in tokens])
     assert np.array_equal(ds.x.view(np.int64), expected.view(np.int64))  # bit for bit
     assert np.array_equal(ds.y, labels)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), universe=universes(max_n=6))
+def test_model_json_round_trip_bit_exact(tmp_path_factory, data, universe):
+    n, k = universe
+    bounds = np.sort(data.draw(arrays(float, (n, 2), elements=st.floats(-1e6, 1e6))), axis=1)
+    model = ShapleyModel(
+        feature_names=[f"f{i}" for i in range(n)],
+        k=k,
+        bias=data.draw(finite),
+        indices=data.draw(arrays(float, num_coalitions(n, k), elements=st.floats(-1e3, 1e3))),
+        normalization=bounds,
+    )
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    model.save(path)
+    back = ShapleyModel.load(path)
+    assert back.feature_names == model.feature_names and back.k == model.k
+    assert np.float64(back.bias).view(np.int64) == np.float64(model.bias).view(np.int64)
+    for field in ("indices", "normalization", "mobius"):
+        assert np.array_equal(getattr(back, field).view(np.int64), getattr(model, field).view(np.int64))
+    x = data.draw(arrays(float, (3, n), elements=st.floats(-2e6, 2e6)))
+    with np.errstate(over="ignore"):  # a subnormal span scales to inf, clipped to 1
+        assert np.array_equal(back.predict_proba(x), model.predict_proba(x))

@@ -1,6 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from shapreg import train
 from shapreg.basis import design_matrix
 from shapreg.data import Dataset, gen_random_noise
 from shapreg.train import (
@@ -176,18 +182,113 @@ def test_l2_fits_converge_in_few_newton_steps():
         assert result.converged and result.iterations <= 20, (lam, result.iterations)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
-def test_constant_and_duplicated_features_converge(k, penalty):
+def collinear_dataset(seed):
     """A constant feature makes every pair column {i, c} a multiple of x_i and
     a duplicated feature repeats columns, so the Hessian is singular."""
-    ds = toy_dataset(n=4, big_n=200, seed=18)
+    ds = toy_dataset(n=4, big_n=200, seed=seed)
     x = ds.x.copy()
     x[:, 2] = 0.5
     x[:, 3] = x[:, 0]
-    ds = Dataset(x=x, y=ds.y, feature_names=ds.feature_names)
-    result = fit(ds, k, FitConfig(penalty=penalty, lam=0.1))
+    return Dataset(x=x, y=ds.y, feature_names=ds.feature_names)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+def test_constant_and_duplicated_features_converge(k, penalty):
+    result = fit(collinear_dataset(seed=18), k, FitConfig(penalty=penalty, lam=0.1))
     assert result.converged and result.grad_norm <= 1e-8
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lam", [1e-4, 1e-3, 3e-2])
+def test_collinear_l1_converges_in_few_newton_steps(k, lam):
+    """Collinear columns (a constant plus a duplicated feature) let an
+    orthant-projected Newton step keep crossing zero between them for 43-240
+    iterations on this data; the exact l1 subproblem needs a handful."""
+    result = fit(collinear_dataset(seed=21), k, FitConfig(penalty="l1", lam=lam))
+    assert result.converged and result.iterations <= 30, result.iterations
+
+
+@st.composite
+def l1_subproblems(draw):
+    dim = draw(st.integers(1, 8))
+    entries = st.floats(-3.0, 3.0)
+    a = draw(arrays(float, (dim, dim), elements=entries))
+    hess = a @ a.T + 0.1 * np.eye(dim)
+    grad = draw(arrays(float, dim, elements=st.floats(-5.0, 5.0)))
+    theta = draw(arrays(float, dim, elements=st.one_of(st.just(0.0), entries)))
+    return hess, grad, theta, draw(st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=l1_subproblems())
+def test_newton_step_solves_the_l1_subproblem(problem):
+    """The step minimizes grad @ d + d @ hess @ d / 2 + lam ||(theta + d)[1:]||_1:
+    at theta + d the model gradient vanishes on the bias, equals -lam * sign on
+    nonzero coefficients and stays within lam on zero ones.  Without the l1
+    term it is the one full Newton solve."""
+    hess, grad, theta, lam = problem
+    d = train._newton_step(hess, grad, theta, lam)
+    slope, coef = grad + hess @ d, (theta + d)[1:]
+    nonzero = coef != 0
+    assert abs(slope[0]) <= 1e-9
+    assert np.all(np.abs(slope[1:][nonzero] + lam * np.sign(coef[nonzero])) <= 1e-9)
+    assert np.all(np.abs(slope[1:][~nonzero]) <= lam + 1e-9)
+    assert np.array_equal(train._newton_step(hess, grad, theta, 0.0), -np.linalg.solve(hess, grad))
+
+
+def test_l1_change_keeps_small_steps():
+    """Near the optimum the model decrease is ~1e-16 while ||theta||_1 is ~15:
+    the difference of the two norms would round the l1 change of a small
+    step to noise and stall the line search, the signed step does not."""
+    theta = np.array([0.3, 10.618054, -3.6658280, 0.0, -0.87724244])
+    cand = theta + np.array([1e-10, 2.5e-8, -1.1e-8, -3e-9, 2.6e-9])
+    exact = sum(abs(Fraction(c)) - abs(Fraction(t)) for c, t in zip(cand[1:], theta[1:]))
+    assert train._l1_change(theta, cand) == pytest.approx(float(exact), rel=1e-12, abs=0)
+    assert train._l1_change(theta, np.zeros(5)) == -np.abs(theta[1:]).sum()
+
+
+class _FirstHessianMissesColumn(train._Objective):
+    """Leaves the curvature of the first column out of the first Hessian, as
+    a Hessian taken where that column's samples saturate would."""
+
+    calls = 0
+
+    def hessian(self, z):
+        hess = super().hessian(z)
+        if self.calls == 0:
+            hess[1, :] = hess[:, 1] = 0.0
+        self.calls += 1
+        return hess
+
+
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.1), ("l2", 0.1)])
+def test_hessian_shift_escalates_when_the_step_fails(monkeypatch, penalty, lam):
+    """With the first column scaled by 1e4 and its curvature missing, the
+    first Newton step overshoots at the smallest shift and the line search
+    rejects it; a larger shift passes, and the fit then converges on the true
+    Hessian."""
+    rng = np.random.default_rng(0)
+    phi = rng.uniform(-0.5, 0.5, size=(60, 4))
+    phi[:, 0] *= 1e4
+    y = (rng.uniform(size=60) < 0.5).astype(float)
+    obj = _FirstHessianMissesColumn(phi, y, np.ones(60), penalty, lam)
+    shifted = []  # first-column curvature of every subproblem solved
+    newton_step = train._newton_step
+
+    def recording_step(hess, grad, theta, lam):
+        shifted.append(hess[1, 1])
+        return newton_step(hess, grad, theta, lam)
+
+    monkeypatch.setattr(train, "_newton_step", recording_step)
+    theta, trace, converged, iterations, residual = train._newton(obj, 1e-8, 100)
+    assert converged and residual <= 1e-8
+    assert np.diff(trace).max() <= 1e-12
+    # on the first iteration that curvature is the shift alone, ~1e8 below
+    # its true value; the shifts tried there rise in the order of _SHIFTS
+    first = np.array([h for h in shifted if h < 1e4])
+    assert len(first) >= 2 and len(shifted) == iterations + len(first) - 1
+    assert first / first[0] * train._SHIFTS[0] == pytest.approx(train._SHIFTS[:len(first)], rel=1e-9)
 
 
 def _lbfgsb_reference(design, y, w, penalty, lam):
