@@ -49,8 +49,10 @@ from .train import (
     FitConfig,
     FitResult,
     LabelFlipStudy,
+    Problem,
     fit,
     loss_and_gradient,
+    prepare,
     sensitivity_to_label_flip,
 )
 
@@ -67,6 +69,7 @@ __all__ = [
     "InteractionMatrix",
     "LabelFlipStudy",
     "MetricSet",
+    "Problem",
     "SetFunction",
     "ShapleyModel",
     "bootstrap_stability",
@@ -97,6 +100,7 @@ __all__ = [
     "noise_robustness",
     "num_coalitions",
     "phi",
+    "prepare",
     "resource_profile",
     "sensitivity_to_label_flip",
     "shapley_from_mobius",

@@ -9,11 +9,11 @@ from math import comb, log, sqrt
 
 import numpy as np
 
-from .basis import DesignMatrix, design_matrix
+from .basis import DesignMatrix
 from .data import gen_random_noise
-from .model import ShapleyModel, apply_normalization
+from .model import ShapleyModel
 from .parallel import map_ordered
-from .train import FitConfig, fit, learn_normalization
+from .train import FitConfig, fit, prepare
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,9 @@ def gap_experiment(
 
     Each iteration draws X ~ U[0,1]^n with fair-coin labels, splits into equal
     halves, fits every configuration on the first half, and scores both
-    halves.  ``split=False`` is a diagnostic mode where train and test
-    coincide, forcing a zero gap.  Per-iteration seeds derive from the root
+    halves.  At each k, ``d_eff`` and every penalty's fit share one prepared
+    design of the first half.  ``split=False`` is a diagnostic mode where
+    train and test coincide, forcing a zero gap.  Per-iteration seeds derive from the root
     seed, so results are independent of scheduling.
     """
     if split and big_n % 2 != 0:
@@ -266,13 +267,12 @@ def gap_experiment(
             train = test = ds
         out = {}
         deffs = {}
-        x_norm = apply_normalization(train.x, learn_normalization(train.x))
         for k in k_values:
-            design = design_matrix(x_norm, k)
-            deffs[k] = effective_dimension(design)
+            problem = prepare(train, k)
+            deffs[k] = effective_dimension(problem.design)
             for pen in penalties:
                 config = FitConfig(penalty=pen, lam=lam)
-                result = fit(train, k, config)
+                result = fit(problem, k, config)
                 train_err = float((result.model.predict(train.x) != train.y).mean())
                 test_err = float((result.model.predict(test.x) != test.y).mean())
                 out[(k, pen)] = (train_err, test_err, result.converged)

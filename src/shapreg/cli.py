@@ -163,6 +163,10 @@ def _load_dataset(args) -> Dataset:
     if args.dataset is not None:
         if not args.label_column:
             raise UsageError("--label-column is required with --dataset")
+        for flag in ("gen_n", "gen_samples", "gen_pairs"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag.replace('_', '-')} applies only to --generator, "
+                                 f"not --dataset")
         ds = load_csv(
             args.dataset,
             label_column=args.label_column,
@@ -306,7 +310,8 @@ def cmd_bench(args) -> int:
     if args.profile:
         rows = []
         for (pen, k), cell in report.cells.items():
-            prof = resource_profile(ds, k, pen, cell.bootstrap_lam, seed=args.seed)
+            prof = resource_profile(ds, k, pen, cell.bootstrap_lam, seed=args.seed,
+                                    class_weighting=_class_weighting(args))
             rows.append([ds.name, pen, k, prof.train_time_s, prof.infer_time_s,
                          prof.model_size_mb, prof.flops])
         _write_csv(out / "resources.csv",

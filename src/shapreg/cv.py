@@ -13,10 +13,10 @@ from scipy.special import expit
 
 from .basis import basis_dimension
 from .data import Dataset
-from .metrics import MetricSet, metrics
+from .metrics import MetricSet, metrics, threshold_metrics
 from .model import ShapleyModel
 from .parallel import map_ordered
-from .train import FitConfig, FitResult, fit
+from .train import FitConfig, FitResult, fit, prepare
 
 logger = logging.getLogger(__name__)
 
@@ -53,12 +53,6 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
         for pos, row in enumerate(rows):
             folds[pos % n_folds].append(int(row))
     return [np.sort(np.array(f, dtype=int)) for f in folds]
-
-
-def _score(metric_set: MetricSet, name: str) -> float:
-    if name not in SELECTION_METRICS:
-        raise ValueError(f"selection metric must be one of {SELECTION_METRICS}, got '{name}'")
-    return getattr(metric_set, name)
 
 
 def _evaluate(model: ShapleyModel, x_raw: np.ndarray, y: np.ndarray) -> MetricSet:
@@ -159,9 +153,13 @@ def nested_cv(
 
     The inner loop scores every grid lambda by the mean selection metric over
     ``inner_folds`` stratified splits of the outer-train rows (ties prefer the
-    smaller lambda); the winner is refit on the full outer-train split, whose
-    min-max normalization never sees test rows.  Everything derives from
-    ``seed``, so reports are byte-identical across runs.
+    smaller lambda).  Each inner split builds its normalization and design
+    once and solves the grid as a path in descending lambda, every fit
+    warm-started from the previous one's parameters; its validation rows are
+    scored for the selection metric only.  The winner is refit cold (from
+    zero) on the full outer-train split, whose min-max normalization never
+    sees test rows.  Everything derives from ``seed``, so reports are
+    byte-identical across runs and ``jobs`` values.
     """
     if penalty == "none":
         grid = [0.0]
@@ -188,18 +186,20 @@ def nested_cv(
             inner = stratified_folds(
                 train.y, inner_folds, np.random.SeedSequence([seed, 1, fold_id])
             )
-            for lam in grid:
-                config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
-                scores = []
-                for inner_id in range(inner_folds):
-                    val_rows = inner[inner_id]
-                    fit_mask = np.ones(train.n_samples, dtype=bool)
-                    fit_mask[val_rows] = False
-                    inner_train = train.subset(np.flatnonzero(fit_mask))
-                    result = fit(inner_train, k, config)
-                    mset = _evaluate(result.model, train.x[val_rows], train.y[val_rows])
-                    scores.append(_score(mset, _score_name))
-                inner_scores[lam] = float(np.mean(scores))
+            scores: dict[float, list[float]] = {lam: [] for lam in grid}
+            for val_rows in inner:
+                fit_mask = np.ones(train.n_samples, dtype=bool)
+                fit_mask[val_rows] = False
+                problem = prepare(train.subset(np.flatnonzero(fit_mask)), k)
+                val_x, val_y = train.x[val_rows], train.y[val_rows]
+                start = None
+                for lam in reversed(grid):
+                    config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
+                    result = fit(problem, k, config, start=start)
+                    start = result.parameters
+                    rates = threshold_metrics(val_y, result.model.predict(val_x))
+                    scores[lam].append(rates[_score_name])
+            inner_scores = {lam: float(np.mean(scores[lam])) for lam in grid}
             best_lam = max(grid, key=lambda l: (inner_scores[l], -l))
         else:
             best_lam = grid[0]
@@ -339,6 +339,7 @@ def resource_profile(
     lam: float,
     folds: int = 5,
     seed: int = 0,
+    class_weighting: str = "off",
 ) -> ResourceProfile:
     """Wall-clock train/inference cost averaged over stratified folds.
 
@@ -347,7 +348,7 @@ def resource_profile(
     add per design-matrix entry of the test fold.
     """
     assignments = stratified_folds(dataset.y, folds, np.random.SeedSequence([seed, 0]))
-    config = FitConfig(penalty=penalty, lam=lam)
+    config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
     d_k = basis_dimension(dataset.n_features, k)
 
     train_times, infer_times, test_sizes = [], [], []

@@ -75,15 +75,13 @@ def pr_auc(y_true: np.ndarray, y_score: np.ndarray) -> float | None:
     return float(np.sum((recall_b - recall_prev) * prec_b))
 
 
-def metrics(y_true, y_pred, y_score) -> MetricSet:
-    """Full metric set from truth, hard predictions, and scores in [0, 1]."""
+def threshold_metrics(y_true, y_pred) -> dict[str, float]:
+    """The confusion-count fields of :class:`MetricSet` (every field but the
+    two AUCs), from truth and hard predictions."""
     y_true = np.asarray(y_true, dtype=int)
     y_pred = np.asarray(y_pred, dtype=int)
-    y_score = np.asarray(y_score, dtype=float)
-    if not (y_true.shape == y_pred.shape == y_score.shape):
-        raise ValueError("y_true, y_pred, y_score must have equal lengths")
-    if np.any((y_score < 0) | (y_score > 1)):
-        raise ValueError("scores must lie in [0, 1]")
+    if y_true.shape != y_pred.shape:
+        raise ValueError("y_true and y_pred must have equal lengths")
 
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
@@ -93,15 +91,27 @@ def metrics(y_true, y_pred, y_score) -> MetricSet:
     sensitivity = _safe_div(tp, tp + fn)
     specificity = _safe_div(tn, tn + fp)
     precision = _safe_div(tp, tp + fp)
-    f1 = _safe_div(2 * precision * sensitivity, precision + sensitivity)
+    return {
+        "accuracy": (tp + tn) / y_true.size,
+        "balanced_accuracy": (sensitivity + specificity) / 2,
+        "sensitivity": sensitivity,
+        "specificity": specificity,
+        "precision": precision,
+        "f1": _safe_div(2 * precision * sensitivity, precision + sensitivity),
+    }
+
+
+def metrics(y_true, y_pred, y_score) -> MetricSet:
+    """Full metric set from truth, hard predictions, and scores in [0, 1]."""
+    y_true = np.asarray(y_true, dtype=int)
+    y_score = np.asarray(y_score, dtype=float)
+    if not (y_true.shape == np.shape(y_pred) == y_score.shape):
+        raise ValueError("y_true, y_pred, y_score must have equal lengths")
+    if np.any((y_score < 0) | (y_score > 1)):
+        raise ValueError("scores must lie in [0, 1]")
 
     return MetricSet(
-        accuracy=(tp + tn) / y_true.size,
-        balanced_accuracy=(sensitivity + specificity) / 2,
-        sensitivity=sensitivity,
-        specificity=specificity,
-        precision=precision,
-        f1=f1,
+        **threshold_metrics(y_true, y_pred),
         roc_auc=roc_auc(y_true, y_score),
         pr_auc=pr_auc(y_true, y_score),
     )

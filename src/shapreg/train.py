@@ -13,7 +13,10 @@ l1 subproblem is solved by feature-sign search (Lee et al. 2007); without an
 l1 term it is one solve of the Newton system.  The objective trace is
 non-increasing up to a rounding slack of a few ulps, and convergence means a
 pseudo-gradient (minimum-norm subgradient) norm within ``tol``.  Everything
-is deterministic: zero initialization, no stochastic steps.
+is deterministic: zero initialization unless the caller passes a start, no
+stochastic steps.  :func:`prepare` builds a training split's normalization
+and design once; :func:`fit` solves one configuration on it, so a lambda path
+can share the design and warm-start each fit from the previous solution.
 """
 
 from __future__ import annotations
@@ -314,8 +317,8 @@ def _line_search(obj: _Objective, theta: np.ndarray, value: float, grad: np.ndar
     return None
 
 
-def _newton(obj: _Objective, tol: float, max_iters: int):
-    """Damped proximal Newton from zero.
+def _newton(obj: _Objective, tol: float, max_iters: int, start: np.ndarray | None = None):
+    """Damped proximal Newton from ``start`` (the zero vector by default).
     Returns (theta, trace, converged, iterations, residual).
 
     Each iteration minimizes the quadratic model of the smooth part plus the
@@ -325,7 +328,9 @@ def _newton(obj: _Objective, tol: float, max_iters: int):
     diagonal.  The residual is the pseudo-gradient norm.
     """
     dim = obj.phi.shape[1] + 1
-    theta = np.zeros(dim)
+    theta = np.zeros(dim) if start is None else np.array(start, dtype=float)
+    if theta.shape != (dim,) or not np.all(np.isfinite(theta)):
+        raise ValueError(f"start must hold {dim} finite parameters, got shape {theta.shape}")
     z = obj.logits(theta)
     value = obj.value(theta, z)
     trace = [value]
@@ -365,25 +370,57 @@ def learn_normalization(x: np.ndarray) -> np.ndarray:
     return np.column_stack([x.min(axis=0), x.max(axis=0)])
 
 
-def fit(dataset: Dataset, k: int, config: FitConfig) -> FitResult:
-    """Fit a k-additive Shapley regression on a dataset.
+@dataclass(frozen=True)
+class Problem:
+    """A dataset made ready for the solver at order k: the min-max
+    normalization learned from its rows, the design of the normalized rows
+    and the labels as 0.0/1.0.  Built once by :func:`prepare`, it can be
+    solved at any number of configurations."""
 
-    Normalization bounds come from the given data only.  Non-convergence
-    within ``config.max_iters`` is reported through the result, not raised.
-    """
+    dataset: Dataset
+    k: int
+    normalization: np.ndarray = field(repr=False)
+    design: DesignMatrix = field(repr=False)
+    y: np.ndarray = field(repr=False)
+
+
+def prepare(dataset: Dataset, k: int) -> Problem:
+    """Normalize a dataset by bounds learned from its own rows and build the
+    order-k design, once for every fit on these rows."""
     neg, pos = dataset.class_counts()
     if pos < 2 or neg < 2:
         raise ValueError(
             f"need at least 2 samples of each class, got {neg} negative / {pos} positive"
         )
     normalization = learn_normalization(dataset.x)
-    x_norm = apply_normalization(dataset.x, normalization)
-    design = design_matrix(x_norm, k)
+    design = design_matrix(apply_normalization(dataset.x, normalization), k)
     y = _validate_labels(design.values, dataset.y)
+    for shared in (normalization, design.values, y):  # read by every fit on the problem
+        shared.setflags(write=False)
+    return Problem(dataset=dataset, k=k, normalization=normalization, design=design, y=y)
+
+
+def fit(data: Dataset | Problem, k: int, config: FitConfig,
+        start: np.ndarray | None = None) -> FitResult:
+    """Fit a k-additive Shapley regression on a dataset.
+
+    ``data`` is a :class:`Dataset`, prepared here, or a :class:`Problem` from
+    :func:`prepare`, whose order must be ``k``; passing the same problem to
+    several fits builds its design once.  Normalization bounds come from the
+    given data only.  The solver starts from ``start``, a full parameter
+    vector [bias, indices...] such as another fit's ``parameters``, or from
+    zero by default.  Non-convergence within ``config.max_iters`` is reported
+    through the result, not raised.
+    """
+    problem = data if isinstance(data, Problem) else prepare(data, k)
+    if k != problem.k:
+        raise ValueError(f"k={k} does not match the problem's order k={problem.k}")
+    dataset = problem.dataset
     w = sample_weights(dataset.y, config.class_weighting)
 
-    obj = _Objective(design.values, y, w, config.penalty, config.lam)
-    theta, trace, converged, iterations, residual = _newton(obj, config.tol, config.max_iters)
+    obj = _Objective(problem.design.values, problem.y, w, config.penalty, config.lam)
+    theta, trace, converged, iterations, residual = _newton(
+        obj, config.tol, config.max_iters, start)
     if not converged:
         logger.info(
             "fit on '%s' (k=%d, %s, lam=%g) stopped at %d iterations (%s) with "
@@ -397,7 +434,7 @@ def fit(dataset: Dataset, k: int, config: FitConfig) -> FitResult:
         k=k,
         bias=float(theta[0]),
         indices=theta[1:],
-        normalization=normalization,
+        normalization=problem.normalization,
     )
     return FitResult(
         model=model,
@@ -453,11 +490,11 @@ def sensitivity_to_label_flip(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    base = fit(dataset, k, config)
+    problem = prepare(dataset, k)
+    base = fit(problem, k, config)
     base_params = base.parameters
 
-    design = design_matrix(base.model.normalize(dataset.x), k)
-    row_norm = max_row_norm(design)
+    row_norm = max_row_norm(problem.design)
     ceiling = (
         2.0 * row_norm**2 / (config.lam * dataset.n_samples)
         if config.lam > 0 else np.inf

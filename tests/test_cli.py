@@ -225,6 +225,18 @@ def test_bench_outputs_and_determinism(toy_csv, tmp_path):
                       "Best K (Stab),Bootstrap Stability (Std)")
 
 
+def test_bench_profile_fits_with_the_class_weighting(toy_csv, tmp_path, cv_fit_configs):
+    """Every fit of ``bench --class-weight inverse-frequency --profile``,
+    the profiled ones included, is class-weighted."""
+    assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1",
+               "--penalties", "l2", "--lambda-grid", "1.0", "--noise-repeats", "1",
+               "--bootstrap-resamples", "2", "--class-weight", "inverse-frequency",
+               "--profile", "--out-dir", tmp_path / "b") == EXIT_OK
+    assert (tmp_path / "b" / "resources.csv").exists()
+    # 5 outer refits, 2 bootstrap fits, 5 profiled folds
+    assert [c.class_weighting for c in cv_fit_configs] == ["inverse_frequency"] * 12
+
+
 def test_bench_invalid_penalty_is_usage_error(toy_csv, tmp_path):
     assert run("bench", "--dataset", toy_csv, "--label-column", "y",
                "--penalties", "ridge", "--out-dir", tmp_path) == EXIT_USAGE
@@ -372,6 +384,15 @@ def test_gen_pairs_needs_pure_pairwise(tmp_path, capsys, command, extra):
     assert run(command, "--generator", "random-noise", "--gen-pairs", "3", *extra,
                "--out-dir", tmp_path / "out") == EXIT_USAGE
     assert "--gen-pairs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "bench"])
+@pytest.mark.parametrize("flag", [["--gen-n", "7"], ["--gen-samples", "50"], ["--gen-pairs", "3"]])
+def test_generator_sizes_rejected_with_dataset(toy_csv, tmp_path, capsys, command, flag):
+    assert run(command, "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flag,
+               "--out-dir", tmp_path / "out") == EXIT_USAGE
+    assert flag[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

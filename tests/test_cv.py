@@ -11,6 +11,7 @@ from shapreg.cv import (
     stratified_folds,
 )
 from shapreg.data import Dataset, gen_pure_pairwise, gen_random_noise
+from shapreg.metrics import metrics
 from shapreg.train import FitConfig, fit
 
 
@@ -57,10 +58,50 @@ def test_default_lambda_grid_shape():
 
 def test_nested_cv_deterministic_bytes():
     ds = signal_dataset()
-    kwargs = dict(lambda_grid=[0.1, 1.0, 10.0], seed=3)
-    a = nested_cv(ds, 1, "l2", **kwargs)
-    b = nested_cv(ds, 1, "l2", jobs=3, **kwargs)
-    assert a.to_json() == b.to_json()
+    for penalty, k, grid in (("l2", 1, [0.1, 1.0, 10.0]), ("l1", 2, [0.01, 0.1, 1.0, 10.0])):
+        kwargs = dict(lambda_grid=grid, seed=3)
+        a = nested_cv(ds, k, penalty, **kwargs)
+        b = nested_cv(ds, k, penalty, jobs=3, **kwargs)
+        assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("grid, outer, inner", [([0.1, 1.0, 10.0], 3, 2), ([0.5, 5.0], 2, 4)])
+def test_nested_cv_fit_count(cv_fit_configs, grid, outer, inner):
+    """Every inner-grid cell and every outer refit is one ``train.fit`` call,
+    O * (G * I + 1) in all; the benchmark's closed-form fit count relies on it."""
+    nested_cv(signal_dataset(seed=1), 2, "l1", lambda_grid=grid,
+              outer_folds=outer, inner_folds=inner, seed=0)
+    assert len(cv_fit_configs) == outer * (len(grid) * inner + 1)
+
+
+@pytest.mark.parametrize("penalty, selection_metric", [("l1", "accuracy"), ("l2", "f1")])
+def test_warm_started_inner_scores_equal_cold_fits(penalty, selection_metric):
+    """Fold 0's inner scores, recomputed from cold fits on freshly built
+    inner-train datasets and the full metric set, equal the report's
+    warm-started path exactly, and its outer refit is the cold fit."""
+    ds = gen_pure_pairwise(4, 120, pairs=2, seed=3)
+    grid = [1e-3, 1e-2, 0.1, 1.0, 10.0]
+    seed, outer_folds, inner_folds = 2, 3, 3
+    report = nested_cv(ds, 2, penalty, lambda_grid=grid, outer_folds=outer_folds,
+                       inner_folds=inner_folds, selection_metric=selection_metric, seed=seed)
+
+    test_rows = stratified_folds(ds.y, outer_folds, np.random.SeedSequence([seed, 0]))[0]
+    train = ds.subset(np.setdiff1d(np.arange(ds.n_samples), test_rows))
+    inner = stratified_folds(train.y, inner_folds, np.random.SeedSequence([seed, 1, 0]))
+    expected = {}
+    for lam in grid:
+        scores = []
+        for val_rows in inner:
+            fit_rows = np.setdiff1d(np.arange(train.n_samples), val_rows)
+            model = fit(train.subset(fit_rows), 2, FitConfig(penalty=penalty, lam=lam)).model
+            proba = model.predict_proba(train.x[val_rows])
+            full = metrics(train.y[val_rows], (proba >= 0.5).astype(int), proba)
+            scores.append(getattr(full, selection_metric))
+        expected[lam] = float(np.mean(scores))
+    assert report.folds[0].inner_scores == expected
+    # the outer refit starts cold, so its coefficients are the plain fit's
+    refit = fit(train, 2, FitConfig(penalty=penalty, lam=report.folds[0].selected_lam))
+    assert report.folds[0].coefficients == [float(v) for v in refit.parameters]
 
 
 def test_nested_cv_test_rows_partition():
@@ -193,6 +234,12 @@ def test_bootstrap_skips_degenerate():
 # ---------------------------------------------------------------------------
 # resources and sweep
 # ---------------------------------------------------------------------------
+
+def test_resource_profile_fits_with_the_class_weighting(cv_fit_configs):
+    resource_profile(signal_dataset(seed=16), 1, "l2", 1.0, folds=3,
+                     class_weighting="inverse_frequency")
+    assert [c.class_weighting for c in cv_fit_configs] == ["inverse_frequency"] * 3
+
 
 def test_resource_profile_flops_convention():
     ds = signal_dataset(n=8, big_n=768, seed=15)

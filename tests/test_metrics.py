@@ -57,6 +57,23 @@ def test_single_class_auc_is_absent_not_zero():
     assert metrics(1 - y, 1 - y, np.full(4, 0.2)).pr_auc is None
 
 
+def test_auc_matches_pairwise_count():
+    """P(s+ > s-) + P(s+ = s-) / 2 over every positive/negative pair, counted
+    exactly; the offline reference for the rank formula."""
+    rng = np.random.default_rng(2)
+    for levels in (3, 10, None):
+        for _ in range(10):
+            y = rng.integers(0, 2, size=int(rng.integers(2, 60)))
+            if y.min() == y.max():
+                continue
+            score = rng.uniform(size=y.size)
+            if levels is not None:  # quantized scores force ties
+                score = np.floor(score * levels) / levels
+            diff = score[y == 1][:, None] - score[y == 0][None, :]
+            wins, ties = int((diff > 0).sum()), int((diff == 0).sum())
+            assert roc_auc(y, score) == pytest.approx((wins + ties / 2) / diff.size, abs=1e-12)
+
+
 def test_auc_matches_sklearn():
     sk = pytest.importorskip("sklearn.metrics")
     rng = np.random.default_rng(1)

@@ -13,6 +13,7 @@ from shapreg.train import (
     FitConfig,
     fit,
     loss_and_gradient,
+    prepare,
     sample_weights,
     sensitivity_to_label_flip,
 )
@@ -345,6 +346,40 @@ def test_fit_is_deterministic():
     b = fit(ds, 2, config)
     assert a.model.to_json() == b.model.to_json()
     assert np.array_equal(a.objective_trace, b.objective_trace)
+
+
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.05), ("l2", 0.3)])
+def test_fit_on_a_prepared_problem_is_the_dataset_fit(penalty, lam):
+    ds = toy_dataset(seed=17)
+    config = FitConfig(penalty=penalty, lam=lam, class_weighting="inverse_frequency")
+    direct = fit(ds, 2, config)
+    problem = prepare(ds, 2)
+    for result in (fit(problem, 2, config), fit(problem, 2, config, start=np.zeros(11))):
+        assert result.model.to_json() == direct.model.to_json()
+        assert np.array_equal(result.objective_trace, direct.objective_trace)
+        assert result.iterations == direct.iterations
+
+
+def test_fit_rejects_a_mismatched_problem_or_start():
+    problem = prepare(toy_dataset(seed=18), 2)
+    with pytest.raises(ValueError, match="order k=2"):
+        fit(problem, 1, FitConfig())
+    for start in (np.zeros(10), np.full(11, np.nan)):
+        with pytest.raises(ValueError, match="start"):
+            fit(problem, 2, FitConfig(), start=start)
+
+
+@pytest.mark.parametrize("penalty, lam, near", [("l1", 0.05, 0.08), ("l2", 0.3, 0.5)])
+def test_warm_start_reaches_the_cold_objective(penalty, lam, near):
+    problem = prepare(toy_dataset(seed=19), 2)
+    config = FitConfig(penalty=penalty, lam=lam)
+    cold = fit(problem, 2, config)
+    neighbour = fit(problem, 2, FitConfig(penalty=penalty, lam=near))
+    warm = fit(problem, 2, config, start=neighbour.parameters)
+    assert cold.converged and warm.converged
+    cold_value = cold.objective_trace[-1]
+    assert abs(warm.objective_trace[-1] - cold_value) <= 1e-10 * abs(cold_value)
+    assert warm.iterations < cold.iterations
 
 
 def test_single_class_rejected():
