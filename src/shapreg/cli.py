@@ -48,6 +48,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NO_CONVERGENCE = 3
 
+_DEFAULT_K = 2
+
 GENERATORS = {"random-noise": gen_random_noise, "pure-pairwise": gen_pure_pairwise}
 
 
@@ -117,7 +119,8 @@ def _add_data_args(p: _Parser) -> None:
 
 
 def _add_model_args(p: _Parser) -> None:
-    p.add_argument("--k", type=int, default=2, help="additivity order (default 2)")
+    p.add_argument("--k", type=int, default=_DEFAULT_K,
+                   help=f"additivity order (default {_DEFAULT_K})")
     p.add_argument("--class-weight", choices=("off", "inverse-frequency"), default="off")
 
 
@@ -134,6 +137,11 @@ def _class_weighting(args) -> str:
 
 
 def _resolve_lambda(args) -> float:
+    if args.penalty == "none":
+        for flag, value in (("--lambda", args.lam), ("--c", args.c)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply with --penalty none")
+        return 0.0
     if args.c is not None:
         if args.c <= 0:
             raise UsageError("--c must be > 0")
@@ -269,6 +277,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.sweep_k and args.k is not None:
+        raise UsageError("--k does not apply with --sweep-k; give the orders with --k-range")
+    if not args.sweep_k and args.k_range is not None:
+        raise UsageError("--k-range applies only with --sweep-k")
     ds = _load_dataset(args)
     penalties = [p.strip() for p in args.penalties.split(",")]
     for pen in penalties:
@@ -278,8 +290,8 @@ def cmd_bench(args) -> int:
         k_values = _parse_k_range(args.k_range, ds.n_features, "--k-range") if args.k_range \
             else list(range(1, ds.n_features + 1))
     else:
-        _check_k(args.k, ds.n_features)
-        k_values = [args.k]
+        k_values = [_DEFAULT_K if args.k is None else args.k]
+        _check_k(k_values[0], ds.n_features)
     grid = _parse_float_list(args.lambda_grid, "--lambda-grid") if args.lambda_grid else None
 
     report = k_sweep_benchmark(
@@ -391,6 +403,8 @@ def cmd_bounds(args) -> int:
 def cmd_interactions(args) -> int:
     if not args.models:
         raise UsageError("at least one --models file required")
+    if not 0 <= args.min_support <= 1:  # NaN fails too
+        raise UsageError(f"--min-support must be in [0, 1], got {args.min_support}")
     try:
         models = [ShapleyModel.load(p) for p in args.models]
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -398,16 +412,15 @@ def cmd_interactions(args) -> int:
     if models[0].k < 2:
         raise UsageError("interaction matrices need models with k >= 2")
     n = models[0].n
+    if args.top_k is not None and not 1 <= args.top_k <= n:
+        raise UsageError(f"--top-k must be in [1, {n}]")
+    top_k = args.top_k if args.top_k is not None else min(30, n)
 
     effects = main_effects(models)
     out = Path(args.out_dir)
     _write_csv(out / "main_effects.csv",
                ["feature", "mean_index", "std_index"],
                [[name, mean, std] for name, mean, std in effects])
-
-    if args.top_k is not None and not 1 <= args.top_k <= n:
-        raise UsageError(f"--top-k must be in [1, {n}]")
-    top_k = args.top_k if args.top_k is not None else min(30, n)
 
     matrix = consensus_interactions(models, zero_tol=args.zero_tol)
     matrix = filter_stable(matrix, args.min_support)
@@ -466,6 +479,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="nested-CV benchmark, optionally sweeping k")
     _add_data_args(p)
     _add_model_args(p)
+    p.set_defaults(k=None)  # tells an unset --k from --k 2, which --sweep-k rejects
     _add_common(p, jobs=True)
     p.add_argument("--penalties", default="l2", help="comma list, e.g. none,l1,l2 (default l2)")
     p.add_argument("--sweep-k", action="store_true")

@@ -36,19 +36,22 @@ def _safe_div(num: float, den: float) -> float:
 def roc_auc(y_true: np.ndarray, y_score: np.ndarray) -> float | None:
     """Area under the ROC curve, trapezoidal over all score thresholds.
 
-    Tie groups contribute diagonal segments, which the rank formulation below
-    accounts for exactly.  None when only one class is present.
+    Tie groups contribute diagonal segments, so this is the Mann-Whitney
+    count: each positive beats the negatives scored below it and half of
+    those scored equal, counted exactly per distinct score.  None when only
+    one class is present.
     """
-    from scipy.stats import rankdata  # deferred: scipy.stats costs ~40 MB and ~0.8 s at import
-
     y_true = np.asarray(y_true)
     pos = int(y_true.sum())
     neg = y_true.size - pos
     if pos == 0 or neg == 0:
         return None
-    ranks = rankdata(np.asarray(y_score, dtype=float))
-    rank_sum = ranks[y_true == 1].sum()
-    return float((rank_sum - pos * (pos + 1) / 2) / (pos * neg))
+    levels, level = np.unique(np.asarray(y_score, dtype=float), return_inverse=True)
+    is_pos = y_true == 1
+    pos_at = np.bincount(level[is_pos], minlength=levels.size)
+    neg_at = np.bincount(level[~is_pos], minlength=levels.size)
+    twice_wins = int(pos_at @ (2 * (np.cumsum(neg_at) - neg_at) + neg_at))
+    return float(twice_wins / 2 / (pos * neg))
 
 
 def pr_auc(y_true: np.ndarray, y_score: np.ndarray) -> float | None:
@@ -107,7 +110,7 @@ def metrics(y_true, y_pred, y_score) -> MetricSet:
     y_score = np.asarray(y_score, dtype=float)
     if not (y_true.shape == np.shape(y_pred) == y_score.shape):
         raise ValueError("y_true, y_pred, y_score must have equal lengths")
-    if np.any((y_score < 0) | (y_score > 1)):
+    if not np.all((y_score >= 0) & (y_score <= 1)):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
 
     return MetricSet(

@@ -22,7 +22,7 @@ can share the design and warm-start each fit from the previous solution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -373,31 +373,25 @@ def learn_normalization(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Problem:
     """A dataset made ready for the solver at order k: the min-max
-    normalization learned from its rows, the design of the normalized rows
-    and the labels as 0.0/1.0.  Built once by :func:`prepare`, it can be
-    solved at any number of configurations."""
+    normalization learned from its rows and the design of the normalized
+    rows.  Built once by :func:`prepare`, it can be solved at any number of
+    configurations, and for other labels on the same rows through
+    ``dataclasses.replace(problem, dataset=relabelled)``."""
 
     dataset: Dataset
     k: int
     normalization: np.ndarray = field(repr=False)
     design: DesignMatrix = field(repr=False)
-    y: np.ndarray = field(repr=False)
 
 
 def prepare(dataset: Dataset, k: int) -> Problem:
     """Normalize a dataset by bounds learned from its own rows and build the
-    order-k design, once for every fit on these rows."""
-    neg, pos = dataset.class_counts()
-    if pos < 2 or neg < 2:
-        raise ValueError(
-            f"need at least 2 samples of each class, got {neg} negative / {pos} positive"
-        )
+    order-k design, once for every fit on these rows, whatever their labels."""
     normalization = learn_normalization(dataset.x)
     design = design_matrix(apply_normalization(dataset.x, normalization), k)
-    y = _validate_labels(design.values, dataset.y)
-    for shared in (normalization, design.values, y):  # read by every fit on the problem
+    for shared in (normalization, design.values):  # read by every fit on the problem
         shared.setflags(write=False)
-    return Problem(dataset=dataset, k=k, normalization=normalization, design=design, y=y)
+    return Problem(dataset=dataset, k=k, normalization=normalization, design=design)
 
 
 def fit(data: Dataset | Problem, k: int, config: FitConfig,
@@ -407,7 +401,8 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
     ``data`` is a :class:`Dataset`, prepared here, or a :class:`Problem` from
     :func:`prepare`, whose order must be ``k``; passing the same problem to
     several fits builds its design once.  Normalization bounds come from the
-    given data only.  The solver starts from ``start``, a full parameter
+    given rows only; the labels are ``problem.dataset.y`` and need at least
+    2 rows of each class.  The solver starts from ``start``, a full parameter
     vector [bias, indices...] such as another fit's ``parameters``, or from
     zero by default.  Non-convergence within ``config.max_iters`` is reported
     through the result, not raised.
@@ -416,9 +411,14 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
     if k != problem.k:
         raise ValueError(f"k={k} does not match the problem's order k={problem.k}")
     dataset = problem.dataset
+    neg, pos = dataset.class_counts()
+    if pos < 2 or neg < 2:
+        raise ValueError(
+            f"need at least 2 samples of each class, got {neg} negative / {pos} positive"
+        )
     w = sample_weights(dataset.y, config.class_weighting)
 
-    obj = _Objective(problem.design.values, problem.y, w, config.penalty, config.lam)
+    obj = _Objective(problem.design.values, dataset.y, w, config.penalty, config.lam)
     theta, trace, converged, iterations, residual = _newton(
         obj, config.tol, config.max_iters, start)
     if not converged:
@@ -486,7 +486,9 @@ def sensitivity_to_label_flip(
     """Flip one uniformly chosen label per repeat, refit, and measure shifts.
 
     The flipped row of each repeat derives from (seed, repeat), so the study
-    is reproducible and repeats are independent of execution order.
+    is reproducible and repeats are independent of execution order.  A flip
+    changes neither the rows nor their normalization, so the base fit and
+    every cold refit share one prepared design.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -513,12 +515,8 @@ def sensitivity_to_label_flip(
         flipped[r] = row
         y_flipped = dataset.y.copy()
         y_flipped[row] = 1 - y_flipped[row]
-        flipped_ds = Dataset(
-            x=dataset.x, y=y_flipped,
-            feature_names=list(dataset.feature_names),
-            name=dataset.name + f"_flip{row}",
-        )
-        refit = fit(flipped_ds, k, config)
+        flipped_ds = replace(dataset, y=y_flipped, name=dataset.name + f"_flip{row}")
+        refit = fit(replace(problem, dataset=flipped_ds), k, config)
         delta = refit.parameters - base_params
         shifts[r] = np.linalg.norm(delta)
         max_index_shifts[r] = np.abs(delta[1:]).max()

@@ -199,6 +199,14 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--lambda", "7"], ["--lambda", "0"], ["--c", "2"]])
+def test_fit_penalty_none_rejects_a_strength(toy_csv, tmp_path, capsys, flag):
+    assert run("fit", "--dataset", toy_csv, "--label-column", "y", "--penalty", "none",
+               *flag, "--out-dir", tmp_path / "out") == EXIT_USAGE
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_data_error(tmp_path):
     assert run("fit", "--dataset", tmp_path / "nope.csv", "--label-column", "y",
                "--out-dir", tmp_path) in (EXIT_DATA, EXIT_USAGE)
@@ -247,6 +255,18 @@ def test_bench_empty_k_range_is_usage_error(toy_csv, tmp_path, capsys, k_range):
     assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--sweep-k",
                "--k-range", k_range, "--out-dir", tmp_path / "b") == EXIT_USAGE
     assert "--k-range" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--k-range", "1..3"], "--k-range"),
+    (["--sweep-k", "--k", "2"], "--k"),
+    (["--sweep-k", "--k-range", "1,2", "--k", "1"], "--k"),
+])
+def test_bench_rejects_ignored_k_flags(toy_csv, tmp_path, capsys, flags, named):
+    assert run("bench", "--dataset", toy_csv, "--label-column", "y", *flags,
+               "--out-dir", tmp_path / "b") == EXIT_USAGE
+    assert f"{named} " in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
 
 
@@ -327,6 +347,18 @@ def test_interactions_identical_models_full_support(toy_csv, tmp_path):
     support_rows = (out / "interactions_support.csv").read_text().strip().splitlines()[1:]
     values = [float(v) for row in support_rows for v in row.split(",")[1:]]
     assert set(values) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("flag", [["--top-k", "99"], ["--top-k", "0"],
+                                  ["--min-support", "1.5"], ["--min-support", "-0.1"],
+                                  ["--min-support", "nan"]])
+def test_interactions_checks_flags_before_writing(toy_csv, tmp_path, capsys, flag):
+    models = make_models(toy_csv, tmp_path, count=1)
+    capsys.readouterr()
+    assert run("interactions", "--models", *models, *flag,
+               "--out-dir", tmp_path / "out") == EXIT_USAGE
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_interactions_usage_errors(toy_csv, tmp_path):

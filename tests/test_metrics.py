@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shapreg
 from shapreg.metrics import metrics, pr_auc, roc_auc
 
 
@@ -92,3 +98,17 @@ def test_input_validation():
         metrics([0, 1], [0], [0.5, 0.5])
     with pytest.raises(ValueError):
         metrics([0, 1], [0, 1], [0.5, 1.5])
+    with pytest.raises(ValueError):
+        metrics([0, 1], [0, 1], [0.5, np.nan])
+
+
+def test_auc_leaves_scipy_stats_unimported():
+    """scipy.stats costs tens of MB and most of a second at import; the AUC
+    must not pull it in."""
+    code = ("import sys; from shapreg.metrics import roc_auc; "
+            "print(roc_auc([0, 1, 1, 0], [0.2, 0.7, 0.2, 0.1]), 'scipy.stats' in sys.modules)")
+    src = str(Path(shapreg.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0.875", "False"]

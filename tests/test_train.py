@@ -457,3 +457,50 @@ def test_risk_diff_within_stability_ceiling_at_lam_ge_1():
     for lam in (1.0, 4.0):
         study = sensitivity_to_label_flip(ds, 2, FitConfig(penalty="l2", lam=lam), repeats=5, seed=3)
         assert study.risk_diffs.max() <= study.stability_ceiling
+
+
+def test_flip_study_builds_one_design(monkeypatch):
+    builds = []
+    library_design = train.design_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return library_design(*args, **kwargs)
+
+    monkeypatch.setattr(train, "design_matrix", counted)
+    sensitivity_to_label_flip(gen_random_noise(4, 40, seed=25), 2, FitConfig(), repeats=4, seed=4)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.05), ("l2", 0.3)])
+def test_flipped_refits_are_the_cold_fits(monkeypatch, penalty, lam):
+    """Each refit on the study's shared design equals a cold fit of the
+    flipped dataset, bit for bit; inverse-frequency weights move with the
+    flipped label."""
+    calls = []
+    library_fit = train.fit
+
+    def recorded(data, k, config, start=None):
+        result = library_fit(data, k, config, start=start)
+        calls.append((data, result))
+        return result
+
+    monkeypatch.setattr(train, "fit", recorded)
+    ds = toy_dataset(seed=26)
+    config = FitConfig(penalty=penalty, lam=lam, class_weighting="inverse_frequency")
+    study = sensitivity_to_label_flip(ds, 2, config, repeats=4, seed=5)
+    assert len(calls) == 5
+    for (problem, refit), row in zip(calls[1:], study.flipped_rows):
+        assert problem.design is calls[0][0].design
+        assert np.flatnonzero(problem.dataset.y != ds.y).tolist() == [row]
+        cold = library_fit(problem.dataset, 2, config)
+        assert np.array_equal(refit.parameters, cold.parameters)
+        assert np.array_equal(refit.objective_trace, cold.objective_trace)
+        assert refit.iterations == cold.iterations
+
+
+def test_flip_leaving_one_row_in_a_class_raises():
+    ds = Dataset(x=np.array([[0.1, 0.9], [0.4, 0.2], [0.8, 0.5], [0.6, 0.7]]),
+                 y=np.array([0, 1, 0, 1]), feature_names=["a", "b"])
+    with pytest.raises(ValueError, match="at least 2 samples of each class"):
+        sensitivity_to_label_flip(ds, 1, FitConfig(), repeats=1)
