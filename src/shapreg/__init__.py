@@ -9,7 +9,6 @@ from .analysis import (
     InteractionMatrix,
     bound_curves,
     bound_report,
-    combinatorial_dimension,
     consensus_interactions,
     effective_dimension,
     filter_stable,
@@ -78,7 +77,6 @@ __all__ = [
     "capacity_from_mobius",
     "choquet_mobius",
     "coalition_index",
-    "combinatorial_dimension",
     "consensus_interactions",
     "default_lambda_grid",
     "design_matrix",

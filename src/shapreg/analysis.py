@@ -11,6 +11,7 @@ import numpy as np
 
 from .basis import DesignMatrix
 from .data import gen_random_noise
+from .games import num_coalitions
 from .model import ShapleyModel
 from .parallel import map_ordered
 from .train import FitConfig, fit, prepare
@@ -121,13 +122,6 @@ def top_by_strength(matrix: InteractionMatrix, top_k: int) -> InteractionMatrix:
 # capacity measures and bound curves
 # ---------------------------------------------------------------------------
 
-def combinatorial_dimension(n: int, k: int) -> int:
-    """Parameter count sum_{j=1..k} C(n, j) (bias excluded)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return sum(comb(n, j) for j in range(1, k + 1))
-
-
 def effective_dimension(design: DesignMatrix | np.ndarray) -> float:
     """Stable rank of the empirical (uncentered) second-moment matrix:
     (tr S)^2 / tr(S^2) with S = Phi^T Phi / N.
@@ -173,7 +167,7 @@ def bound_curves(n: int, big_n: int, k_range, lam: float, norm_bound: float,
         raise ValueError("arguments must be positive (norm bound and Lipschitz >= 0)")
     rows = []
     for k in k_range:
-        d_k = combinatorial_dimension(n, k)
+        d_k = num_coalitions(n, k)
         rows.append({
             "k": int(k),
             "D_k": d_k,
@@ -296,7 +290,7 @@ def gap_experiment(
     return GapExperiment(
         n=n, big_n=big_n, iterations=iterations, seed=seed, lam=lam,
         k_values=k_values, penalties=penalties,
-        d_k={k: combinatorial_dimension(n, k) for k in k_values},
+        d_k={k: num_coalitions(n, k) for k in k_values},
         d_eff=d_eff,
         cells=cells,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import indices_of, k_additive_maps, mask_of, min_terms, num_coalitions
+from .games import indices_of, k_additive_maps, mask_of, min_terms
 
 
 def phi(coalition, x) -> float:
@@ -75,8 +75,3 @@ def max_row_norm(design: DesignMatrix) -> float:
     """Largest Euclidean row norm of the design; the Lipschitz scale of the
     per-sample logistic loss in these features."""
     return float(np.sqrt((design.values ** 2).sum(axis=1).max()))
-
-
-def basis_dimension(n: int, k: int) -> int:
-    """Number of basis columns (= parameters beside the bias)."""
-    return num_coalitions(n, k)

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: fit, predict, bench, bounds, interactions, synth.  Reports are
-written as files under --out-dir; stdout carries a one-line summary.  All
-randomness flows from --seed (fit, bench, bounds, synth), so reruns with
-identical flags reproduce every report byte for byte, for any --jobs value
-(bench, bounds); resource profiles, which measure wall-clock time, are the
-documented exception and live in their own file.  CSV parsing, the data
-generators and every analysis live in the library; this module maps flags to
-library calls and writes the reports.
+Subcommands: fit, predict, bench, bounds, interactions, synth.  Every setting
+has exactly one flag.  fit and bench read a CSV (--dataset, --label-column);
+synth writes the synthetic datasets they can read.  Reports are written as
+files under --out-dir; stdout carries a one-line summary.  All randomness
+flows from --seed (fit, bench, bounds, synth), so reruns with identical flags
+reproduce every report byte for byte, for any --jobs value (bench, bounds);
+resource profiles, which measure wall-clock time, are the documented exception
+and live in their own file.  CSV parsing, the data generators and every
+analysis live in the library; this module maps flags to library calls and
+writes the reports.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,8 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NO_CONVERGENCE = 3
-
-_DEFAULT_K = 2
 
 GENERATORS = {"random-noise": gen_random_noise, "pure-pairwise": gen_pure_pairwise}
 
@@ -98,29 +99,24 @@ def _json_text(payload) -> str:
 # shared argument groups
 # ---------------------------------------------------------------------------
 
-def _add_generator_args(p: _Parser, required: bool = False) -> None:
-    p.add_argument("--generator", choices=GENERATORS, required=required,
-                   help="synthesize data instead of reading a CSV")
-    p.add_argument("--gen-n", type=int, help="generator feature count")
-    p.add_argument("--gen-samples", type=int, help="generator sample count")
-    p.add_argument("--gen-pairs", type=int, help="planted pairs for pure-pairwise")
-
-
 def _add_data_args(p: _Parser) -> None:
-    p.add_argument("--dataset", help="CSV file with a header row")
-    p.add_argument("--label-column", help="name of the label column")
+    p.add_argument("--dataset", required=True,
+                   help="CSV file with a header row (shapreg synth writes synthetic ones)")
+    p.add_argument("--label-column", required=True, help="name of the label column")
     p.add_argument("--positive-class", help="label token mapped to 1 (others to 0)")
     p.add_argument("--delimiter", default=",")
     p.add_argument("--drop-missing", action="store_true",
                    help="drop rows with missing cells instead of failing")
-    _add_generator_args(p)
     p.add_argument("--undersample-ratio", type=float,
                    help="subsample the majority class to this minority/majority ratio")
 
 
-def _add_model_args(p: _Parser) -> None:
-    p.add_argument("--k", type=int, default=_DEFAULT_K,
-                   help=f"additivity order (default {_DEFAULT_K})")
+def _add_model_args(p: _Parser, orders: bool = False) -> None:
+    if orders:
+        p.add_argument("--k", default="2",
+                       help="additivity orders: K, LO..HI or a comma list (default 2)")
+    else:
+        p.add_argument("--k", type=int, default=2, help="additivity order (default 2)")
     p.add_argument("--class-weight", choices=("off", "inverse-frequency"), default="off")
 
 
@@ -138,23 +134,18 @@ def _class_weighting(args) -> str:
 
 def _resolve_lambda(args) -> float:
     if args.penalty == "none":
-        for flag, value in (("--lambda", args.lam), ("--c", args.c)):
-            if value is not None:
-                raise UsageError(f"{flag} does not apply with --penalty none")
+        if args.lam is not None:
+            raise UsageError("--lambda does not apply with --penalty none")
         return 0.0
-    if args.c is not None:
-        if args.c <= 0:
-            raise UsageError("--c must be > 0")
-        return 1.0 / args.c
-    if args.lam is not None:
-        if args.lam < 0:
-            raise UsageError("--lambda must be >= 0")
-        return args.lam
-    return 1.0
+    if args.lam is None:
+        return 1.0
+    if not 0 <= args.lam < math.inf:  # NaN fails too
+        raise UsageError(f"--lambda must be finite and >= 0, got {args.lam}")
+    return args.lam
 
 
 def _generate(args) -> Dataset:
-    """The --generator dataset; sizes left unset take the generator's defaults."""
+    """The synth --generator dataset; sizes left unset take the generator's defaults."""
     options = {"n": args.gen_n, "big_n": args.gen_samples}
     if args.generator == "pure-pairwise":
         options["pairs"] = args.gen_pairs
@@ -166,24 +157,13 @@ def _generate(args) -> Dataset:
 
 
 def _load_dataset(args) -> Dataset:
-    if (args.dataset is None) == (args.generator is None):
-        raise UsageError("exactly one data source required: --dataset or --generator")
-    if args.dataset is not None:
-        if not args.label_column:
-            raise UsageError("--label-column is required with --dataset")
-        for flag in ("gen_n", "gen_samples", "gen_pairs"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag.replace('_', '-')} applies only to --generator, "
-                                 f"not --dataset")
-        ds = load_csv(
-            args.dataset,
-            label_column=args.label_column,
-            positive_class=args.positive_class,
-            delimiter=args.delimiter,
-            drop_missing=args.drop_missing,
-        )
-    else:
-        ds = _generate(args)
+    ds = load_csv(
+        args.dataset,
+        label_column=args.label_column,
+        positive_class=args.positive_class,
+        delimiter=args.delimiter,
+        drop_missing=args.drop_missing,
+    )
     if args.undersample_ratio is not None:
         ds = undersample(ds, args.undersample_ratio, seed=args.seed)
     return ds
@@ -201,6 +181,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise UsageError(f"{flag} expects a comma-separated list of numbers") from None
     if not values:
         raise UsageError(f"{flag} is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag} values must be finite, got {text}")
     return values
 
 
@@ -277,29 +259,25 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.sweep_k and args.k is not None:
-        raise UsageError("--k does not apply with --sweep-k; give the orders with --k-range")
-    if not args.sweep_k and args.k_range is not None:
-        raise UsageError("--k-range applies only with --sweep-k")
-    ds = _load_dataset(args)
     penalties = [p.strip() for p in args.penalties.split(",")]
     for pen in penalties:
         if pen not in ("none", "l1", "l2"):
             raise UsageError(f"unknown penalty '{pen}'")
-    if args.sweep_k:
-        k_values = _parse_k_range(args.k_range, ds.n_features, "--k-range") if args.k_range \
-            else list(range(1, ds.n_features + 1))
-    else:
-        k_values = [_DEFAULT_K if args.k is None else args.k]
-        _check_k(k_values[0], ds.n_features)
     grid = _parse_float_list(args.lambda_grid, "--lambda-grid") if args.lambda_grid else None
+    if grid is not None and not all(lam > 0 for lam in grid):
+        raise UsageError(f"--lambda-grid values must be > 0, got {args.lambda_grid}")
+    sigmas = tuple(_parse_float_list(args.sigmas, "--sigmas"))
+    if not all(sigma >= 0 for sigma in sigmas):
+        raise UsageError(f"--sigmas values must be >= 0, got {args.sigmas}")
+    ds = _load_dataset(args)
+    k_values = _parse_k_range(args.k, ds.n_features, "--k")
 
     report = k_sweep_benchmark(
         ds, k_values, penalties,
         lambda_grid=grid,
         selection_metric=args.selection_metric,
         class_weighting=_class_weighting(args),
-        sigmas=tuple(_parse_float_list(args.sigmas, "--sigmas")),
+        sigmas=sigmas,
         noise_repeats=args.noise_repeats,
         bootstrap_resamples=args.bootstrap_resamples,
         seed=args.seed,
@@ -340,6 +318,8 @@ def cmd_bench(args) -> int:
 def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
     c_grid = _parse_float_list(args.c_grid, "--c-grid")
+    if not all(c > 0 for c in c_grid):
+        raise UsageError(f"--c-grid values must be > 0, got {args.c_grid}")
     k_range = _parse_k_range(args.gap_k_range, args.gap_n, "--gap-k-range")
     if not args.gap_lambda > 0:
         raise UsageError(f"--gap-lambda must be > 0, got {args.gap_lambda}")
@@ -460,9 +440,9 @@ def build_parser() -> _Parser:
     _add_data_args(p)
     _add_model_args(p)
     p.add_argument("--penalty", choices=("none", "l1", "l2"), default="l2")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--lambda", dest="lam", type=float, help="regularization strength")
-    group.add_argument("--c", dest="c", type=float, help="reciprocal strength c = 1/lambda")
+    p.add_argument("--lambda", dest="lam", type=float, metavar="LAMBDA",
+                   help="regularization strength, finite and >= 0 "
+                        "(default 1; not with --penalty none)")
     _add_common(p)
     p.add_argument("--verbose-trace", action="store_true",
                    help="include the full objective trace in fit_report.json")
@@ -476,17 +456,15 @@ def build_parser() -> _Parser:
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("bench", help="nested-CV benchmark, optionally sweeping k")
+    p = sub.add_parser("bench", help="nested-CV benchmark over one or more k")
     _add_data_args(p)
-    _add_model_args(p)
-    p.set_defaults(k=None)  # tells an unset --k from --k 2, which --sweep-k rejects
+    _add_model_args(p, orders=True)
     _add_common(p, jobs=True)
     p.add_argument("--penalties", default="l2", help="comma list, e.g. none,l1,l2 (default l2)")
-    p.add_argument("--sweep-k", action="store_true")
-    p.add_argument("--k-range", help="'lo..hi' or comma list (with --sweep-k)")
-    p.add_argument("--lambda-grid", help="comma list of lambda values")
+    p.add_argument("--lambda-grid", help="comma list of lambda values, each > 0")
     p.add_argument("--selection-metric", choices=("accuracy", "f1"), default="accuracy")
-    p.add_argument("--sigmas", default="0.1,0.2,0.3")
+    p.add_argument("--sigmas", default="0.1,0.2,0.3",
+                   help="comma list of Gaussian noise levels on the normalized inputs, each >= 0")
     p.add_argument("--noise-repeats", type=int, default=10)
     p.add_argument("--bootstrap-resamples", type=int, default=50)
     p.add_argument("--profile", action="store_true",
@@ -499,15 +477,17 @@ def build_parser() -> _Parser:
     p.add_argument("--sens-samples", type=int, default=100)
     p.add_argument("--sens-k", type=int, default=2)
     p.add_argument("--sens-repeats", type=int, default=20)
-    p.add_argument("--c-grid", default="0.01,0.1,0.5,1.0,1.5,3.0")
+    p.add_argument("--c-grid", default="0.01,0.1,0.5,1.0,1.5,3.0",
+                   help="comma list of reciprocal l2 strengths C = 1/lambda, each > 0")
     p.add_argument("--gap-n", type=int, default=8)
     p.add_argument("--gap-samples", type=int, default=1000)
     p.add_argument("--gap-k-range", default="1..8")
     p.add_argument("--gap-iterations", type=int, default=10)
     p.add_argument("--gap-lambda", type=float, default=1.0)
-    p.add_argument("--b-norm", type=float, default=1.0,
-                   help="l1 radius B for the Rademacher curve")
-    p.add_argument("--model", help="model file supplying B = ||I||_1")
+    b_source = p.add_mutually_exclusive_group()
+    b_source.add_argument("--b-norm", type=float, default=1.0,
+                          help="l1 radius B for the Rademacher curve (default 1)")
+    b_source.add_argument("--model", help="model file supplying B = ||I||_1 instead")
     p.add_argument("--lipschitz", type=float,
                    help="override L (default: max design-row norm at --sens-k)")
     p.set_defaults(func=cmd_bounds)
@@ -521,7 +501,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_interactions)
 
     p = sub.add_parser("synth", help="write a synthetic dataset CSV + provenance")
-    _add_generator_args(p, required=True)
+    p.add_argument("--generator", choices=GENERATORS, required=True)
+    p.add_argument("--gen-n", type=int, help="feature count")
+    p.add_argument("--gen-samples", type=int, help="sample count")
+    p.add_argument("--gen-pairs", type=int, help="planted pairs (pure-pairwise only)")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 

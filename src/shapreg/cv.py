@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .basis import basis_dimension
 from .data import Dataset
+from .games import num_coalitions
 from .metrics import MetricSet, metrics, threshold_metrics
 from .model import ShapleyModel
 from .parallel import map_ordered
@@ -165,8 +166,8 @@ def nested_cv(
         grid = [0.0]
     else:
         grid = sorted(float(l) for l in (lambda_grid or default_lambda_grid()))
-        if not grid or any(l <= 0 for l in grid):
-            raise ValueError("lambda grid must contain positive values")
+        if not grid or not all(0 < l < math.inf for l in grid):  # NaN fails too
+            raise ValueError(f"lambda grid must hold finite positive values, got {grid}")
     _score_name = selection_metric
     if _score_name not in SELECTION_METRICS:
         raise ValueError(f"selection metric must be one of {SELECTION_METRICS}")
@@ -349,7 +350,7 @@ def resource_profile(
     """
     assignments = stratified_folds(dataset.y, folds, np.random.SeedSequence([seed, 0]))
     config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
-    d_k = basis_dimension(dataset.n_features, k)
+    d_k = num_coalitions(dataset.n_features, k)
 
     train_times, infer_times, test_sizes = [], [], []
     for fold_id in range(folds):

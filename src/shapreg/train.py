@@ -22,6 +22,7 @@ can share the design and warm-start each fit from the previous solution.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,17 +59,20 @@ class FitConfig:
             raise ValueError(
                 f"class_weighting must be one of {CLASS_WEIGHTINGS}, got '{self.class_weighting}'"
             )
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        # written so that NaN fails each check
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if not self.max_iters >= 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.penalty == "none" and self.lam != 0.0:
             object.__setattr__(self, "lam", 0.0)
 
     @classmethod
     def with_c(cls, c: float, **kwargs) -> "FitConfig":
         """Build a config from the reciprocal strength c = 1/lam."""
-        if c <= 0:
+        if not c > 0:  # NaN fails too
             raise ValueError(f"c must be > 0, got {c}")
         return cls(lam=1.0 / c, **kwargs)
 

@@ -360,7 +360,7 @@ def test_criterion_11_cmd_bench_determinism(tmp_path):
     csv_path.write_text("\n".join(lines) + "\n")
 
     args = ["bench", "--dataset", str(csv_path), "--label-column", "label",
-            "--sweep-k", "--k-range", "1,2", "--penalties", "none,l2",
+            "--k", "1,2", "--penalties", "none,l2",
             "--lambda-grid", "0.1,1.0,10.0", "--noise-repeats", "3",
             "--bootstrap-resamples", "8", "--seed", "17"]
     with timer() as t:

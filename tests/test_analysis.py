@@ -4,7 +4,6 @@ import pytest
 from shapreg.analysis import (
     bound_curves,
     bound_report,
-    combinatorial_dimension,
     consensus_interactions,
     effective_dimension,
     filter_stable,
@@ -180,11 +179,12 @@ def test_top_by_strength_star_graph_and_ties():
 # ---------------------------------------------------------------------------
 
 def test_combinatorial_dimension_values():
-    assert combinatorial_dimension(8, 2) == 36
-    assert combinatorial_dimension(10, 1) == 10
-    assert combinatorial_dimension(10, 10) == 1023
+    # The combinatorial dimension of the k-additive basis is num_coalitions.
+    assert num_coalitions(8, 2) == 36
+    assert num_coalitions(10, 1) == 10
+    assert num_coalitions(10, 10) == 1023
     with pytest.raises(ValueError):
-        combinatorial_dimension(4, 5)
+        num_coalitions(4, 5)
 
 
 def test_effective_dimension_orthonormal_design():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapreg.basis import basis_dimension, design_matrix, max_row_norm, phi
+from shapreg.basis import design_matrix, max_row_norm, phi
 from shapreg.games import (
     Basis,
     SetFunction,
@@ -52,7 +52,7 @@ def test_design_matrix_column_count():
     rng = np.random.default_rng(1)
     d = design_matrix(rng.uniform(size=(3, 8)), 2)
     assert d.shape == (3, 36)
-    assert basis_dimension(8, 2) == 36
+    assert num_coalitions(8, 2) == 36
 
 
 def test_design_matrix_rejects_unnormalized():

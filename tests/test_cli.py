@@ -1,5 +1,8 @@
+import argparse
 import dataclasses
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +16,13 @@ from shapreg.cli import (
     EXIT_USAGE,
     main,
 )
+from shapreg.data import gen_pure_pairwise
+from shapreg.train import FitConfig, fit
 
 jsonschema = pytest.importorskip("jsonschema")
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "docs" / "schemas"
 
 
 def load_schema(name):
@@ -124,6 +130,26 @@ def test_fit_predict_round_trip(toy_csv, tmp_path):
     assert (labels == truth).mean() > 0.8
 
 
+def test_fit_on_a_synth_csv_is_the_library_fit(tmp_path):
+    """Synthetic data reaches fit through synth's CSV, which round-trips the
+    generator's dataset exactly."""
+    assert run("synth", "--generator", "pure-pairwise", "--gen-n", "5", "--gen-samples", "120",
+               "--gen-pairs", "2", "--seed", "4", "--out-dir", tmp_path / "s") == EXIT_OK
+    assert run("fit", "--dataset", tmp_path / "s/pure_pairwise.csv", "--label-column", "label",
+               "--penalty", "l1", "--lambda", "0.05", "--out-dir", tmp_path / "f") == EXIT_OK
+    ds = gen_pure_pairwise(n=5, big_n=120, pairs=2, seed=4)
+    fit(ds, 2, FitConfig(penalty="l1", lam=0.05)).model.save(tmp_path / "library.json")
+    assert (tmp_path / "f/model.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_fit_rejects_an_unusable_lambda(toy_csv, tmp_path, capsys, value):
+    assert run("fit", "--dataset", toy_csv, "--label-column", "y", "--lambda", value,
+               "--out-dir", tmp_path / "out") == EXIT_USAGE
+    assert "--lambda" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_predict_dimension_mismatch(toy_csv, tmp_path):
     out = tmp_path / "run"
     run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "1",
@@ -161,17 +187,22 @@ def test_predict_rejects_unscorable_rows(toy_csv, tmp_path, capsys, bad_row, mes
     assert not (tmp_path / "pred/predictions.csv").exists()
 
 
-# flags that changed nothing, or that another flag overrode; each must now be
-# rejected rather than silently accepted
+# flags that changed nothing, that another flag overrode, or that gave a
+# setting a second spelling; each must now be rejected rather than accepted
 VALID_ARGV = {
-    "fit": ["--generator", "random-noise"],
+    "fit": ["--dataset", "rows.csv", "--label-column", "y"],
     "predict": ["--model", "model.json", "--dataset", "rows.csv"],
-    "bench": ["--generator", "random-noise"],
+    "bench": ["--dataset", "rows.csv", "--label-column", "y"],
     "interactions": ["--models", "model.json"],
     "synth": ["--generator", "random-noise"],
 }
 REMOVED_FLAGS = [
     ("fit", ["--jobs", "2"]),
+    ("fit", ["--generator", "random-noise"]),
+    ("fit", ["--gen-n", "5"]),
+    ("fit", ["--gen-samples", "50"]),
+    ("fit", ["--gen-pairs", "2"]),
+    ("fit", ["--c", "2"]),
     ("predict", ["--positive-class", "case"]),
     ("predict", ["--drop-missing"]),
     ("predict", ["--generator", "random-noise"]),
@@ -184,6 +215,12 @@ REMOVED_FLAGS = [
     ("bench", ["--lambda", "123"]),
     ("bench", ["--c", "2"]),
     ("bench", ["--penalty", "l1"]),
+    ("bench", ["--generator", "random-noise"]),
+    ("bench", ["--gen-n", "5"]),
+    ("bench", ["--gen-samples", "50"]),
+    ("bench", ["--gen-pairs", "2"]),
+    ("bench", ["--sweep-k"]),
+    ("bench", ["--k-range", "1..2"]),
     ("interactions", ["--seed", "1"]),
     ("interactions", ["--jobs", "2"]),
     ("synth", ["--jobs", "2"]),
@@ -207,6 +244,50 @@ def test_fit_penalty_none_rejects_a_strength(toy_csv, tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+# every subcommand's long options; a flag is added or removed only by
+# changing this table
+FLAG_SURFACE = {
+    "fit": ["--class-weight", "--dataset", "--delimiter", "--drop-missing", "--k",
+            "--label-column", "--lambda", "--out-dir", "--penalty", "--positive-class",
+            "--seed", "--undersample-ratio", "--verbose-trace"],
+    "predict": ["--dataset", "--delimiter", "--label-column", "--model", "--out-dir"],
+    "bench": ["--bootstrap-resamples", "--class-weight", "--dataset", "--delimiter",
+              "--drop-missing", "--jobs", "--k", "--label-column", "--lambda-grid",
+              "--noise-repeats", "--out-dir", "--penalties", "--positive-class", "--profile",
+              "--seed", "--selection-metric", "--sigmas", "--undersample-ratio"],
+    "bounds": ["--b-norm", "--c-grid", "--gap-iterations", "--gap-k-range", "--gap-lambda",
+               "--gap-n", "--gap-samples", "--jobs", "--lipschitz", "--model", "--out-dir",
+               "--seed", "--sens-k", "--sens-n", "--sens-repeats", "--sens-samples"],
+    "interactions": ["--min-support", "--models", "--out-dir", "--top-k", "--zero-tol"],
+    "synth": ["--gen-n", "--gen-pairs", "--gen-samples", "--generator", "--out-dir", "--seed"],
+}
+
+
+def test_flag_surface():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    surface = {name: sorted(opt for action in p._actions for opt in action.option_strings
+                            if opt.startswith("--") and opt != "--help")
+               for name, p in subparsers.choices.items()}
+    assert surface == FLAG_SURFACE
+    assert sum(map(len, surface.values())) == 63
+
+
+def test_readme_commands_parse():
+    """Every ``shapreg ...`` command in the README's fenced blocks, with
+    backslash continuations joined, parses: a removed or renamed flag cannot
+    leave the docs stale."""
+    commands = []
+    for block in re.findall(r"```[a-z]*\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("shapreg "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    assert {argv[0] for argv in commands} == set(FLAG_SURFACE)
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
 def test_missing_file_is_data_error(tmp_path):
     assert run("fit", "--dataset", tmp_path / "nope.csv", "--label-column", "y",
                "--out-dir", tmp_path) in (EXIT_DATA, EXIT_USAGE)
@@ -218,7 +299,7 @@ def test_missing_file_is_data_error(tmp_path):
 
 def test_bench_outputs_and_determinism(toy_csv, tmp_path):
     args = ("bench", "--dataset", toy_csv, "--label-column", "y",
-            "--sweep-k", "--k-range", "1,2", "--penalties", "none,l2",
+            "--k", "1,2", "--penalties", "none,l2",
             "--lambda-grid", "0.1,1.0", "--noise-repeats", "2",
             "--bootstrap-resamples", "4", "--seed", "5", "--jobs", "2")
     assert run(*args, "--out-dir", tmp_path / "b1") == EXIT_OK
@@ -252,25 +333,31 @@ def test_bench_invalid_penalty_is_usage_error(toy_csv, tmp_path):
 
 @pytest.mark.parametrize("k_range", ["3..1", ","])
 def test_bench_empty_k_range_is_usage_error(toy_csv, tmp_path, capsys, k_range):
-    assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--sweep-k",
-               "--k-range", k_range, "--out-dir", tmp_path / "b") == EXIT_USAGE
-    assert "--k-range" in capsys.readouterr().err
+    assert run("bench", "--dataset", toy_csv, "--label-column", "y",
+               "--k", k_range, "--out-dir", tmp_path / "b") == EXIT_USAGE
+    assert "--k " in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--k-range", "1..3"], "--k-range"),
-    (["--sweep-k", "--k", "2"], "--k"),
-    (["--sweep-k", "--k-range", "1,2", "--k", "1"], "--k"),
+@pytest.mark.parametrize("flags", [
+    ["--lambda-grid", "nan,1"],
+    ["--lambda-grid", "-1", "--penalties", "none,l2"],
+    ["--lambda-grid", "0.1,0"],
+    ["--sigmas", "0.1,inf"],
+    ["--sigmas", "-0.1"],
 ])
-def test_bench_rejects_ignored_k_flags(toy_csv, tmp_path, capsys, flags, named):
-    assert run("bench", "--dataset", toy_csv, "--label-column", "y", *flags,
+def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, monkeypatch,
+                                                   flags):
+    monkeypatch.setattr(cli, "k_sweep_benchmark", None)  # never reached
+    assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flags,
                "--out-dir", tmp_path / "b") == EXIT_USAGE
-    assert f"{named} " in capsys.readouterr().err
+    assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
 
 
 def test_bench_requires_single_data_source(toy_csv, tmp_path):
+    """bench reads only a CSV: --dataset is required and --generator is not
+    one of its flags."""
     assert run("bench", "--dataset", toy_csv, "--label-column", "y",
                "--generator", "random-noise", "--out-dir", tmp_path) == EXIT_USAGE
     assert run("bench", "--out-dir", tmp_path) == EXIT_USAGE
@@ -301,8 +388,12 @@ def test_bounds_outputs(tmp_path):
     ["--gap-lambda", "nan"],
     ["--b-norm", "-1"],
     ["--lipschitz", "-0.5"],
+    ["--c-grid", "1,0"],
+    ["--c-grid", "1,nan"],
+    ["--b-norm", "2", "--model", "m.json"],
 ])
-def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, flag):
+def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached
     out = tmp_path / "bounds"
     assert run("bounds", "--sens-samples", "40", "--sens-repeats", "2", "--c-grid", "1.0",
                "--gap-n", "4", "--gap-samples", "80", "--gap-k-range", "1..2",
@@ -407,13 +498,8 @@ def test_synth_deterministic_bytes(tmp_path):
         (tmp_path / "s2/pure_pairwise.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("fit", ["--k", "1"]),
-    ("bench", ["--k", "1"]),
-    ("synth", []),
-])
-def test_gen_pairs_needs_pure_pairwise(tmp_path, capsys, command, extra):
-    assert run(command, "--generator", "random-noise", "--gen-pairs", "3", *extra,
+def test_gen_pairs_needs_pure_pairwise(tmp_path, capsys):
+    assert run("synth", "--generator", "random-noise", "--gen-pairs", "3",
                "--out-dir", tmp_path / "out") == EXIT_USAGE
     assert "--gen-pairs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -422,6 +508,8 @@ def test_gen_pairs_needs_pure_pairwise(tmp_path, capsys, command, extra):
 @pytest.mark.parametrize("command", ["fit", "bench"])
 @pytest.mark.parametrize("flag", [["--gen-n", "7"], ["--gen-samples", "50"], ["--gen-pairs", "3"]])
 def test_generator_sizes_rejected_with_dataset(toy_csv, tmp_path, capsys, command, flag):
+    """The generator sizes belong to synth; fit and bench reject them before
+    writing anything, even next to a valid --dataset."""
     assert run(command, "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flag,
                "--out-dir", tmp_path / "out") == EXIT_USAGE
     assert flag[0] in capsys.readouterr().err

@@ -136,6 +136,12 @@ def test_inner_ties_prefer_smaller_lambda():
             assert fold.selected_lam == 0.01
 
 
+@pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan], [np.inf, 1.0], [0.0, 1.0], [-1.0]])
+def test_nested_cv_rejects_unusable_grids(grid):
+    with pytest.raises(ValueError, match="lambda grid"):
+        nested_cv(signal_dataset(seed=6), 1, "l2", lambda_grid=grid, seed=0)
+
+
 def test_penalty_none_skips_grid():
     ds = signal_dataset(seed=6)
     report = nested_cv(ds, 1, "none", lambda_grid=[0.1, 1.0], seed=0)

@@ -41,8 +41,9 @@ def test_enumerate_n2_k2_by_hand():
 
 
 def test_enumeration_counts():
-    assert len(enumerate_coalitions(8, 2)) == 36 == 8 + 28
-    assert len(enumerate_coalitions(10, 10)) == 1023 == 2**10 - 1
+    assert len(enumerate_coalitions(8, 2)) == num_coalitions(8, 2) == 36 == 8 + 28
+    assert len(enumerate_coalitions(10, 1)) == num_coalitions(10, 1) == 10
+    assert len(enumerate_coalitions(10, 10)) == num_coalitions(10, 10) == 1023 == 2**10 - 1
 
 
 def test_enumeration_matches_combination_count():
@@ -59,6 +60,8 @@ def test_enumeration_matches_combination_count():
 def test_enumeration_rejects_bad_ranges(n, k):
     with pytest.raises(ValueError):
         enumerate_coalitions(n, k)
+    with pytest.raises(ValueError):
+        num_coalitions(n, k)
 
 
 def test_coalition_index_is_a_bijection():

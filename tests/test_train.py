@@ -396,6 +396,24 @@ def test_nonconvergence_is_reported_not_raised():
     assert not result.converged
     assert result.iterations == 3
     assert np.isfinite(result.grad_norm) and result.grad_norm > 0.0
+    assert fit(ds, 2, FitConfig(max_iters=0)).iterations == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(lam=-1.0), dict(lam=np.nan), dict(lam=np.inf), dict(penalty="none", lam=np.nan),
+    dict(tol=0.0), dict(tol=np.nan), dict(tol=np.inf), dict(max_iters=-1),
+])
+def test_config_rejects_unusable_settings(kwargs):
+    """A NaN strength or tolerance would fit to garbage, and a negative budget
+    would never stop the solver."""
+    with pytest.raises(ValueError):
+        FitConfig(**kwargs)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
+def test_with_c_rejects_non_positive(c):
+    with pytest.raises(ValueError, match="c must be > 0"):
+        FitConfig.with_c(c)
 
 
 def test_k1_fit_matches_sklearn_logistic():
