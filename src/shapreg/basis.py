@@ -4,12 +4,12 @@ The predictor of a Shapley regression is a k-additive cooperative game; its
 Choquet integral can be written either in the Moebius basis, as
 sum_T m(T) min_{i in T} x_i, or in the interaction-index parameterization,
 as sum_A I(A) phi_A(x).  Both go through one linear map: m = W I, with the
-sparse superset map W[C, B] = r_{|B|-|C|} (C <= B, inversion weights r) that
-``games.k_additive_maps`` builds once per (n, k).  So with the min-term
-matrix M of the samples, the design is M W, each column phi_A a weighted sum
-of the min-terms over the subcoalitions of A, and the two evaluations agree
-identically; a plain logistic regression on the design learns the
-interaction indices directly.
+superset map W[C, B] = r_{|B|-|C|} (C <= B, inversion weights r), whose
+per-order subset table ``games.k_additive_maps`` builds once per (n, k).
+So with the min-term matrix M of the samples, the design is M W, each
+column phi_A a weighted sum of the min-terms over the subcoalitions of A,
+and the two evaluations agree identically; a plain logistic regression on
+the design learns the interaction indices directly.
 
 Up to pairs the basis has the familiar closed forms:
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import indices_of, k_additive_maps, mask_of, min_terms
+from .games import indices_of, k_additive_maps, mask_of, transposed_min_terms
 
 
 def phi(coalition, x) -> float:
@@ -64,11 +64,52 @@ def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:
     x must already be normalized to [0,1]; column j is phi_A for the j-th
     coalition of enumerate_coalitions(n, k).
     """
-    terms = min_terms(x, k)  # rejects anything but a 2-D sample matrix in [0,1]
-    n = np.shape(x)[1]
-    # dense @ sparse comes back column-major; keep designs row-major like the samples
-    values = np.ascontiguousarray(terms @ k_additive_maps(n, k).to_mobius)
-    return DesignMatrix(values=values)
+    # min_terms @ W, built transposed so that every coalition is one
+    # contiguous row; rejects anything but a 2-D sample matrix in [0,1]
+    terms_t = transposed_min_terms(x, k)
+    maps = k_additive_maps(np.shape(x)[1], k)
+    values_t = np.zeros_like(terms_t)
+    scratch = np.empty(max(_PASS_ELEMENTS, max(values_t[block].size for block, _, _ in maps.orders)))
+    for block, subsets, depths in maps.orders:
+        weights = maps.inversion[depths]
+        used = weights != 0.0
+        _add_rows(values_t[block], terms_t, subsets[:, used], weights[used], scratch)
+    return DesignMatrix(values=np.ascontiguousarray(values_t.T))
+
+
+# elements in one pass of _add_rows' gather buffer (512 KiB)
+_PASS_ELEMENTS = 1 << 16
+
+
+def _add_rows(out: np.ndarray, rows: np.ndarray, index: np.ndarray, weights: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """out[b] += weights[j] * rows[index[b, j]] for j = 0, 1, ..., one at a time.
+
+    The products are added in ascending j, which orders each row by subset
+    position: the sequence of rounded multiply-adds of a CSR product, so
+    the design is the same to the bit.  When a pass of _PASS_ELEMENTS holds
+    four columns or more, their products are gathered into scratch behind a
+    copy of out and summed by np.add.reduce over the leading axis, which
+    adds one slice after another; otherwise the copy costs more than it
+    saves and columns are added one by one.  (np.take runs its out= through
+    a buffer in the default mode="raise"; the indices are in range, so
+    mode="clip" only skips that copy.)
+    """
+    step = _PASS_ELEMENTS // max(out.size, 1) - 1
+    if step < 4:
+        gathered = scratch[:out.size].reshape(out.shape)
+        for j in range(index.shape[1]):
+            np.take(rows, index[:, j], axis=0, out=gathered, mode="clip")
+            gathered *= weights[j]
+            out += gathered
+        return
+    for lo in range(0, index.shape[1], step):
+        cols = index[:, lo:lo + step].T
+        buf = scratch[:(cols.shape[0] + 1) * out.size].reshape(cols.shape[0] + 1, *out.shape)
+        buf[0] = out
+        np.take(rows, cols, axis=0, out=buf[1:], mode="clip")
+        buf[1:] *= weights[lo:lo + step, None, None]
+        np.add.reduce(buf, axis=0, out=out)
 
 
 def max_row_norm(design: DesignMatrix) -> float:

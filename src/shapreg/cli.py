@@ -200,6 +200,8 @@ def _parse_k_range(text: str, n: int, flag: str) -> list[int]:
             raise UsageError(f"{flag} expects 'lo..hi' or a comma list") from None
     if not ks:
         raise UsageError(f"{flag} '{text}' contains no k")
+    if len(set(ks)) != len(ks):
+        raise UsageError(f"{flag} '{text}' repeats an order")
     for k in ks:
         _check_k(k, n)
     return ks
@@ -263,6 +265,12 @@ def cmd_bench(args) -> int:
     for pen in penalties:
         if pen not in ("none", "l1", "l2"):
             raise UsageError(f"unknown penalty '{pen}'")
+    if len(set(penalties)) != len(penalties):
+        raise UsageError(f"--penalties '{args.penalties}' repeats a penalty")
+    for flag, count in (("--noise-repeats", args.noise_repeats),
+                        ("--bootstrap-resamples", args.bootstrap_resamples)):
+        if count < 1:
+            raise UsageError(f"{flag} must be >= 1, got {count}")
     grid = _parse_float_list(args.lambda_grid, "--lambda-grid") if args.lambda_grid else None
     if grid is not None and not all(lam > 0 for lam in grid):
         raise UsageError(f"--lambda-grid values must be > 0, got {args.lambda_grid}")

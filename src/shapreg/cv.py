@@ -10,12 +10,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .games import num_coalitions
 from .metrics import MetricSet, metrics, threshold_metrics
-from .model import ShapleyModel
+from .model import ShapleyModel, expit
 from .parallel import map_ordered
 from .train import FitConfig, FitResult, fit, prepare
 
@@ -251,6 +250,8 @@ def noise_robustness(
 
     sigma = 0 reproduces the clean accuracy exactly.
     """
+    if repeats < 1:
+        raise ValueError(f"noise robustness needs at least 1 repeat, got {repeats}")
     x_norm = model.normalize(x_test)
     y_test = np.asarray(y_test)
     out: dict[float, tuple[float, float]] = {}
@@ -301,6 +302,8 @@ def bootstrap_stability(
     that were never drawn.  Degenerate resamples (missing a class, or an empty
     out-of-bag set) are skipped and counted.
     """
+    if resamples < 1:
+        raise ValueError(f"bootstrap stability needs at least 1 resample, got {resamples}")
     config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
 
     def one(b: int) -> float | None:

@@ -33,7 +33,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy import sparse
 
 # The bit-mask convention assumes masks fit comfortably in an int64 when
 # handed to numpy.
@@ -256,7 +255,7 @@ def shapley_from_mobius(m: SetFunction) -> SetFunction:
     the singleton indices sum to v(F) = sum_T m(T) (efficiency).
     """
     _require_basis(m, Basis.MOBIUS, "shapley_from_mobius")
-    values = k_additive_maps(m.n, m.k).to_shapley @ m.values
+    values = k_additive_maps(m.n, m.k).to_shapley(m.values)
     return SetFunction(n=m.n, k=m.k, basis=Basis.SHAPLEY, values=values)
 
 
@@ -282,7 +281,7 @@ def mobius_from_shapley(index_fn: SetFunction) -> SetFunction:
     m({i}) = I({i}) - 1/2 sum_j I({i,j}).
     """
     _require_basis(index_fn, Basis.SHAPLEY, "mobius_from_shapley")
-    values = k_additive_maps(index_fn.n, index_fn.k).to_mobius @ index_fn.values
+    values = k_additive_maps(index_fn.n, index_fn.k).to_mobius(index_fn.values)
     return SetFunction(n=index_fn.n, k=index_fn.k, basis=Basis.MOBIUS, values=values)
 
 
@@ -292,16 +291,45 @@ class KAdditiveMaps:
 
     ``peel`` holds, for each order a >= 2, the canonical-order slice of the
     order-a coalitions, the position of each one's parent (the coalition
-    minus its highest member) and that highest member.  ``to_mobius`` and
-    ``to_shapley`` are the sparse superset maps W[C, B] = w_{|B|-|C|} over
-    non-empty C <= B, with the inversion weights r_d and the averaging
-    weights 1 / (d + 1) respectively, so m = to_mobius @ I and
-    I = to_shapley @ m.
+    minus its highest member) and that highest member.
+
+    ``orders`` holds, for each order a = 1..k, the slice of the order-a
+    coalitions, the canonical positions of the 2^a - 1 non-empty subsets of
+    each one (one row per coalition, ascending) and the depth |B| - |C| of
+    each subset column, the same for the whole order.  That table is the
+    superset map W[C, B] = w_{|B|-|C|} over non-empty C <= B under either
+    weighting: the inversion weights r_d (``inversion``), so m = W I
+    (:meth:`to_mobius`), or the averaging weights 1 / (d + 1)
+    (``averaging``), so I = W m (:meth:`to_shapley`).
     """
 
     peel: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
-    to_mobius: sparse.csr_matrix = field(repr=False)
-    to_shapley: sparse.csr_matrix = field(repr=False)
+    orders: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
+    inversion: np.ndarray = field(repr=False)
+    averaging: np.ndarray = field(repr=False)
+    # the table's (C, B, depth) entries, sorted by (C, B)
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return self.orders[-1][0].stop
+
+    def to_mobius(self, indices: np.ndarray) -> np.ndarray:
+        """Moebius coefficients of interaction indices: W I with weights r."""
+        return self._apply(self.inversion, indices)
+
+    def to_shapley(self, mobius: np.ndarray) -> np.ndarray:
+        """Interaction indices of Moebius coefficients: W m with weights 1 / (d + 1)."""
+        return self._apply(self.averaging, mobius)
+
+    def _apply(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # zero weights are skipped and each row sums its products from 0 in
+        # ascending B: the rounding of a CSR matrix-vector product
+        sub, sup, depth = self.entries
+        w = weights[depth]
+        keep = w != 0.0
+        return np.bincount(sub[keep], weights=w[keep] * np.asarray(values, dtype=float)[sup[keep]],
+                           minlength=self.size)
 
 
 @lru_cache(maxsize=32)
@@ -320,7 +348,7 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
     # order, and their sizes (the same for every coalition of one order)
     subsets = np.arange(n)[:, None]
     sizes = np.ones(1, dtype=np.int64)
-    entries = [(subsets.ravel(), np.arange(n), np.zeros(n, dtype=np.int64))]
+    orders = [(slice(0, n), subsets, np.zeros(1, dtype=np.int64))]
     peel = []
     lo, hi = 0, n
     for a in range(2, k + 1):
@@ -336,43 +364,47 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
         t = top[block][:, None]
         subsets = np.hstack([inherited, t, first_child[inherited] + t - top[inherited] - 1])
         sizes = np.concatenate([sizes, [1], sizes + 1])
-        entries.append((subsets.ravel(), np.repeat(np.arange(block.start, block.stop), sizes.size),
-                        np.tile(a - sizes, parent.size)))
+        # canonical order ranks the subsets of a coalition by the ranks of
+        # their members within it, so one permutation sorts every row
+        ascending = np.argsort(subsets[0])
+        orders.append((block, subsets[:, ascending], a - sizes[ascending]))
         lo, hi = block.start, block.stop
-    sub, sup, depth = (np.concatenate(parts) for parts in zip(*entries))
-
-    def superset_map(weights: np.ndarray) -> sparse.csr_matrix:
-        data = weights[depth]
-        keep = data != 0.0
-        return sparse.csr_matrix((data[keep], (sub[keep], sup[keep])), shape=(size, size))
-
-    for _, parent, members in peel:
-        parent.setflags(write=False)
-        members.setflags(write=False)
-    return KAdditiveMaps(
-        peel=tuple(peel),
-        to_mobius=superset_map(interaction_inversion_weights(k)),
-        to_shapley=superset_map(1.0 / np.arange(1, k + 1)),
-    )
+    # the table's (C, B, depth) entries, sorted by (C, B) for the products W v
+    sub = np.concatenate([table.ravel() for _, table, _ in orders])
+    sup = np.concatenate([np.repeat(np.arange(block.start, block.stop), table.shape[1])
+                          for block, table, _ in orders])
+    depth = np.concatenate([np.tile(depths, table.shape[0]) for _, table, depths in orders])
+    by_entry = np.lexsort((sup, sub))
+    entries = (sub[by_entry], sup[by_entry], depth[by_entry])
+    inversion, averaging = interaction_inversion_weights(k), 1.0 / np.arange(1, k + 1)
+    for arr in (*entries, inversion, averaging, *(a for _, *pair in (*peel, *orders) for a in pair)):
+        arr.setflags(write=False)
+    return KAdditiveMaps(peel=tuple(peel), orders=tuple(orders), inversion=inversion,
+                         averaging=averaging, entries=entries)
 
 
 def min_terms(x, k: int) -> np.ndarray:
     """Min-term matrix M[:, T] = min_{i in T} x[:, i] for every coalition of
-    size <= k, in canonical order; rows of x are points of [0,1]^n.
+    size <= k, in canonical order; rows of x are points of [0,1]^n."""
+    return np.ascontiguousarray(transposed_min_terms(x, k).T)
+
+
+def transposed_min_terms(x, k: int) -> np.ndarray:
+    """The min-term matrix transposed: one C-contiguous row per coalition.
 
     Each order comes from the one below by peeling the highest member,
     min over T = min(min over T minus top(T), x_top(T)), written straight
-    into one preallocated array.
+    into one preallocated array; the rows gathered are contiguous.
     """
     x = _check_unit_box(x)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D sample matrix, got shape {x.shape}")
     n = x.shape[1]
     maps = k_additive_maps(n, k)
-    out = np.empty((x.shape[0], maps.to_mobius.shape[0]))
-    out[:, :n] = x
+    out = np.empty((maps.size, x.shape[0]))
+    out[:n] = x.T
     for block, parent, members in maps.peel:
-        np.minimum(out[:, parent], x[:, members], out=out[:, block])
+        np.minimum(out[parent], out[members], out=out[block])
     return out
 
 

@@ -6,9 +6,18 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .games import Basis, SetFunction, k_additive_maps, min_terms, num_coalitions
+
+
+@np.errstate(over="ignore")  # as a decorator it costs less per call than a with block
+def expit(z) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-z)), elementwise.
+
+    Exactly 0, without an overflow warning, where exp(-z) overflows (z below
+    about -709.78); it rounds to exactly 1 for z above about 37.
+    """
+    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
 def apply_normalization(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -56,7 +65,7 @@ class ShapleyModel:
             raise ValueError(f"normalization must have shape ({n}, 2), got {norm.shape}")
         if np.any(norm[:, 0] > norm[:, 1]):
             raise ValueError("normalization requires min <= max per feature")
-        mobius = k_additive_maps(n, self.k).to_mobius @ idx
+        mobius = k_additive_maps(n, self.k).to_mobius(idx)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "normalization", norm)
         object.__setattr__(self, "mobius", mobius)
@@ -85,7 +94,8 @@ class ShapleyModel:
         return self.logit_normalized(self.normalize(x_raw))
 
     def predict_proba(self, x_raw: np.ndarray) -> np.ndarray:
-        """P(y=1) per row, strictly inside (0,1)."""
+        """P(y=1) per row, in [0, 1]: expit rounds to exactly 1 for logits
+        above about 37 and is exactly 0 below about -709.78."""
         return expit(self.logit(x_raw))
 
     def predict(self, x_raw: np.ndarray) -> np.ndarray:

@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .basis import DesignMatrix, design_matrix, max_row_norm
 from .data import Dataset
-from .model import ShapleyModel, apply_normalization
+from .model import ShapleyModel, apply_normalization, expit
 
 logger = logging.getLogger(__name__)
 

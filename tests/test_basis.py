@@ -5,6 +5,10 @@ from shapreg.basis import design_matrix, max_row_norm, phi
 from shapreg.games import (
     Basis,
     SetFunction,
+    coalition_index,
+    coalition_size,
+    k_additive_maps,
+    min_terms,
     mobius_from_shapley,
     num_coalitions,
     shapley_from_mobius,
@@ -129,3 +133,48 @@ def test_gradient_consistency_of_the_fitted_game():
         assert abs(mc - shapley_values[i]) < 3 * se + 1e-3, (
             f"feature {i}: MC {mc:.5f} vs Shapley {shapley_values[i]:.5f} (se {se:.2e})"
         )
+
+
+def superset_csr(n, k, weights):
+    """The superset map W[C, B] = weights[|B| - |C|] over non-empty C <= B as
+    a scipy CSR matrix, built from bit-masks; zero weights are not stored."""
+    sparse = pytest.importorskip("scipy.sparse")
+    index = coalition_index(n, k)
+    rows, cols, data = [], [], []
+    for sup_mask, sup in index.items():
+        sub_mask = sup_mask
+        while sub_mask:
+            w = weights[coalition_size(sup_mask) - coalition_size(sub_mask)]
+            if w != 0.0:
+                rows.append(index[sub_mask])
+                cols.append(sup)
+                data.append(w)
+            sub_mask = (sub_mask - 1) & sup_mask
+    return sparse.csr_matrix((data, (rows, cols)), shape=(len(index), len(index)))
+
+
+@pytest.mark.parametrize("n,k,big_n", [(1, 1, 3), (4, 4, 17), (5, 3, 0), (8, 2, 300),
+                                       (8, 8, 120), (10, 3, 100), (10, 10, 20), (12, 4, 50),
+                                       (40, 2, 30)])
+def test_design_and_maps_match_a_sparse_product_to_the_bit(n, k, big_n):
+    """The design is min_terms @ W and the maps are W @ v, summed in the
+    order of a CSR product, so they agree with scipy's bit for bit, signed
+    zeros included."""
+    rng = np.random.default_rng([n, k, big_n])
+    x = rng.uniform(size=(big_n, n))
+    x[rng.uniform(size=x.shape) < 0.2] = 0.0
+    x[rng.uniform(size=x.shape) < 0.1] = 1.0
+    maps = k_additive_maps(n, k)
+    to_mobius = superset_csr(n, k, maps.inversion)
+    to_shapley = superset_csr(n, k, maps.averaging)
+
+    expected = np.ascontiguousarray(min_terms(x, k) @ to_mobius)
+    design = design_matrix(x, k).values
+    assert design.flags.c_contiguous
+    assert design.tobytes() == expected.tobytes()
+
+    v = rng.normal(size=num_coalitions(n, k)) * 10.0 ** rng.integers(-8, 8, size=num_coalitions(n, k))
+    v[::3] = 0.0
+    v[1::7] = -0.0
+    assert maps.to_mobius(v).tobytes() == (to_mobius @ v).tobytes()
+    assert maps.to_shapley(v).tobytes() == (to_shapley @ v).tobytes()

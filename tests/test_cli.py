@@ -355,6 +355,24 @@ def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, mo
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--k", "2,1,2"],
+    ["--penalties", "l2,l1,l2"],
+    ["--noise-repeats", "0"],
+    ["--bootstrap-resamples", "0"],
+    ["--noise-repeats", "-1"],
+])
+def test_bench_rejects_repeated_or_empty_work_before_any_work(toy_csv, tmp_path, capsys,
+                                                              monkeypatch, flags):
+    """A repeated order or penalty would run (and write) the same cell twice;
+    zero repeats would average an empty list into NaN columns."""
+    monkeypatch.setattr(cli, "k_sweep_benchmark", None)  # never reached
+    assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flags,
+               "--out-dir", tmp_path / "b") == EXIT_USAGE
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_bench_requires_single_data_source(toy_csv, tmp_path):
     """bench reads only a CSV: --dataset is required and --generator is not
     one of its flags."""
@@ -384,6 +402,7 @@ def test_bounds_outputs(tmp_path):
 
 @pytest.mark.parametrize("flag", [
     ["--gap-k-range", "3..1"],
+    ["--gap-k-range", "1,2,1"],
     ["--gap-lambda", "0"],
     ["--gap-lambda", "nan"],
     ["--b-norm", "-1"],

@@ -185,6 +185,17 @@ def test_noise_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_robustness_and_bootstrap_need_a_repeat(repeats):
+    """No repeat means an empty mean: a ValueError, not a NaN column."""
+    ds = signal_dataset(seed=10)
+    model = fit(ds, 1, FitConfig(penalty="l2", lam=1.0)).model
+    with pytest.raises(ValueError, match="at least 1 repeat"):
+        noise_robustness(model, ds.x, ds.y, repeats=repeats)
+    with pytest.raises(ValueError, match="at least 1 resample"):
+        bootstrap_stability(ds, 1, "l2", 1.0, resamples=repeats)
+
+
 def test_noise_degrades_separable_accuracy():
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(0, 0.35, size=(60, 1)), rng.uniform(0.65, 1, size=(60, 1))])

@@ -1,0 +1,90 @@
+"""numpy is the package's only runtime dependency: every code path runs
+without scipy, and the imports in src/ match pyproject.toml."""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import shapreg
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(shapreg.__file__).resolve().parent.parent
+
+# every subcommand on tiny settings, plus the basis transforms; prints the
+# scipy modules loaded at the end
+EVERY_PATH = r"""
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from shapreg import cli
+from shapreg.basis import design_matrix, phi
+from shapreg.games import (Basis, SetFunction, capacity_from_mobius, mobius_from_capacity,
+                           mobius_from_shapley, shapley_from_mobius)
+
+out = Path(sys.argv[1])
+
+
+def run(*argv):
+    code = cli.main([str(a) for a in argv])
+    assert code == cli.EXIT_OK, (argv, code)
+
+
+run("synth", "--generator", "pure-pairwise", "--gen-n", "4", "--gen-samples", "80",
+    "--gen-pairs", "2", "--seed", "0", "--out-dir", out / "data")
+rows = out / "data" / "pure_pairwise.csv"
+common = ["--dataset", rows, "--label-column", "label"]
+run("fit", *common, "--k", "2", "--penalty", "l2", "--lambda", "1", "--out-dir", out / "l2")
+run("fit", *common, "--k", "2", "--penalty", "l1", "--lambda", "0.1", "--out-dir", out / "l1")
+run("predict", "--model", out / "l2" / "model.json", *common, "--out-dir", out / "predict")
+run("bench", *common, "--k", "1,2", "--penalties", "l1,l2", "--lambda-grid", "0.1,1",
+    "--noise-repeats", "1", "--bootstrap-resamples", "2", "--profile", "--out-dir", out / "bench")
+run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "1", "--c-grid", "1",
+    "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3", "--gap-iterations", "1",
+    "--jobs", "2", "--seed", "0", "--out-dir", out / "bounds")
+run("interactions", "--models", out / "l2" / "model.json", out / "l1" / "model.json",
+    "--out-dir", out / "interactions")
+
+m = SetFunction(n=3, k=3, basis=Basis.MOBIUS, values=np.arange(1.0, 8.0))
+assert np.allclose(mobius_from_capacity(capacity_from_mobius(m)).values, m.values)
+assert np.allclose(mobius_from_shapley(shapley_from_mobius(m)).values, m.values)
+design_matrix(np.full((2, 3), 0.5), 3)
+phi([0, 1], [0.2, 0.7])
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_every_code_path_runs_without_scipy(tmp_path):
+    done = subprocess.run([sys.executable, "-c", EVERY_PATH, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    """A third-party import in src/shapreg must be a [project] dependency and
+    every dependency must be imported, so scipy cannot come back silently."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
+    imported = set().union(*map(_top_level_imports, sorted((ROOT / "src" / "shapreg").glob("*.py"))))
+    assert imported - set(sys.stdlib_module_names) - {"shapreg"} == declared

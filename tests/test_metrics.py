@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,28 @@ def test_auc_matches_pairwise_count():
             diff = score[y == 1][:, None] - score[y == 0][None, :]
             wins, ties = int((diff > 0).sum()), int((diff == 0).sum())
             assert roc_auc(y, score) == pytest.approx((wins + ties / 2) / diff.size, abs=1e-12)
+
+
+def test_pr_auc_matches_exact_average_precision():
+    """Average precision from its definition, in exact fractions: at each
+    distinct score t, descending, the recall gained by predicting score >= t
+    times the precision there; the offline reference for pr_auc."""
+    rng = np.random.default_rng(3)
+    for levels in (3, 10, None):
+        for _ in range(10):
+            y = rng.integers(0, 2, size=int(rng.integers(2, 60)))
+            if y.sum() == 0:
+                continue
+            score = rng.uniform(size=y.size)
+            if levels is not None:  # quantized scores force ties
+                score = np.floor(score * levels) / levels
+            pos = int(y.sum())
+            expected, tp_before = Fraction(0), 0
+            for t in sorted(set(score.tolist()), reverse=True):
+                tp = int(y[score >= t].sum())
+                expected += Fraction(tp - tp_before, pos) * Fraction(tp, int((score >= t).sum()))
+                tp_before = tp
+            assert pr_auc(y, score) == pytest.approx(float(expected), abs=1e-12)
 
 
 def test_auc_matches_sklearn():

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from shapreg.games import mobius_from_shapley, num_coalitions
-from shapreg.model import ShapleyModel
+from shapreg.model import ShapleyModel, expit
 
 from choquet_reference import capacity_lattice, choquet_sorted
 
@@ -107,3 +109,29 @@ def test_dimension_mismatch_rejected():
 def test_invalid_normalization_rejected():
     with pytest.raises(ValueError):
         make_model(bounds=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+
+
+def test_expit_matches_scipy():
+    """numpy's exp may differ from the C library's by an ulp (the AVX-512
+    loop does, on ~4% of arguments), and 1 / (1 + e) carries that through:
+    up to 2 ulps, and 4 where 1 + e rounds at the 2^53 scale (z near -37)."""
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(0)
+    z = np.concatenate([np.linspace(-700.0, 700.0, 140_001), rng.uniform(-40.0, 40.0, 100_000)])
+    ours, ref = expit(z), special.expit(z)
+    assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
+    # the exact 0 and 1 tails, where scipy gives them
+    tails = np.array([-np.inf, -1e6, -800.0, -745.2, -709.79, 37.0, 40.0, 800.0, 1e6, np.inf])
+    assert np.array_equal(special.expit(tails), [0.0] * 5 + [1.0] * 5)
+    assert np.array_equal(expit(tails), special.expit(tails))
+    assert np.array_equal(ours == 0.0, ref == 0.0)
+    assert np.array_equal(ours == 1.0, ref == 1.0)
+    # just above the overflow of exp(-z) the result is tiny but not 0
+    assert 0.0 < expit(-709.78) == special.expit(-709.78)
+
+
+def test_expit_is_warning_free_at_the_extremes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expit(np.array([1e6, -1e6])).tolist() == [1.0, 0.0]
+        assert expit(-1e6) == 0.0

@@ -18,6 +18,8 @@ from shapreg.train import (
     sensitivity_to_label_flip,
 )
 
+from lbfgsb_reference import lbfgsb_reference
+
 
 def toy_dataset(n=4, big_n=60, seed=0, signal=True):
     rng = np.random.default_rng(seed)
@@ -292,35 +294,6 @@ def test_hessian_shift_escalates_when_the_step_fails(monkeypatch, penalty, lam):
     assert first / first[0] * train._SHIFTS[0] == pytest.approx(train._SHIFTS[:len(first)], rel=1e-9)
 
 
-def _lbfgsb_reference(design, y, w, penalty, lam):
-    """Minimum of the training objective by scipy's L-BFGS-B, written
-    independently of the production solver; l1 is split as u - v, u, v >= 0."""
-    from scipy.optimize import minimize
-
-    d = design.shape[1]
-    split = penalty == "l1"
-
-    def objective(params):
-        coef = params[1:d + 1] - params[d + 1:] if split else params[1:]
-        z = params[0] + design @ coef
-        r = w * (1 / (1 + np.exp(-z)) - y)
-        g_coef = design.T @ r
-        value = float(w @ (np.logaddexp(0, z) - y * z))
-        if penalty == "l2":
-            value += lam * float(coef @ coef)
-            g_coef = g_coef + 2 * lam * coef
-        if split:
-            value += lam * float(params[1:].sum())
-            g_coef = np.concatenate([g_coef + lam, -g_coef + lam])
-        return value, np.concatenate([[r.sum()], g_coef])
-
-    size = 1 + (2 * d if split else d)
-    bounds = [(None, None)] + [(0, None) if split else (None, None)] * (size - 1)
-    res = minimize(objective, np.zeros(size), jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": 100_000, "maxfun": 100_000, "ftol": 1e-15, "gtol": 1e-12})
-    return res.fun, objective
-
-
 @pytest.mark.parametrize("class_weighting", ["off", "inverse_frequency"])
 @pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.3), ("l1", 3.0), ("l2", 0.5)])
 def test_objective_matches_lbfgsb_reference(penalty, lam, class_weighting):
@@ -328,8 +301,8 @@ def test_objective_matches_lbfgsb_reference(penalty, lam, class_weighting):
     result = fit(ds, 2, FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting))
     design = design_matrix(result.model.normalize(ds.x), 2).values
     y = ds.y.astype(float)
-    ref_value, objective = _lbfgsb_reference(design, y, sample_weights(ds.y, class_weighting),
-                                             penalty, lam)
+    ref_value, _, objective = lbfgsb_reference(design, y, sample_weights(ds.y, class_weighting),
+                                               penalty, lam)
     coef = result.model.indices
     ours = np.concatenate([[result.model.bias], np.maximum(coef, 0), np.maximum(-coef, 0)]) \
         if penalty == "l1" else result.parameters
