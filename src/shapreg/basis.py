@@ -64,52 +64,23 @@ def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:
     x must already be normalized to [0,1]; column j is phi_A for the j-th
     coalition of enumerate_coalitions(n, k).
     """
-    # min_terms @ W, built transposed so that every coalition is one
-    # contiguous row; rejects anything but a 2-D sample matrix in [0,1]
+    # M W for the min-term matrix M, built transposed so that every coalition
+    # is one contiguous row; rejects anything but a 2-D sample matrix in [0,1]
     terms_t = transposed_min_terms(x, k)
     maps = k_additive_maps(np.shape(x)[1], k)
     values_t = np.zeros_like(terms_t)
-    scratch = np.empty(max(_PASS_ELEMENTS, max(values_t[block].size for block, _, _ in maps.orders)))
     for block, subsets, depths in maps.orders:
-        weights = maps.inversion[depths]
-        used = weights != 0.0
-        _add_rows(values_t[block], terms_t, subsets[:, used], weights[used], scratch)
-    return DesignMatrix(values=np.ascontiguousarray(values_t.T))
-
-
-# elements in one pass of _add_rows' gather buffer (512 KiB)
-_PASS_ELEMENTS = 1 << 16
-
-
-def _add_rows(out: np.ndarray, rows: np.ndarray, index: np.ndarray, weights: np.ndarray,
-              scratch: np.ndarray) -> None:
-    """out[b] += weights[j] * rows[index[b, j]] for j = 0, 1, ..., one at a time.
-
-    The products are added in ascending j, which orders each row by subset
-    position: the sequence of rounded multiply-adds of a CSR product, so
-    the design is the same to the bit.  When a pass of _PASS_ELEMENTS holds
-    four columns or more, their products are gathered into scratch behind a
-    copy of out and summed by np.add.reduce over the leading axis, which
-    adds one slice after another; otherwise the copy costs more than it
-    saves and columns are added one by one.  (np.take runs its out= through
-    a buffer in the default mode="raise"; the indices are in range, so
-    mode="clip" only skips that copy.)
-    """
-    step = _PASS_ELEMENTS // max(out.size, 1) - 1
-    if step < 4:
-        gathered = scratch[:out.size].reshape(out.shape)
-        for j in range(index.shape[1]):
-            np.take(rows, index[:, j], axis=0, out=gathered, mode="clip")
-            gathered *= weights[j]
+        # each row adds its weighted subset rows in ascending subset position,
+        # zero weights skipped: the rounding sequence of a CSR product
+        out = values_t[block]
+        gathered = np.empty_like(out)
+        for j in np.flatnonzero(maps.inversion[depths]):
+            # the indices are in range; mode="clip" skips the buffered copy
+            # that the default mode="raise" makes of out=
+            np.take(terms_t, subsets[:, j], axis=0, out=gathered, mode="clip")
+            gathered *= maps.inversion[depths[j]]
             out += gathered
-        return
-    for lo in range(0, index.shape[1], step):
-        cols = index[:, lo:lo + step].T
-        buf = scratch[:(cols.shape[0] + 1) * out.size].reshape(cols.shape[0] + 1, *out.shape)
-        buf[0] = out
-        np.take(rows, cols, axis=0, out=buf[1:], mode="clip")
-        buf[1:] *= weights[lo:lo + step, None, None]
-        np.add.reduce(buf, axis=0, out=out)
+    return DesignMatrix(values=np.ascontiguousarray(values_t.T))
 
 
 def max_row_norm(design: DesignMatrix) -> float:

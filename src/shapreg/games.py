@@ -307,7 +307,7 @@ class KAdditiveMaps:
     orders: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
     inversion: np.ndarray = field(repr=False)
     averaging: np.ndarray = field(repr=False)
-    # the table's (C, B, depth) entries, sorted by (C, B)
+    # the table's (C, B, depth) entries, in ascending B
     entries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
@@ -323,8 +323,9 @@ class KAdditiveMaps:
         return self._apply(self.averaging, mobius)
 
     def _apply(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # zero weights are skipped and each row sums its products from 0 in
-        # ascending B: the rounding of a CSR matrix-vector product
+        # bincount adds each bin's terms from 0 in input order, so each C
+        # sums its products in ascending B, zero weights skipped: the
+        # rounding of a CSR matrix-vector product
         sub, sup, depth = self.entries
         w = weights[depth]
         keep = w != 0.0
@@ -369,13 +370,11 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
         ascending = np.argsort(subsets[0])
         orders.append((block, subsets[:, ascending], a - sizes[ascending]))
         lo, hi = block.start, block.stop
-    # the table's (C, B, depth) entries, sorted by (C, B) for the products W v
-    sub = np.concatenate([table.ravel() for _, table, _ in orders])
-    sup = np.concatenate([np.repeat(np.arange(block.start, block.stop), table.shape[1])
-                          for block, table, _ in orders])
-    depth = np.concatenate([np.tile(depths, table.shape[0]) for _, table, depths in orders])
-    by_entry = np.lexsort((sup, sub))
-    entries = (sub[by_entry], sup[by_entry], depth[by_entry])
+    # the table's (C, B, depth) entries for the products W v, in ascending B
+    entries = (np.concatenate([table.ravel() for _, table, _ in orders]),
+               np.concatenate([np.repeat(np.arange(block.start, block.stop), table.shape[1])
+                               for block, table, _ in orders]),
+               np.concatenate([np.tile(depths, table.shape[0]) for _, table, depths in orders]))
     inversion, averaging = interaction_inversion_weights(k), 1.0 / np.arange(1, k + 1)
     for arr in (*entries, inversion, averaging, *(a for _, *pair in (*peel, *orders) for a in pair)):
         arr.setflags(write=False)
@@ -383,14 +382,10 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
                          averaging=averaging, entries=entries)
 
 
-def min_terms(x, k: int) -> np.ndarray:
-    """Min-term matrix M[:, T] = min_{i in T} x[:, i] for every coalition of
-    size <= k, in canonical order; rows of x are points of [0,1]^n."""
-    return np.ascontiguousarray(transposed_min_terms(x, k).T)
-
-
 def transposed_min_terms(x, k: int) -> np.ndarray:
-    """The min-term matrix transposed: one C-contiguous row per coalition.
+    """Transposed min-term matrix M_t[T] = min_{i in T} x[:, i] for every
+    coalition T of size <= k, in canonical order, one C-contiguous row per
+    coalition; rows of x are points of [0,1]^n.
 
     Each order comes from the one below by peeling the highest member,
     min over T = min(min over T minus top(T), x_top(T)), written straight
@@ -439,4 +434,4 @@ def choquet_mobius(m: SetFunction, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise ValueError(f"expected a point in R^{m.n}, got shape {x.shape}")
-    return float(min_terms(x[None, :], m.k)[0] @ m.values)
+    return float(m.values @ transposed_min_terms(x[None, :], m.k)[:, 0])

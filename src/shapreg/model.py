@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Basis, SetFunction, k_additive_maps, min_terms, num_coalitions
+from .games import Basis, SetFunction, k_additive_maps, num_coalitions, transposed_min_terms
 
 
 @np.errstate(over="ignore")  # as a decorator it costs less per call than a with block
@@ -88,7 +88,7 @@ class ShapleyModel:
 
     def logit_normalized(self, x_norm: np.ndarray) -> np.ndarray:
         """Logits for inputs already in [0,1]^n (skips normalization)."""
-        return self.bias + min_terms(np.atleast_2d(x_norm), self.k) @ self.mobius
+        return self.bias + self.mobius @ transposed_min_terms(np.atleast_2d(x_norm), self.k)
 
     def logit(self, x_raw: np.ndarray) -> np.ndarray:
         return self.logit_normalized(self.normalize(x_raw))

@@ -8,10 +8,10 @@ from shapreg.games import (
     coalition_index,
     coalition_size,
     k_additive_maps,
-    min_terms,
     mobius_from_shapley,
     num_coalitions,
     shapley_from_mobius,
+    transposed_min_terms,
 )
 from shapreg.model import ShapleyModel
 
@@ -153,13 +153,13 @@ def superset_csr(n, k, weights):
     return sparse.csr_matrix((data, (rows, cols)), shape=(len(index), len(index)))
 
 
-@pytest.mark.parametrize("n,k,big_n", [(1, 1, 3), (4, 4, 17), (5, 3, 0), (8, 2, 300),
-                                       (8, 8, 120), (10, 3, 100), (10, 10, 20), (12, 4, 50),
-                                       (40, 2, 30)])
+@pytest.mark.parametrize("n,k,big_n", [(1, 1, 3), (4, 4, 1), (4, 4, 17), (5, 3, 0), (6, 6, 1),
+                                       (8, 2, 300), (8, 8, 120), (10, 3, 100), (10, 10, 20),
+                                       (12, 4, 50), (40, 2, 30)])
 def test_design_and_maps_match_a_sparse_product_to_the_bit(n, k, big_n):
-    """The design is min_terms @ W and the maps are W @ v, summed in the
-    order of a CSR product, so they agree with scipy's bit for bit, signed
-    zeros included."""
+    """The design is M W for the min-term matrix M and the maps are W v,
+    summed in the order of a CSR product, so they agree with scipy's bit for
+    bit, signed zeros included."""
     rng = np.random.default_rng([n, k, big_n])
     x = rng.uniform(size=(big_n, n))
     x[rng.uniform(size=x.shape) < 0.2] = 0.0
@@ -168,7 +168,7 @@ def test_design_and_maps_match_a_sparse_product_to_the_bit(n, k, big_n):
     to_mobius = superset_csr(n, k, maps.inversion)
     to_shapley = superset_csr(n, k, maps.averaging)
 
-    expected = np.ascontiguousarray(min_terms(x, k) @ to_mobius)
+    expected = np.ascontiguousarray(transposed_min_terms(x, k).T @ to_mobius)
     design = design_matrix(x, k).values
     assert design.flags.c_contiguous
     assert design.tobytes() == expected.tobytes()

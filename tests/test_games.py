@@ -14,11 +14,11 @@ from shapreg.games import (
     indices_of,
     interaction_inversion_weights,
     mask_of,
-    min_terms,
     mobius_from_capacity,
     mobius_from_shapley,
     num_coalitions,
     shapley_from_mobius,
+    transposed_min_terms,
     truncate_k_additive,
 )
 
@@ -316,7 +316,7 @@ def test_min_terms_reject_nan():
     # NaN fails every comparison, so a box check written as "any x out of
     # bounds" lets it through
     with pytest.raises(ValueError, match="finite"):
-        min_terms(np.array([[0.2, np.nan, 0.5]]), 2)
+        transposed_min_terms(np.array([[0.2, np.nan, 0.5]]), 2)
 
 
 def test_full_lattice_transforms_fail_before_allocating():

@@ -14,10 +14,10 @@ from shapreg.games import (
     SetFunction,
     enumerate_coalitions,
     indices_of,
-    min_terms,
     mobius_from_shapley,
     num_coalitions,
     shapley_from_mobius,
+    transposed_min_terms,
 )
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -35,7 +35,7 @@ def universes(draw, max_n=9):
 def test_min_terms_equal_brute_force_minima(data, universe):
     n, k = universe
     x = data.draw(arrays(float, (data.draw(st.integers(1, 5)), n), elements=unit))
-    terms = min_terms(x, k)
+    terms = transposed_min_terms(x, k).T
     masks = enumerate_coalitions(n, k)
     assert terms.shape == (x.shape[0], len(masks))
     for j, mask in enumerate(masks):
