@@ -245,6 +245,8 @@ def gap_experiment(
     train and test coincide, forcing a zero gap.  Per-iteration seeds derive from the root
     seed, so results are independent of scheduling.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     if split and big_n % 2 != 0:
         raise ValueError("N must be even to split into equal halves")
     k_values = [int(k) for k in k_range]

@@ -4,12 +4,12 @@ The predictor of a Shapley regression is a k-additive cooperative game; its
 Choquet integral can be written either in the Moebius basis, as
 sum_T m(T) min_{i in T} x_i, or in the interaction-index parameterization,
 as sum_A I(A) phi_A(x).  Both go through one linear map: m = W I, with the
-superset map W[C, B] = r_{|B|-|C|} (C <= B, inversion weights r), whose
-per-order subset table ``games.k_additive_maps`` builds once per (n, k).
-So with the min-term matrix M of the samples, the design is M W, each
-column phi_A a weighted sum of the min-terms over the subcoalitions of A,
-and the two evaluations agree identically; a plain logistic regression on
-the design learns the interaction indices directly.
+superset map W[C, B] = r_{|B|-|C|} (C <= B, inversion weights r).  So with
+the min-term matrix M of the samples, the design is M W, each column phi_A
+a weighted sum of the min-terms over the subcoalitions of A, and the two
+evaluations agree identically; a plain logistic regression on the design
+learns the interaction indices directly.  Both M and the product M W come
+from ``games``, which keeps W's subset table, built once per (n, k).
 
 Up to pairs the basis has the familiar closed forms:
 
@@ -64,23 +64,9 @@ def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:
     x must already be normalized to [0,1]; column j is phi_A for the j-th
     coalition of enumerate_coalitions(n, k).
     """
-    # M W for the min-term matrix M, built transposed so that every coalition
-    # is one contiguous row; rejects anything but a 2-D sample matrix in [0,1]
+    # rejects anything but a 2-D sample matrix in [0,1]
     terms_t = transposed_min_terms(x, k)
-    maps = k_additive_maps(np.shape(x)[1], k)
-    values_t = np.zeros_like(terms_t)
-    for block, subsets, depths in maps.orders:
-        # each row adds its weighted subset rows in ascending subset position,
-        # zero weights skipped: the rounding sequence of a CSR product
-        out = values_t[block]
-        gathered = np.empty_like(out)
-        for j in np.flatnonzero(maps.inversion[depths]):
-            # the indices are in range; mode="clip" skips the buffered copy
-            # that the default mode="raise" makes of out=
-            np.take(terms_t, subsets[:, j], axis=0, out=gathered, mode="clip")
-            gathered *= maps.inversion[depths[j]]
-            out += gathered
-    return DesignMatrix(values=np.ascontiguousarray(values_t.T))
+    return DesignMatrix(values=k_additive_maps(np.shape(x)[1], k).design(terms_t))
 
 
 def max_row_norm(design: DesignMatrix) -> float:

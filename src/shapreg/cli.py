@@ -44,7 +44,7 @@ from .data import (
     undersample,
 )
 from .model import ShapleyModel
-from .train import FitConfig, fit, sensitivity_to_label_flip
+from .train import FitConfig, check_fit_size, fit, sensitivity_to_label_flip
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,9 +169,20 @@ def _load_dataset(args) -> Dataset:
     return ds
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_k(k: int, n: int, flag: str = "--k") -> None:
     if not 1 <= k <= n:
-        raise UsageError(f"--k must be in [1, {n}] for {n} features, got {k}")
+        raise UsageError(f"{flag} must be in [1, {n}] for {n} features, got {k}")
+    try:
+        check_fit_size(n, k)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {k}: {exc}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type of a repeat or iteration count: an int >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expects an int >= 1, got {text!r}")
+    return int(text)
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -203,7 +214,7 @@ def _parse_k_range(text: str, n: int, flag: str) -> list[int]:
     if len(set(ks)) != len(ks):
         raise UsageError(f"{flag} '{text}' repeats an order")
     for k in ks:
-        _check_k(k, n)
+        _check_k(k, n, flag)
     return ks
 
 
@@ -267,10 +278,6 @@ def cmd_bench(args) -> int:
             raise UsageError(f"unknown penalty '{pen}'")
     if len(set(penalties)) != len(penalties):
         raise UsageError(f"--penalties '{args.penalties}' repeats a penalty")
-    for flag, count in (("--noise-repeats", args.noise_repeats),
-                        ("--bootstrap-resamples", args.bootstrap_resamples)):
-        if count < 1:
-            raise UsageError(f"{flag} must be >= 1, got {count}")
     grid = _parse_float_list(args.lambda_grid, "--lambda-grid") if args.lambda_grid else None
     if grid is not None and not all(lam > 0 for lam in grid):
         raise UsageError(f"--lambda-grid values must be > 0, got {args.lambda_grid}")
@@ -329,12 +336,19 @@ def cmd_bounds(args) -> int:
     if not all(c > 0 for c in c_grid):
         raise UsageError(f"--c-grid values must be > 0, got {args.c_grid}")
     k_range = _parse_k_range(args.gap_k_range, args.gap_n, "--gap-k-range")
+    _check_k(args.sens_k, args.sens_n, "--sens-k")
+    if args.gap_samples < 2 or args.gap_samples % 2:
+        raise UsageError(f"--gap-samples must be even and >= 2, got {args.gap_samples}")
     if not args.gap_lambda > 0:
         raise UsageError(f"--gap-lambda must be > 0, got {args.gap_lambda}")
     if not args.b_norm >= 0:
         raise UsageError(f"--b-norm must be >= 0, got {args.b_norm}")
     if args.lipschitz is not None and not args.lipschitz >= 0:
         raise UsageError(f"--lipschitz must be >= 0, got {args.lipschitz}")
+    if args.model is not None:
+        b_norm = float(np.abs(ShapleyModel.load(args.model).indices).sum())
+    else:
+        b_norm = args.b_norm
 
     # label-flip sensitivity curve on the synthetic noise protocol
     sens_ds = gen_random_noise(args.sens_n, args.sens_samples, seed=args.seed)
@@ -343,14 +357,9 @@ def cmd_bounds(args) -> int:
                                   repeats=args.sens_repeats, seed=args.seed)
         for c in c_grid
     ]
-    _write_csv(out / "sensitivity_curve.csv",
-               ["C", "lambda", "mean_shift", "std_shift", "median_shift",
-                "max_risk_diff", "stability_ceiling"],
-               [[c, 1.0 / c, study.mean_shift, study.std_shift, study.median_shift,
-                 float(study.risk_diffs.max()), study.stability_ceiling]
-                for c, study in zip(c_grid, studies)])
 
-    # generalization-gap experiment
+    # generalization-gap experiment; fits on small random halves can fail,
+    # so no report is written before it has run
     exp = gap_experiment(
         n=args.gap_n, big_n=args.gap_samples,
         k_range=k_range,
@@ -360,6 +369,12 @@ def cmd_bounds(args) -> int:
         lam=args.gap_lambda,
         jobs=args.jobs,
     )
+    _write_csv(out / "sensitivity_curve.csv",
+               ["C", "lambda", "mean_shift", "std_shift", "median_shift",
+                "max_risk_diff", "stability_ceiling"],
+               [[c, 1.0 / c, study.mean_shift, study.std_shift, study.median_shift,
+                 float(study.risk_diffs.max()), study.stability_ceiling]
+                for c, study in zip(c_grid, studies)])
     gap_rows = [[r["k"], r["D_k"], r["d_eff"], r["gap_none"], r["gap_none_std"],
                  r["gap_l2"], r["gap_l2_std"]] for r in exp.rows()]
     _write_csv(out / "gap_experiment.csv",
@@ -369,10 +384,6 @@ def cmd_bounds(args) -> int:
     # plug-in bound curves; L defaults to the max design-row norm of the
     # sensitivity dataset at --sens-k, which every label-flip study measured
     lipschitz = args.lipschitz if args.lipschitz is not None else studies[0].row_norm
-    if args.model is not None:
-        b_norm = float(np.abs(ShapleyModel.load(args.model).indices).sum())
-    else:
-        b_norm = args.b_norm
     report = bound_report(exp, norm_bound=b_norm, lipschitz=lipschitz)
     _write_csv(out / "bound_curves.csv",
                ["k", "D_k", "vc", "rademacher", "stability"],
@@ -473,8 +484,8 @@ def build_parser() -> _Parser:
     p.add_argument("--selection-metric", choices=("accuracy", "f1"), default="accuracy")
     p.add_argument("--sigmas", default="0.1,0.2,0.3",
                    help="comma list of Gaussian noise levels on the normalized inputs, each >= 0")
-    p.add_argument("--noise-repeats", type=int, default=10)
-    p.add_argument("--bootstrap-resamples", type=int, default=50)
+    p.add_argument("--noise-repeats", type=_count, default=10)
+    p.add_argument("--bootstrap-resamples", type=_count, default=50)
     p.add_argument("--profile", action="store_true",
                    help="also write wall-clock resources.csv (not byte-reproducible)")
     p.set_defaults(func=cmd_bench)
@@ -484,13 +495,13 @@ def build_parser() -> _Parser:
     p.add_argument("--sens-n", type=int, default=10)
     p.add_argument("--sens-samples", type=int, default=100)
     p.add_argument("--sens-k", type=int, default=2)
-    p.add_argument("--sens-repeats", type=int, default=20)
+    p.add_argument("--sens-repeats", type=_count, default=20)
     p.add_argument("--c-grid", default="0.01,0.1,0.5,1.0,1.5,3.0",
                    help="comma list of reciprocal l2 strengths C = 1/lambda, each > 0")
     p.add_argument("--gap-n", type=int, default=8)
     p.add_argument("--gap-samples", type=int, default=1000)
     p.add_argument("--gap-k-range", default="1..8")
-    p.add_argument("--gap-iterations", type=int, default=10)
+    p.add_argument("--gap-iterations", type=_count, default=10)
     p.add_argument("--gap-lambda", type=float, default=1.0)
     b_source = p.add_mutually_exclusive_group()
     b_source.add_argument("--b-norm", type=float, default=1.0,

@@ -19,8 +19,8 @@ in lexicographic order, then triples, and so on.  All vectors in this package
 are aligned to that order.
 
 The Moebius <-> Shapley transforms, the min-term matrix behind every Choquet
-evaluation and (in basis.py) the design matrices all derive from one
-structure, built once per (n, k) and cached: see :func:`k_additive_maps`.
+evaluation and the design matrices that basis.py hands out all read one
+subset table, kept only here and cached per (n, k): see :class:`KAdditiveMaps`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from math import comb
 
 import numpy as np
 
-# The bit-mask convention assumes masks fit comfortably in an int64 when
-# handed to numpy.
-MAX_FULL_ORDER_N = 62
+# Largest allocation, in bytes, of a structure exponential in (n, k): the
+# coalition list, the subset table, a fit's dense Newton system (train.py).
+MAX_ALLOCATION_BYTES = 1 << 30
 # Full-lattice transforms hold 2^n values (8 MiB at n = 20) and enumerate
 # every coalition in Python; larger universes fail before allocating.
 MAX_LATTICE_N = 20
@@ -72,23 +72,28 @@ def coalition_size(mask: int) -> int:
 
 
 def num_coalitions(n: int, k: int) -> int:
-    """Number of non-empty coalitions of size <= k, sum_{j=1..k} C(n, j)."""
-    _check_universe(n, k)
-    return sum(comb(n, j) for j in range(1, k + 1))
-
-
-def _check_universe(n: int, k: int) -> None:
+    """Number of non-empty coalitions of size <= k, sum_{j=1..k} C(n, j);
+    raises ValueError for a universe this module cannot hold."""
     if n < 1:
         raise ValueError(f"universe size must be >= 1, got n={n}")
     if k < 1:
         raise ValueError(f"additivity order must be >= 1, got k={k}")
     if k > n:
         raise ValueError(f"additivity order k={k} exceeds universe size n={n}")
-    if k > 3 and n > MAX_FULL_ORDER_N:
-        raise ValueError(
-            f"n={n} unsupported for order k={k}; full-order style enumerations "
-            f"are capped at n={MAX_FULL_ORDER_N}"
-        )
+    d = sum(comb(n, j) for j in range(1, k + 1))
+    # enumerate_coalitions and coalition_index hold a Python int with a list
+    # and a dict slot per coalition: 120 bytes at peak on 64-bit CPython
+    check_allocation(n, k, "coalition list", 120 * d)
+    return d
+
+
+def check_allocation(n: int, k: int, what: str, nbytes: int) -> None:
+    """Raise ValueError if ``what``, for order k on n features, would take
+    more than MAX_ALLOCATION_BYTES."""
+    if nbytes > MAX_ALLOCATION_BYTES:
+        d = sum(comb(n, j) for j in range(1, k + 1))
+        raise ValueError(f"order k={k} on n={n} features (D={d:,} coalitions): the {what} "
+                         f"needs {nbytes:,} bytes, over the {MAX_ALLOCATION_BYTES:,}-byte budget")
 
 
 def enumerate_coalitions(n: int, k: int) -> list[int]:
@@ -97,7 +102,7 @@ def enumerate_coalitions(n: int, k: int) -> list[int]:
     Canonical order is size-major, lexicographic within a size: {0}, {1}, ...,
     {n-1}, {0,1}, {0,2}, ..., {n-2,n-1}, {0,1,2}, ...
     """
-    _check_universe(n, k)
+    num_coalitions(n, k)  # checks the universe
     masks = []
     for size in range(1, k + 1):
         for combo in combinations(range(n), size):
@@ -125,7 +130,6 @@ class SetFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_universe(self.n, self.k)
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.shape[0] != num_coalitions(self.n, self.k):
             raise ValueError(
@@ -187,24 +191,24 @@ def _require_basis(sf: SetFunction, basis: Basis, op: str) -> None:
         raise ValueError(f"{op} expects a {basis.value}-basis set function, got {sf.basis.value}")
 
 
-def _to_lattice(sf: SetFunction) -> np.ndarray:
-    """Scatter canonical-order values into a 2^n array indexed by mask."""
-    full = np.zeros(1 << sf.n)
-    full[np.fromiter(sf.coalitions(), dtype=np.int64)] = sf.values
-    return full
-
-
-def _from_lattice(full: np.ndarray, n: int, k: int, basis: Basis) -> SetFunction:
-    masks = np.fromiter(enumerate_coalitions(n, k), dtype=np.int64)
-    return SetFunction(n=n, k=k, basis=basis, values=full[masks])
-
-
-def _check_lattice(n: int) -> None:
+def _lattice_transform(sf: SetFunction, sign: float, basis: Basis) -> SetFunction:
+    """Full-order game in ``basis`` from the in-place subset-lattice transform
+    of sf (zero above order sf.k): bit by bit, each mask A holding the bit gets
+    f(A) += sign * f(A minus the bit), the subset sums for sign 1 and their
+    inverse for -1 (a + (-1.0 * b) is a - b to the bit)."""
+    n = sf.n
     if n > MAX_LATTICE_N:
-        raise ValueError(
-            f"full-lattice transform on n={n} features needs 2^{n} values; "
-            f"capped at n={MAX_LATTICE_N}"
-        )
+        raise ValueError(f"full-lattice transform on n={n} features needs 2^{n} values; "
+                         f"capped at n={MAX_LATTICE_N}")
+    coalitions = np.fromiter(enumerate_coalitions(n, n), dtype=np.int64)
+    f = np.zeros(1 << n)
+    f[coalitions[: sf.values.size]] = sf.values  # size-major: orders <= k come first
+    masks = np.arange(1 << n)
+    for i in range(n):
+        bit = 1 << i
+        has = (masks & bit) != 0
+        f[has] += sign * f[masks[has] ^ bit]
+    return SetFunction(n=n, k=n, basis=basis, values=f[coalitions])
 
 
 def mobius_from_capacity(mu: SetFunction) -> SetFunction:
@@ -216,14 +220,7 @@ def mobius_from_capacity(mu: SetFunction) -> SetFunction:
     _require_basis(mu, Basis.CAPACITY, "mobius_from_capacity")
     if mu.k != mu.n:
         raise ValueError("mobius_from_capacity needs a full-order game (k = n)")
-    _check_lattice(mu.n)
-    f = _to_lattice(mu)
-    masks = np.arange(1 << mu.n)
-    for i in range(mu.n):
-        bit = 1 << i
-        has = (masks & bit) != 0
-        f[has] -= f[masks[has] ^ bit]
-    return _from_lattice(f, mu.n, mu.n, Basis.MOBIUS)
+    return _lattice_transform(mu, -1.0, Basis.MOBIUS)
 
 
 def capacity_from_mobius(m: SetFunction) -> SetFunction:
@@ -233,18 +230,7 @@ def capacity_from_mobius(m: SetFunction) -> SetFunction:
     with zeros above order k.
     """
     _require_basis(m, Basis.MOBIUS, "capacity_from_mobius")
-    _check_lattice(m.n)
-    lifted = m if m.k == m.n else SetFunction(
-        n=m.n, k=m.n, basis=Basis.MOBIUS,
-        values=np.concatenate([m.values, np.zeros(num_coalitions(m.n, m.n) - m.values.size)]),
-    )
-    f = _to_lattice(lifted)
-    masks = np.arange(1 << m.n)
-    for i in range(m.n):
-        bit = 1 << i
-        has = (masks & bit) != 0
-        f[has] += f[masks[has] ^ bit]
-    return _from_lattice(f, m.n, m.n, Basis.CAPACITY)
+    return _lattice_transform(m, 1.0, Basis.CAPACITY)
 
 
 def shapley_from_mobius(m: SetFunction) -> SetFunction:
@@ -289,26 +275,24 @@ def mobius_from_shapley(index_fn: SetFunction) -> SetFunction:
 class KAdditiveMaps:
     """The k-additive structure on n features, built once per (n, k).
 
-    ``peel`` holds, for each order a >= 2, the canonical-order slice of the
-    order-a coalitions, the position of each one's parent (the coalition
-    minus its highest member) and that highest member.
+    ``orders`` holds, for each order a = 1..k, the canonical-order slice of
+    the order-a coalitions, their subset table and its column depths.  Row B
+    of the table holds the canonical positions of B's 2^a - 1 non-empty
+    subsets C, ascending, so it starts with B's members (columns 0..a-1, the
+    top member at a - 1), has the parent, B minus its top member, at column
+    2^a - a - 2, and ends with B itself.  A column's depth |B| - |C| is the
+    same for every row of an order.
 
-    ``orders`` holds, for each order a = 1..k, the slice of the order-a
-    coalitions, the canonical positions of the 2^a - 1 non-empty subsets of
-    each one (one row per coalition, ascending) and the depth |B| - |C| of
-    each subset column, the same for the whole order.  That table is the
-    superset map W[C, B] = w_{|B|-|C|} over non-empty C <= B under either
-    weighting: the inversion weights r_d (``inversion``), so m = W I
-    (:meth:`to_mobius`), or the averaging weights 1 / (d + 1)
-    (``averaging``), so I = W m (:meth:`to_shapley`).
+    The table is the superset map W[C, B] = w_{|B|-|C|} over non-empty
+    C <= B under either weighting: the inversion weights r_d
+    (``inversion``), so m = W I (:meth:`to_mobius`) and the design is M W
+    (:meth:`design`), or the averaging weights 1 / (d + 1) (``averaging``),
+    so I = W m (:meth:`to_shapley`).
     """
 
-    peel: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
     orders: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
     inversion: np.ndarray = field(repr=False)
     averaging: np.ndarray = field(repr=False)
-    # the table's (C, B, depth) entries, in ascending B
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -323,14 +307,34 @@ class KAdditiveMaps:
         return self._apply(self.averaging, mobius)
 
     def _apply(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # bincount adds each bin's terms from 0 in input order, so each C
-        # sums its products in ascending B, zero weights skipped: the
-        # rounding of a CSR matrix-vector product
-        sub, sup, depth = self.entries
-        w = weights[depth]
-        keep = w != 0.0
-        return np.bincount(sub[keep], weights=w[keep] * np.asarray(values, dtype=float)[sup[keep]],
+        # bincount adds each bin's terms from 0 in input order, here ascending
+        # B, zero weights skipped: the rounding of a CSR matrix-vector product
+        values = np.asarray(values, dtype=float)
+        subsets, terms = [], []
+        for block, table, depths in self.orders:
+            kept = weights[depths] != 0.0
+            subsets.append(table[:, kept].ravel())
+            terms.append((values[block, None] * weights[depths[kept]]).ravel())
+        return np.bincount(np.concatenate(subsets), weights=np.concatenate(terms),
                            minlength=self.size)
+
+    def design(self, terms_t: np.ndarray) -> np.ndarray:
+        """The design M W of some rows, from their transposed min-term matrix
+        (:func:`transposed_min_terms`): one C-contiguous row per sample,
+        column B the r-weighted sum of the min-terms over the subsets of B."""
+        values_t = np.zeros_like(terms_t)
+        for block, subsets, depths in self.orders:
+            # each row adds its weighted subset rows in ascending subset position,
+            # zero weights skipped: the rounding sequence of a CSR product
+            out = values_t[block]
+            gathered = np.empty_like(out)
+            for j in np.flatnonzero(self.inversion[depths]):
+                # the indices are in range; mode="clip" skips the buffered copy
+                # that the default mode="raise" makes of out=
+                np.take(terms_t, subsets[:, j], axis=0, out=gathered, mode="clip")
+                gathered *= self.inversion[depths[j]]
+                out += gathered
+        return np.ascontiguousarray(values_t.T)
 
 
 @lru_cache(maxsize=32)
@@ -340,7 +344,10 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
     Size-major lexicographic order lists the order-a coalitions parent by
     parent, each parent P followed by P | {j} for j = top(P)+1, ..., n-1, so
     every order is generated from the one below without masks or lookups.
+    A table over MAX_ALLOCATION_BYTES fails before anything is allocated.
     """
+    check_allocation(n, k, "k-additive subset table",
+                     8 * sum(comb(n, a) * ((1 << a) - 1) for a in range(1, k + 1)))
     size = num_coalitions(n, k)
     top = np.empty(size, dtype=np.int64)  # highest member of each coalition
     first_child = np.empty(size, dtype=np.int64)  # position of C | {top(C) + 1}
@@ -350,7 +357,6 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
     subsets = np.arange(n)[:, None]
     sizes = np.ones(1, dtype=np.int64)
     orders = [(slice(0, n), subsets, np.zeros(1, dtype=np.int64))]
-    peel = []
     lo, hi = 0, n
     for a in range(2, k + 1):
         children = n - 1 - top[lo:hi]
@@ -359,27 +365,21 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
         first_child[lo:hi] = hi + first
         block = slice(hi, hi + parent.size)
         top[block] = top[parent] + 1 + np.arange(parent.size) - first[parent - lo]
-        peel.append((block, parent, top[block]))
         # subsets of P | {t}: those of P, then {t}, then S | {t} for each S <= P
         inherited = subsets[parent - lo]
         t = top[block][:, None]
         subsets = np.hstack([inherited, t, first_child[inherited] + t - top[inherited] - 1])
         sizes = np.concatenate([sizes, [1], sizes + 1])
         # canonical order ranks the subsets of a coalition by the ranks of
-        # their members within it, so one permutation sorts every row
+        # their members within it, so one permutation sorts every row; the
+        # table is stored by column, the unit the min-terms and designs gather
         ascending = np.argsort(subsets[0])
-        orders.append((block, subsets[:, ascending], a - sizes[ascending]))
+        orders.append((block, np.asfortranarray(subsets[:, ascending]), a - sizes[ascending]))
         lo, hi = block.start, block.stop
-    # the table's (C, B, depth) entries for the products W v, in ascending B
-    entries = (np.concatenate([table.ravel() for _, table, _ in orders]),
-               np.concatenate([np.repeat(np.arange(block.start, block.stop), table.shape[1])
-                               for block, table, _ in orders]),
-               np.concatenate([np.tile(depths, table.shape[0]) for _, table, depths in orders]))
     inversion, averaging = interaction_inversion_weights(k), 1.0 / np.arange(1, k + 1)
-    for arr in (*entries, inversion, averaging, *(a for _, *pair in (*peel, *orders) for a in pair)):
+    for arr in (inversion, averaging, *(a for _, *pair in orders for a in pair)):
         arr.setflags(write=False)
-    return KAdditiveMaps(peel=tuple(peel), orders=tuple(orders), inversion=inversion,
-                         averaging=averaging, entries=entries)
+    return KAdditiveMaps(orders=tuple(orders), inversion=inversion, averaging=averaging)
 
 
 def transposed_min_terms(x, k: int) -> np.ndarray:
@@ -387,9 +387,10 @@ def transposed_min_terms(x, k: int) -> np.ndarray:
     coalition T of size <= k, in canonical order, one C-contiguous row per
     coalition; rows of x are points of [0,1]^n.
 
-    Each order comes from the one below by peeling the highest member,
-    min over T = min(min over T minus top(T), x_top(T)), written straight
-    into one preallocated array; the rows gathered are contiguous.
+    Each order comes from the one below by peeling the top member,
+    min over T = min(min over T minus top(T), x_top(T)), both read from T's
+    row of the subset table and written straight into one preallocated
+    array; the rows gathered are contiguous.
     """
     x = _check_unit_box(x)
     if x.ndim != 2:
@@ -398,8 +399,8 @@ def transposed_min_terms(x, k: int) -> np.ndarray:
     maps = k_additive_maps(n, k)
     out = np.empty((maps.size, x.shape[0]))
     out[:n] = x.T
-    for block, parent, members in maps.peel:
-        np.minimum(out[parent], out[members], out=out[block])
+    for a, (block, table, _) in enumerate(maps.orders[1:], start=2):
+        np.minimum(out[table[:, (1 << a) - a - 2]], out[table[:, a - 1]], out=out[block])
     return out
 
 

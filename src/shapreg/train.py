@@ -5,8 +5,8 @@ The objective is
     F(bias, I) = sum_i w_i * xent_i  +  lam * P(I)
 
 with P = 0, ||I||_1, or ||I||_2^2 and w_i optional inverse-frequency class
-weights.  The bias is never penalized.  The design has at most a few hundred
-columns, so every iteration forms the exact Hessian of the smooth part, steps
+weights.  The bias is never penalized.  Designs are narrow (check_fit_size),
+so every iteration forms the exact Hessian of the smooth part, steps
 to the exact minimizer of its quadratic model plus the l1 term, and
 backtracks until the Armijo condition holds (Lee, Sun & Saunders 2014).  The
 l1 subproblem is solved by feature-sign search (Lee et al. 2007); without an
@@ -29,6 +29,7 @@ import numpy as np
 
 from .basis import DesignMatrix, design_matrix, max_row_norm
 from .data import Dataset
+from .games import check_allocation, num_coalitions
 from .model import ShapleyModel, apply_normalization, expit
 
 logger = logging.getLogger(__name__)
@@ -387,9 +388,17 @@ class Problem:
     design: DesignMatrix = field(repr=False)
 
 
+def check_fit_size(n: int, k: int) -> None:
+    """Raise ValueError, before anything is allocated, if an order-k fit on n
+    features needs more than games.MAX_ALLOCATION_BYTES for its dense
+    (D + 1) x (D + 1) Newton system (never smaller than its subset table)."""
+    check_allocation(n, k, "dense Newton system", 8 * (num_coalitions(n, k) + 1) ** 2)
+
+
 def prepare(dataset: Dataset, k: int) -> Problem:
     """Normalize a dataset by bounds learned from its own rows and build the
     order-k design, once for every fit on these rows, whatever their labels."""
+    check_fit_size(dataset.n_features, k)
     normalization = learn_normalization(dataset.x)
     design = design_matrix(apply_normalization(dataset.x, normalization), k)
     for shared in (normalization, design.values):  # read by every fit on the problem

@@ -274,6 +274,11 @@ def test_gap_experiment_rejects_odd_split():
         gap_experiment(n=3, big_n=91, k_range=[1], iterations=1)
 
 
+def test_gap_experiment_rejects_no_iterations():
+    with pytest.raises(ValueError, match="iterations"):
+        gap_experiment(n=3, big_n=90, k_range=[1], iterations=0)
+
+
 def test_bound_report_joins_measurements():
     exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], penalties=("none", "l2"),
                          iterations=2, seed=3)

@@ -373,6 +373,26 @@ def test_bench_rejects_repeated_or_empty_work_before_any_work(toy_csv, tmp_path,
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("command,k", [("fit", "7"), ("bench", "7"), ("fit", "3"),
+                                       ("bench", "2,3")])
+def test_orders_too_large_to_allocate_are_usage_errors(tmp_path, capsys, monkeypatch, command, k):
+    """k = 7 on 40 features lists 23 million coalitions (2.8 GB); k = 3 on 60
+    features needs a 10.4 GB Newton system.  Both fail before any work."""
+    monkeypatch.setattr(cli, "fit", None)  # never reached
+    monkeypatch.setattr(cli, "k_sweep_benchmark", None)
+    n = 40 if k == "7" else 60
+    path = tmp_path / "wide.csv"
+    rows = [",".join(f"f{i}" for i in range(n)) + ",y"]
+    rows += [",".join(["0.5"] * n) + f",{i % 2}" for i in range(8)]
+    path.write_text("\n".join(rows) + "\n")
+    assert run(command, "--dataset", path, "--label-column", "y", "--k", k,
+               "--out-dir", tmp_path / "out") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--k {k[-1]}: order k={k[-1]} on n={n} features" in err
+    assert re.search(r"\(D=[\d,]+ coalitions\).* needs [\d,]+ bytes", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_requires_single_data_source(toy_csv, tmp_path):
     """bench reads only a CSV: --dataset is required and --generator is not
     one of its flags."""
@@ -410,6 +430,13 @@ def test_bounds_outputs(tmp_path):
     ["--c-grid", "1,0"],
     ["--c-grid", "1,nan"],
     ["--b-norm", "2", "--model", "m.json"],
+    ["--gap-iterations", "0"],
+    ["--gap-samples", "81"],
+    ["--gap-samples", "0"],
+    ["--sens-repeats", "0"],
+    ["--sens-k", "11"],
+    ["--sens-k", "3", "--sens-n", "60"],
+    ["--gap-k-range", "3", "--gap-n", "60"],
 ])
 def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypatch, flag):
     monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached
@@ -418,6 +445,20 @@ def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypa
                "--gap-n", "4", "--gap-samples", "80", "--gap-k-range", "1..2",
                "--gap-iterations", "1", *flag, "--out-dir", out) == EXIT_USAGE
     assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--model", "missing.json"], ["--gap-samples", "6"]])
+def test_bounds_writes_nothing_when_a_later_step_fails(tmp_path, flag):
+    """An unreadable --model (read up front) and gap halves of 3 rows with
+    too few of one class to fit (after the label-flip studies) both fail
+    before any report is written."""
+    out = tmp_path / "bounds"
+    if flag[0] == "--model":
+        flag = ["--model", tmp_path / flag[1]]
+    assert run("bounds", "--sens-samples", "40", "--sens-repeats", "2", "--c-grid", "1.0",
+               "--gap-n", "4", "--gap-samples", "80", "--gap-k-range", "1..2",
+               "--gap-iterations", "1", *flag, "--out-dir", out) == EXIT_DATA
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from shapreg.games import (
     enumerate_coalitions,
     indices_of,
     interaction_inversion_weights,
+    k_additive_maps,
     mask_of,
     mobius_from_capacity,
     mobius_from_shapley,
@@ -77,6 +78,38 @@ def test_coalition_index_is_a_bijection():
 def test_canonical_order_is_size_major():
     sizes = [coalition_size(m) for m in enumerate_coalitions(7, 4)]
     assert sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+                         + [(40, 2), (12, 4)])
+def test_subset_table_columns(n, k):
+    """Row B of the order-a table lists the positions of B's subsets
+    ascending: B's members in columns 0..a-1, its parent (B minus its top
+    member) at column 2^a - a - 2 and B itself last.  The min-terms read the
+    parent and top-member columns."""
+    masks = enumerate_coalitions(n, k)
+    index = coalition_index(n, k)
+    for a, (block, table, depths) in enumerate(k_additive_maps(n, k).orders, start=1):
+        members = np.array([indices_of(m) for m in masks[block]])
+        assert table.shape == (len(members), 2**a - 1)
+        assert np.all(np.diff(table, axis=1) > 0)
+        assert np.array_equal(table[:, :a], members)  # a singleton sits at its feature
+        if a >= 2:
+            parents = [index[mask_of(row[:-1])] for row in members]
+            assert np.array_equal(table[:, 2**a - a - 2], parents)
+        assert np.array_equal(table[:, -1], np.arange(block.start, block.stop))
+        assert np.array_equal(depths, [a - coalition_size(masks[c]) for c in table[0]])
+
+
+def test_structures_over_the_byte_budget_fail_before_allocating():
+    # a 21 GB subset table, and 13 million coalitions at ~120 bytes apiece
+    with pytest.raises(ValueError, match=r"k=7 on n=40 .*D=23,242,038.*subset table needs "
+                                         r"21,051,125,584 bytes"):
+        k_additive_maps(40, 7)
+    with pytest.raises(ValueError, match=r"k=5 on n=70 .*coalition list needs"):
+        num_coalitions(70, 5)
+    # no longer refused by a flat cap on n: 637 392 coalitions, a 74 MB table
+    assert num_coalitions(63, 4) == 637_392
 
 
 # ---------------------------------------------------------------------------

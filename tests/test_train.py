@@ -342,6 +342,17 @@ def test_fit_rejects_a_mismatched_problem_or_start():
             fit(problem, 2, FitConfig(), start=start)
 
 
+def test_prepare_refuses_a_newton_system_over_the_budget_before_any_work(monkeypatch):
+    """k = 3 on 60 features gives D = 36 050 and a 10.4 GB Hessian; k = 2
+    (D = 1 830) is fine."""
+    monkeypatch.setattr(train, "design_matrix", None)  # never reached
+    ds = toy_dataset(n=60, big_n=8, seed=20, signal=False)
+    with pytest.raises(ValueError, match=r"k=3 on n=60 .*D=36,050.*Newton system needs "
+                                         r"10,397,396,808 bytes"):
+        prepare(ds, 3)
+    train.check_fit_size(60, 2)
+
+
 @pytest.mark.parametrize("penalty, lam, near", [("l1", 0.05, 0.08), ("l2", 0.3, 0.5)])
 def test_warm_start_reaches_the_cold_objective(penalty, lam, near):
     problem = prepare(toy_dataset(seed=19), 2)
