@@ -74,13 +74,15 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows, plain: bool = False) -> None:
+    """Write rows under a header, each cell through :func:`_cell`; ``plain``
+    rows hold only Python str, int and float (``ndarray.tolist()`` values),
+    which the csv writer renders as _cell would, and are written as they are."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows if plain else ([_cell(v) for v in row] for row in rows))
 
 
 def _cell(value):
@@ -266,7 +268,7 @@ def cmd_predict(args) -> int:
     out = Path(args.out_dir)
     _write_csv(out / "predictions.csv",
                ["row", "probability", "label_at_0.5"],
-               [[i, float(p), int(lab)] for i, (p, lab) in enumerate(zip(proba, labels))])
+               zip(range(x.shape[0]), proba.tolist(), labels.tolist()), plain=True)
     print(f"predict: {x.shape[0]} rows -> {out/'predictions.csv'}")
     return EXIT_OK
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,8 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
-def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: bool):
+def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: bool,
+                keep_dropped: bool = True):
     """Parse a headered CSV of numbers: the one reader behind
     :func:`load_csv` and :func:`load_feature_matrix`.
 
@@ -91,6 +93,10 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
     non-numeric or non-finite cell unless ``drop_missing`` drops its row; the
     error names the data row and column.  Returns (feature names, matrix,
     stripped tokens of ``drop_column`` or None, dropped row count).
+
+    Without ``keep_dropped`` the tokens are not returned, and the rows are
+    first parsed in bulk (:func:`_bulk_parse`); a file that parse does not
+    accept is read again below, so its errors still name the row and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -103,6 +109,13 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
             if drop_column not in header:
                 raise DataError(f"{path}: label column '{drop_column}' not in header {header}")
             drop = header.index(drop_column)
+        names = [h for i, h in enumerate(header) if i != drop]
+        if not keep_dropped:
+            x = _bulk_parse(fh, delimiter, len(header), drop)
+            if x is not None:
+                return names, x, None, 0
+            fh.seek(0)
+            next(reader)
         records = list(reader)
     row_numbers = range(1, len(records) + 1)
     if set(map(len, records)) - {len(header)}:  # blank lines or ragged rows
@@ -113,7 +126,6 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
         records = [record for record in records if record]
     if not records:
         raise DataError(f"{path}: no data rows")
-    names = [h for i, h in enumerate(header) if i != drop]
     tokens = None if drop is None else [record.pop(drop).strip() for record in records]
 
     # one bulk conversion (numpy parses a str cell exactly as float() does);
@@ -139,6 +151,30 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
     if tokens is not None:
         tokens = [tokens[i] for i in kept]
     return names, np.array(rows, dtype=float), tokens, len(records) - len(kept)
+
+
+def _bulk_parse(fh, delimiter: str, width: int, drop: int | None) -> np.ndarray | None:
+    """The rows left in ``fh``, parsed by numpy's C reader, without column
+    ``drop``; None unless every row has ``width`` fields and every kept cell
+    is a finite number.
+
+    numpy parses a number exactly as float() does and rejects what float()
+    rejects or what the csv reader would read otherwise (a quoted cell, a
+    '#', a missing cell or a ragged row); it skips blank lines as the csv
+    reader does.  Column ``drop`` goes through a converter that discards
+    it, not ``usecols``, which would let a row with extra fields pass.
+    """
+    converters = None if drop is None else {drop: lambda token: 0.0}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file without rows
+            x = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2,
+                           converters=converters)
+    except (TypeError, ValueError, Warning):  # TypeError: a delimiter numpy refuses
+        return None
+    if x.shape[0] == 0 or x.shape[1] != width or not np.isfinite(x).all():
+        return None
+    return x if drop is None else np.delete(x, drop, axis=1)
 
 
 def load_csv(
@@ -191,7 +227,7 @@ def load_feature_matrix(path, delimiter: str = ",", drop_column: str | None = No
     """Feature matrix of a headered CSV, for prediction.  Cells are parsed and
     checked as :func:`load_csv` parses features; ``drop_column`` (a label
     column, say) is dropped without interpreting its values."""
-    return _read_table(path, delimiter, drop_column, drop_missing=False)[1]
+    return _read_table(path, delimiter, drop_column, drop_missing=False, keep_dropped=False)[1]
 
 
 def gen_random_noise(n: int = 10, big_n: int = 100, seed: int = 0) -> Dataset:

@@ -111,7 +111,15 @@ def enumerate_coalitions(n: int, k: int) -> list[int]:
 
 
 def coalition_index(n: int, k: int) -> dict[int, int]:
-    """Mapping mask -> position in the canonical order of enumerate_coalitions."""
+    """Mapping mask -> position in the canonical order of enumerate_coalitions,
+    a new dict that the caller may change."""
+    return dict(_coalition_positions(n, k))
+
+
+@lru_cache(maxsize=32)
+def _coalition_positions(n: int, k: int) -> dict[int, int]:
+    """The cached mask -> position map behind :func:`coalition_index`; shared
+    by every caller, so read it and never change it."""
     return {m: i for i, m in enumerate(enumerate_coalitions(n, k))}
 
 
@@ -150,7 +158,7 @@ class SetFunction:
         mask = coalition if isinstance(coalition, int) else mask_of(coalition)
         if mask == 0:
             return 0.0
-        idx = coalition_index(self.n, self.k).get(mask)
+        idx = _coalition_positions(self.n, self.k).get(mask)
         if idx is None:
             raise KeyError(f"coalition {indices_of(mask)} not stored (size > k?)")
         return float(self.values[idx])
@@ -172,7 +180,7 @@ class SetFunction:
     def from_json(cls, text: str) -> "SetFunction":
         payload = json.loads(text)
         n, k = int(payload["n"]), int(payload["k"])
-        index = coalition_index(n, k)
+        index = _coalition_positions(n, k)
         values = np.full(len(index), np.nan)
         for entry in payload["entries"]:
             mask = mask_of(entry["coalition"])
@@ -382,7 +390,7 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
     return KAdditiveMaps(orders=tuple(orders), inversion=inversion, averaging=averaging)
 
 
-def transposed_min_terms(x, k: int) -> np.ndarray:
+def transposed_min_terms(x, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Transposed min-term matrix M_t[T] = min_{i in T} x[:, i] for every
     coalition T of size <= k, in canonical order, one C-contiguous row per
     coalition; rows of x are points of [0,1]^n.
@@ -390,14 +398,19 @@ def transposed_min_terms(x, k: int) -> np.ndarray:
     Each order comes from the one below by peeling the top member,
     min over T = min(min over T minus top(T), x_top(T)), both read from T's
     row of the subset table and written straight into one preallocated
-    array; the rows gathered are contiguous.
+    array; the rows gathered are contiguous.  ``out``, a float array of
+    shape (D, N) for D coalitions and N rows, is filled and returned
+    instead of a new array.
     """
     x = _check_unit_box(x)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D sample matrix, got shape {x.shape}")
     n = x.shape[1]
     maps = k_additive_maps(n, k)
-    out = np.empty((maps.size, x.shape[0]))
+    if out is None:
+        out = np.empty((maps.size, x.shape[0]))
+    elif out.shape != (maps.size, x.shape[0]):
+        raise ValueError(f"out has shape {out.shape}, expected {(maps.size, x.shape[0])}")
     out[:n] = x.T
     for a, (block, table, _) in enumerate(maps.orders[1:], start=2):
         np.minimum(out[table[:, (1 << a) - a - 2]], out[table[:, a - 1]], out=out[block])
@@ -420,11 +433,17 @@ def truncate_k_additive(m: SetFunction, k: int) -> SetFunction:
 
 
 def _check_unit_box(x: np.ndarray) -> np.ndarray:
+    """x as a float array, clipped to [0,1]; a value further than 1e-12
+    outside it, or NaN, raises."""
     x = np.asarray(x, dtype=float)
-    # written so that NaN, which fails every comparison, fails the check
-    if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
-        raise ValueError("inputs must be finite and lie in [0,1]; normalize upstream")
-    return np.clip(x, 0.0, 1.0)
+    if x.size:
+        lo, hi = x.min(), x.max()  # NaN if x holds one
+        # written so that NaN, which fails every comparison, fails the check
+        if not (lo >= -1e-12 and hi <= 1 + 1e-12):
+            raise ValueError("inputs must be finite and lie in [0,1]; normalize upstream")
+        if lo < 0.0 or hi > 1.0:
+            x = np.clip(x, 0.0, 1.0)
+    return x
 
 
 def choquet_mobius(m: SetFunction, x) -> float:

@@ -10,6 +10,15 @@ import numpy as np
 from .games import Basis, SetFunction, k_additive_maps, num_coalitions, transposed_min_terms
 
 
+# Rows per block of ShapleyModel.logit_normalized.  The BLAS matrix-vector
+# kernels round the last N mod 4 columns of a product, and a product of
+# fewer than 4 columns, their own way; blocks of a multiple of 4 rows with a
+# last block of at least 4 give the logits of one product over all rows to
+# the bit, when the BLAS runs one thread (a threaded BLAS splits that one
+# product at row counts of its own).
+LOGIT_BLOCK = 512
+
+
 @np.errstate(over="ignore")  # as a decorator it costs less per call than a with block
 def expit(z) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-z)), elementwise.
@@ -87,8 +96,29 @@ class ShapleyModel:
         return apply_normalization(x, self.normalization)
 
     def logit_normalized(self, x_norm: np.ndarray) -> np.ndarray:
-        """Logits for inputs already in [0,1]^n (skips normalization)."""
-        return self.bias + self.mobius @ transposed_min_terms(np.atleast_2d(x_norm), self.k)
+        """Logits for inputs already in [0,1]^n (skips normalization).
+
+        Rows are scored LOGIT_BLOCK at a time through one reused (D, block)
+        min-term buffer, so memory beyond the input and the logits is
+        O(D * LOGIT_BLOCK) at any row count.  Every row is checked once; a
+        row outside the box raises before any logit is returned.
+        """
+        x = np.atleast_2d(x_norm)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"model has {self.n} features, input has shape {x.shape}")
+        n_rows, size = x.shape[0], self.mobius.size
+        logits = np.empty(n_rows)
+        buffer = np.empty(size * min(n_rows, LOGIT_BLOCK + 3))
+        start = 0
+        while start < n_rows:
+            # a last block of 1-3 rows joins the one before it (see LOGIT_BLOCK)
+            stop = n_rows if n_rows - start < LOGIT_BLOCK + 4 else start + LOGIT_BLOCK
+            terms_t = buffer[:size * (stop - start)].reshape(size, stop - start)
+            transposed_min_terms(x[start:stop], self.k, out=terms_t)
+            np.matmul(self.mobius, terms_t, out=logits[start:stop])
+            start = stop
+        logits += self.bias
+        return logits
 
     def logit(self, x_raw: np.ndarray) -> np.ndarray:
         return self.logit_normalized(self.normalize(x_raw))

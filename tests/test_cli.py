@@ -17,6 +17,7 @@ from shapreg.cli import (
     main,
 )
 from shapreg.data import gen_pure_pairwise
+from shapreg.model import ShapleyModel
 from shapreg.train import FitConfig, fit
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -185,6 +186,27 @@ def test_predict_rejects_unscorable_rows(toy_csv, tmp_path, capsys, bad_row, mes
                "--label-column", "y", "--out-dir", tmp_path / "pred") == EXIT_DATA
     assert message in capsys.readouterr().err
     assert not (tmp_path / "pred/predictions.csv").exists()
+
+
+def test_predictions_file_bytes_are_pinned(tmp_path):
+    """Probabilities at both exact ends, the 0.5 tie, a subnormal and a
+    small exponent are written as repr(float(p)), the rendering of _cell."""
+    # logit = -800 + 1600 x: exp(800) overflows, 0 is the tie, -709.5 leaves
+    # a subnormal and -11.5 a probability near 1e-05
+    ShapleyModel(feature_names=["x"], k=1, bias=-800.0, indices=np.array([1600.0]),
+                 normalization=np.array([[0.0, 1.0]])).save(tmp_path / "model.json")
+    x = np.array([0.0, 1.0, 0.5, 90.5 / 1600, 788.5 / 1600])
+    (tmp_path / "rows.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+    assert run("predict", "--model", tmp_path / "model.json", "--dataset", tmp_path / "rows.csv",
+               "--out-dir", tmp_path / "pred") == EXIT_OK
+    proba = ShapleyModel.load(tmp_path / "model.json").predict_proba(x[:, None])
+    assert proba[:3].tolist() == [0.0, 1.0, 0.5]
+    assert 0.0 < proba[3] < np.finfo(float).tiny and "e-05" in repr(float(proba[4]))
+    want = "row,probability,label_at_0.5\n" + "".join(
+        f"{i},{float(p)!r},{int(p >= 0.5)}\n" for i, p in enumerate(proba))
+    got = (tmp_path / "pred/predictions.csv").read_bytes()
+    assert got == want.encode()
+    assert got.splitlines()[1:4] == [b"0,0.0,0", b"1,1.0,1", b"2,0.5,1"]
 
 
 # flags that changed nothing, that another flag overrode, or that gave a

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shapreg import data
 from shapreg.data import (
     DataError,
     Dataset,
@@ -202,3 +203,74 @@ def test_dataset_rejects_nan_and_bad_labels():
         Dataset(x=np.array([[1.0]]), y=np.array([3]), feature_names=["a"])
     with pytest.raises(DataError):
         Dataset(x=np.ones((2, 2)), y=np.array([0, 1]), feature_names=["a"])
+
+
+# (text, delimiter, dropped column, whether the bulk parse accepts the file):
+# files on which load_feature_matrix must read as the csv reader alone does
+PARSE_CORPUS = {
+    "clean": ("a,b\n1,2\n3.5,-4e-3\n", ",", None, True),
+    "blank lines": ("a,b\n\n1,2\n\n\n3,4\n\n", ",", None, True),
+    "whitespace-only line": ("a,b\n1,2\n   \n3,4\n", ",", None, False),
+    "tab-only line": ("a,b\n1,2\n\t\n3,4\n", ",", None, False),
+    "whitespace-only line, one column": ("a\n1\n  \n3\n", ",", None, False),
+    "spaces around cells": ("a,b\n 1 , 2\t\n", ",", None, True),
+    "utf-8 bom": ("\ufeffa,b\n1,2\n", ",", None, True),
+    "quoted cell": ('a,b\n1,"2"\n', ",", None, False),
+    "cell containing #": ("a,b\n1,2#3\n", ",", None, False),
+    "comment-like line": ("a,b\n# note\n1,2\n", ",", None, False),
+    "underscore digits": ("a,b\n1_000,2\n", ",", None, False),
+    "inf": ("a,b\n1,inf\n", ",", None, False),
+    "nan": ("a,b\nnan,2\n", ",", None, False),
+    "missing cell": ("a,b\n1,\n", ",", None, False),
+    "non-ascii digit": ("a,b\n1,\u0661\n", ",", None, False),
+    "trailing delimiter": ("a,b\n1,2,\n", ",", None, False),
+    "ragged long row": ("a,b,y\n1,2,0\n3,4,1,5\n", ",", None, False),
+    "ragged long row, label dropped": ("a,b,y\n1,2,0\n3,4,1,5\n", ",", "y", False),
+    "ragged short row, label dropped": ("a,b,y\n1,2,0\n3,4\n", ",", "y", False),
+    "trailing delimiter, label dropped": ("a,y,b\n1,0,2,\n", ",", "y", False),
+    "text labels dropped": ("a,y,b\n1,yes,2\n3,,4\n", ",", "y", True),
+    "quoted label with a delimiter": ('a,y,b\n1,"p,q",2\n', ",", "y", False),
+    "header only": ("a,b\n", ",", None, False),
+    "header and blank lines only": ("a,b\n\n\r\n", ",", None, False),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", ",", None, True),
+    "crlf, label dropped": ("a,y,b\r\n1,0,2\r\n\r\n3,1,4\r\n", ",", "y", True),
+    "semicolons": ("a;b;y\n1,5;2;0\n3;4;1\n", ";", "y", False),
+    "carriage-return delimiter": ("a\rb\n1\r2\n", "\r", None, False),
+    "semicolons, clean": ("a;b;y\n1.5;2;0\n3;4;1\n", ";", "y", True),
+    "digits past double precision": ("a,b\n0.1000000000000000055511151231257827,"
+                                     "2.2250738585072011e-308\n", ",", None, True),
+}
+
+
+def _csv_reader_result(path, delimiter, drop):
+    try:
+        return data._read_table(path, delimiter, drop, drop_missing=False)[1]
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CORPUS))
+def test_bulk_parse_reads_as_the_csv_reader(tmp_path, monkeypatch, name):
+    text, delimiter, drop, bulk_accepts = PARSE_CORPUS[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _csv_reader_result(path, delimiter, drop)
+
+    bulk_results = []
+    bulk_parse = data._bulk_parse
+
+    def recorded(*args):
+        bulk_results.append(bulk_parse(*args))
+        return bulk_results[-1]
+
+    monkeypatch.setattr(data, "_bulk_parse", recorded)
+    try:
+        got = load_feature_matrix(path, delimiter, drop_column=drop)
+    except DataError as exc:
+        got = str(exc)
+    assert [r is not None for r in bulk_results] == [bulk_accepts]
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))

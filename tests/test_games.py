@@ -394,3 +394,41 @@ def test_value_lookup_by_indices_and_mask():
     assert sf.value([]) == 0.0
     with pytest.raises(KeyError):
         sf.value([0, 1, 2])
+
+
+def test_value_follows_the_canonical_order_at_12_4():
+    n, k = 12, 4
+    sf = make_sf(n, k, Basis.SHAPLEY, np.arange(num_coalitions(n, k), dtype=float))
+    for position, mask in enumerate(enumerate_coalitions(n, k)):
+        assert sf.value(mask) == position
+        assert sf.value(indices_of(mask)) == position
+
+
+def test_mutating_a_coalition_index_leaves_lookups_alone():
+    n, k = 5, 3
+    sf = make_sf(n, k, Basis.MOBIUS, np.arange(num_coalitions(n, k), dtype=float))
+    index = coalition_index(n, k)
+    index.clear()
+    index[mask_of([0, 1])] = 0
+    assert coalition_index(n, k) == {m: i for i, m in enumerate(enumerate_coalitions(n, k))}
+    assert sf.value([0, 1]) == enumerate_coalitions(n, k).index(mask_of([0, 1]))
+    assert np.array_equal(SetFunction.from_json(sf.to_json()).values, sf.values)
+
+
+def test_min_terms_fill_a_given_buffer():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(7, 5))
+    out = np.full((num_coalitions(5, 3), 7), np.nan)
+    assert transposed_min_terms(x, 3, out=out) is out
+    assert np.array_equal(out, transposed_min_terms(x, 3))
+    with pytest.raises(ValueError, match="shape"):
+        transposed_min_terms(x, 3, out=np.empty((num_coalitions(5, 3), 6)))
+
+
+def test_min_terms_clip_inputs_within_the_tolerance():
+    x = np.array([[-1e-13, 0.5, 1 + 1e-13]])
+    assert np.array_equal(transposed_min_terms(x, 2), transposed_min_terms(np.clip(x, 0, 1), 2))
+    assert x[0, 0] == -1e-13  # the input is not changed
+    for bad in (-1e-11, 1 + 1e-11, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            transposed_min_terms(np.array([[0.5, bad]]), 2)

@@ -1,10 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapreg
 from shapreg.games import mobius_from_shapley, num_coalitions
-from shapreg.model import ShapleyModel, expit
+from shapreg.model import LOGIT_BLOCK, ShapleyModel, expit
 
 from choquet_reference import capacity_lattice, choquet_sorted
 
@@ -135,3 +141,53 @@ def test_expit_is_warning_free_at_the_extremes():
         warnings.simplefilter("error")
         assert expit(np.array([1e6, -1e6])).tolist() == [1.0, 0.0]
         assert expit(-1e6) == 0.0
+
+
+# Blocked logits against one product over all rows, in a process whose BLAS
+# runs one thread: a threaded BLAS splits the one product at row counts of
+# its own, and rounds the last columns of each part its own way.
+BLOCK_BOUNDARIES = r"""
+import json
+
+import numpy as np
+
+from shapreg.games import num_coalitions, transposed_min_terms
+from shapreg.model import LOGIT_BLOCK, ShapleyModel
+
+B = LOGIT_BLOCK
+rng = np.random.default_rng(12)
+mismatched = {}
+for n, k in [(10, 3), (6, 6), (20, 2)]:
+    model = ShapleyModel(feature_names=[f"f{i}" for i in range(n)], k=k, bias=0.37,
+                         indices=rng.normal(size=num_coalitions(n, k)),
+                         normalization=np.tile([0.0, 1.0], (n, 1)))
+    for rows in (1, B - 1, B, B + 1, 3 * B + 7):
+        x = rng.uniform(size=(rows, n))
+        want = model.bias + model.mobius @ transposed_min_terms(x, k)
+        got = model.logit_normalized(x)
+        assert got.shape == want.shape
+        mismatched[f"{n},{k},{rows}"] = int(np.sum(got.view(np.int64) != want.view(np.int64)))
+print(json.dumps(mismatched))
+"""
+
+
+def test_blocked_logits_match_one_product_to_the_bit():
+    one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")}
+    src = str(Path(shapreg.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", BLOCK_BOUNDARIES],
+                          env={**os.environ, **one_thread, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    mismatched = json.loads(done.stdout.splitlines()[-1])
+    assert len(mismatched) == 15
+    assert {key: v for key, v in mismatched.items() if v} == {}
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5])
+def test_a_bad_row_in_the_last_block_raises(bad):
+    model = make_model(n=4, k=2)
+    x = np.random.default_rng(3).uniform(size=(3 * LOGIT_BLOCK + 7, 4))
+    x[-1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        model.logit_normalized(x)
