@@ -74,23 +74,14 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, header: list[str], rows, plain: bool = False) -> None:
-    """Write rows under a header, each cell through :func:`_cell`; ``plain``
-    rows hold only Python str, int and float (``ndarray.tolist()`` values),
-    which the csv writer renders as _cell would, and are written as they are."""
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows of Python str, int and float values under a header; the
+    csv writer renders a float by its repr, which round-trips."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows if plain else ([_cell(v) for v in row] for row in rows))
-
-
-def _cell(value):
-    if isinstance(value, float):  # includes numpy scalars; plain repr round-trips
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+        writer.writerows(rows)
 
 
 def _json_text(payload) -> str:
@@ -268,7 +259,7 @@ def cmd_predict(args) -> int:
     out = Path(args.out_dir)
     _write_csv(out / "predictions.csv",
                ["row", "probability", "label_at_0.5"],
-               zip(range(x.shape[0]), proba.tolist(), labels.tolist()), plain=True)
+               zip(range(x.shape[0]), proba.tolist(), labels.tolist()))
     print(f"predict: {x.shape[0]} rows -> {out/'predictions.csv'}")
     return EXIT_OK
 
@@ -303,9 +294,8 @@ def cmd_bench(args) -> int:
     out = Path(args.out_dir)
     for (pen, k), cell in report.cells.items():
         _write_text(out / f"cv_report_{pen}_k{k}.json", cell.cv.to_json() + "\n")
-    _write_csv(out / "bench_cells.csv",
-               list(report.cell_rows()[0].keys()),
-               [list(r.values()) for r in report.cell_rows()])
+    cell_rows = report.cell_rows()
+    _write_csv(out / "bench_cells.csv", list(cell_rows[0]), [list(r.values()) for r in cell_rows])
     _write_csv(out / "bench_summary.csv",
                ["Dataset", "Penalty", "Best K (Acc)", "Accuracy", "Accuracy Std",
                 "Best K (Robust)", "Robustness Accuracy", "Robustness Std",

@@ -309,7 +309,7 @@ def bootstrap_stability(
     def one(b: int) -> float | None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
         rows = rng.integers(0, dataset.n_samples, size=dataset.n_samples)
-        oob = np.setdiff1d(np.arange(dataset.n_samples), rows)
+        oob = np.flatnonzero(np.bincount(rows, minlength=dataset.n_samples) == 0)
         train = dataset.subset(rows)
         neg, pos = train.class_counts()
         if oob.size == 0 or pos < 2 or neg < 2:

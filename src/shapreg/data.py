@@ -82,8 +82,7 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
-def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: bool,
-                keep_dropped: bool = True):
+def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: bool):
     """Parse a headered CSV of numbers: the one reader behind
     :func:`load_csv` and :func:`load_feature_matrix`.
 
@@ -94,9 +93,9 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
     error names the data row and column.  Returns (feature names, matrix,
     stripped tokens of ``drop_column`` or None, dropped row count).
 
-    Without ``keep_dropped`` the tokens are not returned, and the rows are
-    first parsed in bulk (:func:`_bulk_parse`); a file that parse does not
-    accept is read again below, so its errors still name the row and column.
+    The rows are first parsed in bulk (:func:`_bulk_parse`); a file that
+    parse does not accept is read again cell by cell, so its errors name the
+    row and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -110,12 +109,11 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
                 raise DataError(f"{path}: label column '{drop_column}' not in header {header}")
             drop = header.index(drop_column)
         names = [h for i, h in enumerate(header) if i != drop]
-        if not keep_dropped:
-            x = _bulk_parse(fh, delimiter, len(header), drop)
-            if x is not None:
-                return names, x, None, 0
-            fh.seek(0)
-            next(reader)
+        parsed = _bulk_parse(fh, delimiter, len(header), drop)
+        if parsed is not None:
+            return names, *parsed, 0
+        fh.seek(0)
+        next(reader)
         records = list(reader)
     row_numbers = range(1, len(records) + 1)
     if set(map(len, records)) - {len(header)}:  # blank lines or ragged rows
@@ -127,16 +125,6 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
     if not records:
         raise DataError(f"{path}: no data rows")
     tokens = None if drop is None else [record.pop(drop).strip() for record in records]
-
-    # one bulk conversion (numpy parses a str cell exactly as float() does);
-    # only a file with a bad cell is rescanned, to name that cell or drop rows
-    try:
-        x = np.array(records, dtype=float)
-        clean = bool(np.isfinite(x).all())
-    except ValueError:
-        clean = False
-    if clean:
-        return names, x, tokens, 0
     kept, rows = [], []
     for i, (r, record) in enumerate(zip(row_numbers, records)):
         try:
@@ -153,28 +141,37 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
     return names, np.array(rows, dtype=float), tokens, len(records) - len(kept)
 
 
-def _bulk_parse(fh, delimiter: str, width: int, drop: int | None) -> np.ndarray | None:
-    """The rows left in ``fh``, parsed by numpy's C reader, without column
-    ``drop``; None unless every row has ``width`` fields and every kept cell
-    is a finite number.
+def _bulk_parse(fh, delimiter: str, width: int, drop: int | None):
+    """The rows left in ``fh``, parsed by numpy's C reader: (matrix without
+    column ``drop``, stripped tokens of ``drop`` or None); None unless every
+    row has ``width`` fields and every kept cell is a finite number.
 
     numpy parses a number exactly as float() does and rejects what float()
     rejects or what the csv reader would read otherwise (a quoted cell, a
     '#', a missing cell or a ragged row); it skips blank lines as the csv
-    reader does.  Column ``drop`` goes through a converter that discards
-    it, not ``usecols``, which would let a row with extra fields pass.
+    reader does.  Column ``drop`` goes through a converter that keeps its
+    token, not ``usecols``, which would let a row with extra fields pass;
+    the converter refuses a token holding '"', which the csv reader would
+    unquote.
     """
-    converters = None if drop is None else {drop: lambda token: 0.0}
+    tokens = None if drop is None else []
+
+    def keep(token):
+        if '"' in token:
+            raise ValueError("quoted token")
+        tokens.append(token.strip())
+        return 0.0
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a file without rows
             x = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2,
-                           converters=converters)
+                           converters=None if drop is None else {drop: keep})
     except (TypeError, ValueError, Warning):  # TypeError: a delimiter numpy refuses
         return None
     if x.shape[0] == 0 or x.shape[1] != width or not np.isfinite(x).all():
         return None
-    return x if drop is None else np.delete(x, drop, axis=1)
+    return (x if drop is None else np.delete(x, drop, axis=1)), tokens
 
 
 def load_csv(
@@ -227,7 +224,7 @@ def load_feature_matrix(path, delimiter: str = ",", drop_column: str | None = No
     """Feature matrix of a headered CSV, for prediction.  Cells are parsed and
     checked as :func:`load_csv` parses features; ``drop_column`` (a label
     column, say) is dropped without interpreting its values."""
-    return _read_table(path, delimiter, drop_column, drop_missing=False, keep_dropped=False)[1]
+    return _read_table(path, delimiter, drop_column, drop_missing=False)[1]
 
 
 def gen_random_noise(n: int = 10, big_n: int = 100, seed: int = 0) -> Dataset:

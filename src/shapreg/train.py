@@ -144,7 +144,7 @@ def loss_and_gradient(
     obj = _Objective(phi, y, sample_weights(y, config.class_weighting), config.penalty, config.lam)
     theta = np.concatenate([[bias], np.asarray(indices, dtype=float)])
     z = obj.logits(theta)
-    return obj.value(theta, z), obj.gradient(theta, z)
+    return obj.value(theta, z), obj.gradient(theta, expit(z))
 
 
 def per_sample_losses(model: ShapleyModel, x_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -175,18 +175,20 @@ class _Objective:
         val = float(self.w @ (np.logaddexp(0.0, z) - self.y * z))
         return val + self.l2 * float(coef @ coef) + self.l1 * float(np.abs(coef).sum())
 
-    def gradient(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Gradient of the smooth part (loss plus any l2 term)."""
-        residual = self.w * (expit(z) - self.y)
+    def gradient(self, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Gradient of the smooth part (loss plus any l2 term), given the
+        probabilities p = expit(z) at the logits."""
+        residual = self.w * (p - self.y)
         grad = np.empty(theta.size)
         grad[0] = residual.sum()
         grad[1:] = self.phi.T @ residual + 2.0 * self.l2 * theta[1:]
         return grad
 
-    def hessian(self, z: np.ndarray) -> np.ndarray:
-        """Hessian of the smooth part; the l2 curvature is on the coefficient
-        block only, since the bias is never penalized."""
-        s = self.w * expit(z) * expit(-z)
+    def hessian(self, z: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Hessian of the smooth part at the logits z, with p = expit(z); the
+        l2 curvature is on the coefficient block only, since the bias is never
+        penalized."""
+        s = self.w * p * expit(-z)
         scaled = self.phi * np.sqrt(s)[:, None]
         dim = self.phi.shape[1] + 1
         hess = np.empty((dim, dim))
@@ -280,7 +282,10 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray, theta: np.ndarray,
             x = theta + d
             cut = np.full(dim, np.nan)
             cut[crossing] = x[crossing] / (x[crossing] - x_solved[crossing])
-            fractions = np.append(np.unique(cut[crossing]), 1.0)
+            # the distinct cuts in order, as np.unique (whose first call loads
+            # numpy.ma) gives them
+            fractions = np.sort(cut[crossing])
+            fractions = np.append(fractions[np.append(True, fractions[1:] != fractions[:-1])], 1.0)
             points = d + fractions[:, None] * (solved - d)
             points[:-1] = np.where(cut == fractions[:-1, None], -theta, points[:-1])
             points[-1] = solved
@@ -341,7 +346,8 @@ def _newton(obj: _Objective, tol: float, max_iters: int, start: np.ndarray | Non
     converged = False
     it = 0
     while True:
-        grad = obj.gradient(theta, z)
+        p = expit(z)
+        grad = obj.gradient(theta, p)
         residual = float(np.linalg.norm(obj.pseudo_gradient(theta, grad)))
         if residual <= tol:
             converged = True
@@ -350,12 +356,14 @@ def _newton(obj: _Objective, tol: float, max_iters: int, start: np.ndarray | Non
             break
         it += 1
 
-        hess = obj.hessian(z)
+        hess = obj.hessian(z, p)
         scale = float(np.trace(hess)) / dim
         step = None
         for shift in _SHIFTS:
+            shifted = hess.copy()
+            shifted.flat[::dim + 1] += shift * scale
             try:
-                direction = _newton_step(hess + shift * scale * np.eye(dim), grad, theta, obj.l1)
+                direction = _newton_step(shifted, grad, theta, obj.l1)
             except np.linalg.LinAlgError:
                 continue
             step = _line_search(obj, theta, value, grad, direction)
@@ -489,7 +497,10 @@ class LabelFlipStudy:
 
     @property
     def median_shift(self) -> float:
-        return float(np.median(self.shifts))
+        """np.median of ``shifts``, by a sort: np.median's first call loads numpy.ma."""
+        ordered = np.sort(self.shifts)
+        mid = ordered.size // 2
+        return float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def sensitivity_to_label_flip(

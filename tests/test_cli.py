@@ -190,7 +190,8 @@ def test_predict_rejects_unscorable_rows(toy_csv, tmp_path, capsys, bad_row, mes
 
 def test_predictions_file_bytes_are_pinned(tmp_path):
     """Probabilities at both exact ends, the 0.5 tie, a subnormal and a
-    small exponent are written as repr(float(p)), the rendering of _cell."""
+    small exponent are written as repr(float(p)), as the csv writer renders
+    a Python float."""
     # logit = -800 + 1600 x: exp(800) overflows, 0 is the tie, -709.5 leaves
     # a subnormal and -11.5 a probability near 1e-05
     ShapleyModel(feature_names=["x"], k=1, bias=-800.0, indices=np.array([1600.0]),
@@ -600,3 +601,44 @@ def test_generator_sizes_rejected_with_dataset(toy_csv, tmp_path, capsys, comman
 
 def test_synth_unknown_generator(tmp_path):
     assert run("synth", "--generator", "mystery", "--out-dir", tmp_path) == EXIT_USAGE
+
+
+def test_every_report_cell_is_a_python_str_int_or_float(tmp_path, monkeypatch):
+    """The csv writer renders a Python float by its repr, but a numpy float
+    as 'np.float64(...)' and a bool as 'True': every subcommand must hand
+    _write_csv rows of plain str, int and float values."""
+    written = {}
+    write_csv = cli._write_csv
+
+    def recorded(path, header, rows):
+        rows = [list(row) for row in rows]
+        written[Path(path).name] = rows
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    data = tmp_path / "data"
+    assert run("synth", "--generator", "pure-pairwise", "--gen-n", "4", "--gen-samples", "80",
+               "--gen-pairs", "2", "--out-dir", data) == EXIT_OK
+    common = ["--dataset", data / "pure_pairwise.csv", "--label-column", "label"]
+    for penalty in ("l1", "l2"):
+        assert run("fit", *common, "--penalty", penalty, "--lambda", "0.1",
+                   "--out-dir", tmp_path / penalty) == EXIT_OK
+    assert run("predict", "--model", tmp_path / "l2/model.json", *common[:4],
+               "--out-dir", tmp_path / "predict") == EXIT_OK
+    assert run("bench", *common, "--k", "1..2", "--penalties", "l1,l2", "--lambda-grid", "0.1,1",
+               "--noise-repeats", "1", "--bootstrap-resamples", "2", "--profile",
+               "--out-dir", tmp_path / "bench") == EXIT_OK
+    assert run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "2",
+               "--c-grid", "1", "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3",
+               "--gap-iterations", "1", "--out-dir", tmp_path / "bounds") == EXIT_OK
+    assert run("interactions", "--models", tmp_path / "l1/model.json", tmp_path / "l2/model.json",
+               "--out-dir", tmp_path / "interactions") == EXIT_OK
+    assert sorted(written) == sorted([
+        "pure_pairwise.csv", "predictions.csv", "bench_cells.csv", "bench_summary.csv",
+        "resources.csv", "sensitivity_curve.csv", "gap_experiment.csv", "bound_curves.csv",
+        "main_effects.csv", "interactions_mean.csv", "interactions_support.csv"])
+    for name, rows in written.items():
+        assert rows, name
+        types = {type(cell) for row in rows for cell in row}
+        assert types <= {str, int, float}, (name, types)
+

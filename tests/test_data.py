@@ -239,23 +239,39 @@ PARSE_CORPUS = {
     "semicolons, clean": ("a;b;y\n1.5;2;0\n3;4;1\n", ";", "y", True),
     "digits past double precision": ("a,b\n0.1000000000000000055511151231257827,"
                                      "2.2250738585072011e-308\n", ",", None, True),
+    "quoted label": ('a,y\n1,"1"\n2,0\n', ",", "y", False),
+    "label with spaces": ("a,y,b\n1, yes ,2\n3,no,4\n", ",", "y", True),
+    "empty label": ("a,y\n1,\n2,1\n", ",", "y", True),
+    "text labels": ("a,y\n1,pos\n2,neg\n3,pos\n", ",", "y", True),
+    "float labels": ("a,y\n1,1.0\n2,0\n3,1\n", ",", "y", True),
+    "non-binary labels": ("a,y\n1,2\n2,0\n", ",", "y", True),
+    "crlf, label last": ("a,b,y\r\n1,2,1\r\n3,4,0\r\n", ",", "y", True),
+    "semicolons, label first": ("y;a;b\n1;1.5;2\n0;3;4\n", ";", "y", True),
+    "missing cell, label dropped": ("a,y,b\n1,0,\n2,1,3\n4,0,na\n5,1,6\n", ",", "y", False),
 }
 
+# positive_class for load_csv on the corpus files whose labels are text
+POSITIVE_CLASS = {"text labels dropped": "yes", "label with spaces": "yes", "text labels": "pos"}
 
-def _csv_reader_result(path, delimiter, drop):
+
+def _result(load, *args, **kwargs):
+    """What ``load`` returns, or the text of the DataError it raises."""
     try:
-        return data._read_table(path, delimiter, drop, drop_missing=False)[1]
+        return load(*args, **kwargs)
     except DataError as exc:
         return str(exc)
 
 
-@pytest.mark.parametrize("name", sorted(PARSE_CORPUS))
-def test_bulk_parse_reads_as_the_csv_reader(tmp_path, monkeypatch, name):
-    text, delimiter, drop, bulk_accepts = PARSE_CORPUS[name]
-    path = tmp_path / "data.csv"
-    path.write_bytes(text.encode("utf-8"))
-    want = _csv_reader_result(path, delimiter, drop)
+def _row_reader_result(monkeypatch, load, *args, **kwargs):
+    """``load``'s result with the bulk parse refusing every file, so that the
+    row-naming reader alone reads it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_bulk_parse", lambda *_: None)
+        return _result(load, *args, **kwargs)
 
+
+def _recording_bulk_parse(monkeypatch):
+    """Patch the bulk parse to record what it returns; returns the record."""
     bulk_results = []
     bulk_parse = data._bulk_parse
 
@@ -264,13 +280,46 @@ def test_bulk_parse_reads_as_the_csv_reader(tmp_path, monkeypatch, name):
         return bulk_results[-1]
 
     monkeypatch.setattr(data, "_bulk_parse", recorded)
-    try:
-        got = load_feature_matrix(path, delimiter, drop_column=drop)
-    except DataError as exc:
-        got = str(exc)
+    return bulk_results
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CORPUS))
+def test_bulk_parse_reads_as_the_csv_reader(tmp_path, monkeypatch, name):
+    text, delimiter, drop, bulk_accepts = PARSE_CORPUS[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _row_reader_result(monkeypatch, load_feature_matrix, path, delimiter, drop_column=drop)
+    bulk_results = _recording_bulk_parse(monkeypatch)
+    got = _result(load_feature_matrix, path, delimiter, drop_column=drop)
     assert [r is not None for r in bulk_results] == [bulk_accepts]
     if isinstance(want, str):
         assert got == want
     else:
         assert isinstance(got, np.ndarray) and got.dtype == want.dtype
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("drop_missing", [False, True])
+@pytest.mark.parametrize("name", sorted(n for n, case in PARSE_CORPUS.items() if case[2]))
+def test_load_csv_reads_as_the_csv_reader(tmp_path, monkeypatch, name, drop_missing):
+    """load_csv takes its features and labels from the bulk parse where that
+    accepts the file, and gives what the row-naming reader gives: the same
+    x bits, labels, names and dropped-row count, or the same error."""
+    text, delimiter, label, bulk_accepts = PARSE_CORPUS[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    options = dict(label_column=label, positive_class=POSITIVE_CLASS.get(name),
+                   delimiter=delimiter, drop_missing=drop_missing)
+    want = _row_reader_result(monkeypatch, load_csv, path, **options)
+    bulk_results = _recording_bulk_parse(monkeypatch)
+    got = _result(load_csv, path, **options)
+    assert [r is not None for r in bulk_results] == [bulk_accepts]
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, Dataset)
+        assert got.x.shape == want.x.shape
+        assert np.array_equal(got.x.view(np.int64), want.x.view(np.int64))
+        assert got.y.tolist() == want.y.tolist()
+        assert got.feature_names == want.feature_names
+        assert got.provenance == want.provenance

@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency: every code path runs
-without scipy, and the imports in src/ match pyproject.toml."""
+without scipy, the imports in src/ match pyproject.toml, and the bench and
+bounds protocols never load numpy.ma."""
 
 import ast
 import json
@@ -88,3 +89,45 @@ def test_third_party_imports_are_the_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
     imported = set().union(*map(_top_level_imports, sorted((ROOT / "src" / "shapreg").glob("*.py"))))
     assert imported - set(sys.stdlib_module_names) - {"shapreg"} == declared
+
+
+# a tiny bench and bounds run; prints whether numpy.ma was loaded
+PROTOCOLS = r"""
+import sys
+from pathlib import Path
+
+from shapreg import cli
+
+out = Path(sys.argv[1])
+
+
+def run(*argv):
+    code = cli.main([str(a) for a in argv])
+    assert code == cli.EXIT_OK, (argv, code)
+
+
+run("synth", "--generator", "pure-pairwise", "--gen-n", "4", "--gen-samples", "80",
+    "--gen-pairs", "2", "--seed", "0", "--out-dir", out / "data")
+run("bench", "--dataset", out / "data" / "pure_pairwise.csv", "--label-column", "label",
+    "--k", "1,2", "--penalties", "l1,l2", "--lambda-grid", "0.01,0.1,1", "--noise-repeats", "1",
+    "--bootstrap-resamples", "3", "--out-dir", out / "bench")
+run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "4", "--c-grid", "1",
+    "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3", "--gap-iterations", "1",
+    "--seed", "0", "--out-dir", out / "bounds")
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_bench_and_bounds_never_load_numpy_ma(tmp_path):
+    """np.unique, np.setdiff1d and np.median load numpy.ma on their first
+    call (numpy 2.x), at a cost of ~1.5 MB and ~15 ms per process; the
+    protocols use sort- and bincount-based equivalents instead."""
+    check = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", check], capture_output=True,
+                      text=True).stdout.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    done = subprocess.run([sys.executable, "-c", PROTOCOLS, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -257,8 +257,8 @@ class _FirstHessianMissesColumn(train._Objective):
 
     calls = 0
 
-    def hessian(self, z):
-        hess = super().hessian(z)
+    def hessian(self, z, p):
+        hess = super().hessian(z, p)
         if self.calls == 0:
             hess[1, :] = hess[:, 1] = 0.0
         self.calls += 1
@@ -292,6 +292,34 @@ def test_hessian_shift_escalates_when_the_step_fails(monkeypatch, penalty, lam):
     first = np.array([h for h in shifted if h < 1e4])
     assert len(first) >= 2 and len(shifted) == iterations + len(first) - 1
     assert first / first[0] * train._SHIFTS[0] == pytest.approx(train._SHIFTS[:len(first)], rel=1e-9)
+
+
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.1), ("l2", 0.1), ("l2", 1.0)])
+def test_one_sigmoid_pass_per_iterate(monkeypatch, penalty, lam):
+    """The gradient and the Hessian share one expit(z) per iterate; the
+    Hessian adds only expit(-z), and the last iterate needs the gradient
+    alone, so a fit of ``it`` iterations makes 2 it + 1 calls."""
+    calls = []
+    expit = train.expit
+
+    def counted(z):
+        calls.append(1)
+        return expit(z)
+
+    monkeypatch.setattr(train, "expit", counted)
+    result = fit(toy_dataset(), 2, FitConfig(penalty=penalty, lam=lam))
+    assert result.converged and result.iterations >= 4
+    assert len(calls) == 2 * result.iterations + 1
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6, 21])
+def test_median_shift_is_np_median(size):
+    shifts = np.random.default_rng(size).exponential(size=size)
+    shifts[size // 3] = shifts[size // 2]  # a tie
+    study = train.LabelFlipStudy(base=None, shifts=shifts, max_index_shifts=shifts,
+                                 risk_diffs=shifts, row_norm=1.0, stability_ceiling=1.0,
+                                 flipped_rows=np.arange(size))
+    assert study.median_shift == np.median(shifts)
 
 
 @pytest.mark.parametrize("class_weighting", ["off", "inverse_frequency"])
