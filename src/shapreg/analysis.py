@@ -242,8 +242,11 @@ def gap_experiment(
     halves, fits every configuration on the first half, and scores both
     halves.  At each k, ``d_eff`` and every penalty's fit share one prepared
     design of the first half.  ``split=False`` is a diagnostic mode where
-    train and test coincide, forcing a zero gap.  Per-iteration seeds derive from the root
-    seed, so results are independent of scheduling.
+    train and test coincide, forcing a zero gap.  Per-iteration seeds derive
+    from the root seed and every split is drawn before the fan-out; each
+    (iteration, k) cell is then one task for ``jobs`` workers, highest k
+    first, and results are reassembled by cell, so they are independent of
+    scheduling.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -251,44 +254,47 @@ def gap_experiment(
         raise ValueError("N must be even to split into equal halves")
     k_values = [int(k) for k in k_range]
     penalties = list(penalties)
-    children = np.random.SeedSequence(seed).spawn(iterations)
-
-    def one_iteration(child):
+    splits = []
+    for child in np.random.SeedSequence(seed).spawn(iterations):
         ds = gen_random_noise(n, big_n, seed=child)
         if split:
             half = big_n // 2
-            train = ds.subset(np.arange(half))
-            test = ds.subset(np.arange(half, big_n))
+            splits.append((ds.subset(np.arange(half)), ds.subset(np.arange(half, big_n))))
         else:
-            train = test = ds
-        out = {}
-        deffs = {}
-        for k in k_values:
-            problem = prepare(train, k)
-            deffs[k] = effective_dimension(problem.design)
-            for pen in penalties:
-                config = FitConfig(penalty=pen, lam=lam)
-                result = fit(problem, k, config)
-                train_err = float((result.model.predict(train.x) != train.y).mean())
-                test_err = float((result.model.predict(test.x) != test.y).mean())
-                out[(k, pen)] = (train_err, test_err, result.converged)
-        return out, deffs
+            splits.append((ds, ds))
 
-    results = map_ordered(one_iteration, children, jobs=jobs)
+    def one_cell(cell):
+        it, k = cell
+        train, test = splits[it]
+        problem = prepare(train, k)
+        out = {}
+        for pen in penalties:
+            result = fit(problem, k, FitConfig(penalty=pen, lam=lam))
+            train_err = float((result.model.predict(train.x) != train.y).mean())
+            test_err = float((result.model.predict(test.x) != test.y).mean())
+            out[pen] = (train_err, test_err, result.converged)
+        return effective_dimension(problem.design), out
+
+    # one task per (iteration, k), the largest design first, so that no
+    # worker is left idle behind a long last task
+    tasks = [(it, k) for k in sorted(set(k_values), reverse=True) for it in range(iterations)]
+    results = dict(zip(tasks, map_ordered(one_cell, tasks, jobs=jobs)))
 
     cells = {}
     for k in k_values:
+        per_it = [results[(it, k)] for it in range(iterations)]
         for pen in penalties:
-            train_errs = np.array([res[0][(k, pen)][0] for res in results])
-            test_errs = np.array([res[0][(k, pen)][1] for res in results])
+            train_errs = np.array([res[1][pen][0] for res in per_it])
+            test_errs = np.array([res[1][pen][1] for res in per_it])
             cells[(k, pen)] = GapCell(
                 k=k, penalty=pen,
                 gaps=test_errs - train_errs,
                 train_errors=train_errs,
                 test_errors=test_errs,
-                converged_fits=sum(res[0][(k, pen)][2] for res in results),
+                converged_fits=sum(res[1][pen][2] for res in per_it),
             )
-    d_eff = {k: float(np.mean([res[1][k] for res in results])) for k in k_values}
+    d_eff = {k: float(np.mean([results[(it, k)][0] for it in range(iterations)]))
+             for k in k_values}
     return GapExperiment(
         n=n, big_n=big_n, iterations=iterations, seed=seed, lam=lam,
         k_values=k_values, penalties=penalties,

@@ -206,7 +206,7 @@ def load_csv(
                 f"{path}: labels are not numeric; pass positive_class to binarize"
             ) from None
         if not np.all(np.isin(numeric, (0.0, 1.0))):
-            bad = sorted(set(numeric) - {0.0, 1.0})
+            bad = sorted(set(numeric.tolist()) - {0.0, 1.0})
             raise DataError(f"{path}: non-binary labels {bad}; pass positive_class")
         y = numeric.astype(int)
 

@@ -165,6 +165,7 @@ class _Objective:
         self.w = w
         self.l1 = lam if penalty == "l1" else 0.0
         self.l2 = lam if penalty == "l2" else 0.0
+        self._scaled = np.empty(phi.shape)  # phi * sqrt(s), rewritten by each hessian
 
     def logits(self, theta: np.ndarray) -> np.ndarray:
         return theta[0] + self.phi @ theta[1:]
@@ -189,13 +190,13 @@ class _Objective:
         l2 curvature is on the coefficient block only, since the bias is never
         penalized."""
         s = self.w * p * expit(-z)
-        scaled = self.phi * np.sqrt(s)[:, None]
+        scaled = np.multiply(self.phi, np.sqrt(s)[:, None], out=self._scaled)
         dim = self.phi.shape[1] + 1
         hess = np.empty((dim, dim))
         hess[0, 0] = s.sum()
         hess[0, 1:] = hess[1:, 0] = self.phi.T @ s
         hess[1:, 1:] = scaled.T @ scaled
-        hess[range(1, dim), range(1, dim)] += 2.0 * self.l2
+        hess.flat[dim + 1::dim + 1] += 2.0 * self.l2
         return hess
 
     def pseudo_gradient(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -238,11 +239,13 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray, theta: np.ndarray,
     least one).  Each round solves the model with the signs fixed on the
     active set, every other coordinate of theta + d held at zero, and moves
     to the lowest point among that solution and the points where a
-    coordinate changes sign on the way to it.  Without an l1 term this is one
-    full Newton solve.
+    coordinate changes sign on the way to it.  Without an l1 term the step is
+    one full Newton solve, made directly.
     """
+    if not lam:
+        return -np.linalg.solve(hess, grad)
     dim = theta.size
-    penalized = np.arange(dim) > 0 if lam else np.zeros(dim, dtype=bool)
+    penalized = np.arange(dim) > 0
     sign = np.where(penalized, np.sign(theta), 0.0)
     active = ~penalized | (sign != 0)
     joined = np.zeros(dim, dtype=bool)
@@ -308,6 +311,8 @@ def _line_search(obj: _Objective, theta: np.ndarray, value: float, grad: np.ndar
     not a descent direction or no step that moves theta is accepted."""
 
     def decrease(step):
+        if not obj.l1:
+            return grad @ step
         return grad @ step + obj.l1 * _l1_change(theta, theta + step)
 
     if not decrease(direction) < 0:

@@ -12,8 +12,10 @@ from shapreg.analysis import (
     top_by_strength,
 )
 from shapreg.basis import design_matrix
+from shapreg.data import gen_random_noise
 from shapreg.games import num_coalitions
 from shapreg.model import ShapleyModel
+from shapreg.train import FitConfig, fit
 
 
 def model_from_indices(indices, n, k=2, names=None):
@@ -267,6 +269,41 @@ def test_gap_experiment_deterministic_across_jobs():
                        seed=2, jobs=3)
     assert np.array_equal(a.cells[(2, "l2")].gaps, b.cells[(2, "l2")].gaps)
     assert a.d_eff == b.d_eff
+
+
+def test_gap_fan_out_identical_for_any_job_count():
+    """One task per (iteration, k) cell, highest k first, reassembled by cell:
+    every field and report row is the same for any number of workers, and
+    the orders stay in the caller's order."""
+    runs = [gap_experiment(n=4, big_n=60, k_range=[3, 1, 2], penalties=("none", "l2"),
+                           iterations=3, seed=5, jobs=jobs) for jobs in (1, 2, 3)]
+    first = runs[0]
+    for exp in runs:
+        assert exp.k_values == [3, 1, 2]
+        assert [row["k"] for row in exp.rows()] == [3, 1, 2]
+        assert exp.cells.keys() == first.cells.keys()
+        for key, cell in first.cells.items():
+            other = exp.cells[key]
+            for name in ("gaps", "train_errors", "test_errors"):
+                assert np.array_equal(getattr(other, name), getattr(cell, name))
+            assert other.converged_fits == cell.converged_fits
+        assert exp.d_eff == first.d_eff
+        assert exp.rows() == first.rows()
+
+
+def test_gap_cells_are_the_direct_fits_of_each_iteration():
+    """Reference loop: iteration i draws its data from the i-th child of the
+    root seed, fits the first half and scores both halves."""
+    exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], penalties=("l2",),
+                         iterations=2, seed=4, lam=0.5, jobs=2)
+    for it, child in enumerate(np.random.SeedSequence(4).spawn(2)):
+        ds = gen_random_noise(4, 60, seed=child)
+        train, test = ds.subset(np.arange(30)), ds.subset(np.arange(30, 60))
+        for k in (1, 2):
+            model = fit(train, k, FitConfig(penalty="l2", lam=0.5)).model
+            cell = exp.cells[(k, "l2")]
+            assert cell.train_errors[it] == (model.predict(train.x) != train.y).mean()
+            assert cell.test_errors[it] == (model.predict(test.x) != test.y).mean()
 
 
 def test_gap_experiment_rejects_odd_split():

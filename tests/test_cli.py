@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import shlex
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,29 @@ def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypa
                "--gap-iterations", "1", *flag, "--out-dir", out) == EXIT_USAGE
     assert flag[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bounds_bytes_do_not_depend_on_jobs(tmp_path):
+    """The gap cells fan out over the workers, largest design first; every
+    report is still the same file for any --jobs."""
+    args = ("bounds", "--gap-n", "4", "--gap-samples", "60", "--gap-k-range", "1..4",
+            "--gap-iterations", "3", "--sens-repeats", "3", "--seed", "7")
+    for jobs in (1, 3):
+        assert run(*args, "--jobs", jobs, "--out-dir", tmp_path / f"j{jobs}") == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "j1").iterdir())
+    assert names == ["bound_curves.csv", "bound_report.json", "gap_experiment.csv",
+                     "sensitivity_curve.csv"]
+    assert sorted(p.name for p in (tmp_path / "j3").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j3" / name).read_bytes()
+
+
+def test_bounds_leaves_no_worker_thread_running(tmp_path):
+    before = threading.active_count()
+    assert run("bounds", "--sens-samples", "40", "--sens-repeats", "2", "--c-grid", "1.0",
+               "--gap-n", "4", "--gap-samples", "60", "--gap-k-range", "1..4",
+               "--gap-iterations", "2", "--jobs", "2", "--out-dir", tmp_path / "bounds") == EXIT_OK
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("flag", [["--model", "missing.json"], ["--gap-samples", "6"]])

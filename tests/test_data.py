@@ -83,6 +83,13 @@ def test_non_binary_labels_rejected(tmp_path):
         load_csv(path, label_column="y")
 
 
+def test_non_binary_labels_named_as_plain_floats(tmp_path):
+    path = write(tmp_path, "a,y\n1,2\n2,0\n")
+    with pytest.raises(DataError) as err:
+        load_csv(path, label_column="y")
+    assert str(err.value) == f"{path}: non-binary labels [2.0]; pass positive_class"
+
+
 def test_positive_class_binarization(tmp_path):
     path = write(tmp_path, "a,y\n1,case\n2,control\n3,case\n")
     ds = load_csv(path, label_column="y", positive_class="case")

@@ -240,6 +240,44 @@ def test_newton_step_solves_the_l1_subproblem(problem):
     assert np.array_equal(train._newton_step(hess, grad, theta, 0.0), -np.linalg.solve(hess, grad))
 
 
+def test_hessian_reuses_no_returned_array():
+    """The objective rewrites one phi * sqrt(s) buffer per Hessian; a Hessian
+    already returned keeps its values, which are the direct formula's."""
+    rng = np.random.default_rng(4)
+    phi = rng.uniform(-0.5, 0.5, size=(50, 6))
+    y = (rng.uniform(size=50) < 0.5).astype(float)
+    obj = train._Objective(phi, y, np.ones(50), "l2", 0.3)
+    z1, z2 = rng.normal(size=50), rng.normal(size=50)
+    first = obj.hessian(z1, train.expit(z1))
+    kept = first.copy()
+    second = obj.hessian(z2, train.expit(z2))
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+    s = train.expit(z1) * train.expit(-z1)
+    scaled = phi * np.sqrt(s)[:, None]
+    block = scaled.T @ scaled
+    inner = ~np.eye(6, dtype=bool)
+    assert first[0, 0] == s.sum() and np.array_equal(first[0, 1:], phi.T @ s)
+    assert np.array_equal(first[1:, 0], phi.T @ s)
+    assert np.array_equal(first[1:, 1:][inner], block[inner])
+    assert np.array_equal(np.diag(first)[1:], np.diag(block) + 2.0 * 0.3)
+
+
+@pytest.mark.parametrize("penalty, lam, smooth", [
+    ("none", 0.0, True), ("l2", 0.1, True), ("l2", 1.0, True), ("l1", 0.1, False)])
+def test_smooth_fits_never_measure_an_l1_change(monkeypatch, penalty, lam, smooth):
+    calls = []
+    l1_change = train._l1_change
+
+    def counted(theta, cand):
+        calls.append(1)
+        return l1_change(theta, cand)
+
+    monkeypatch.setattr(train, "_l1_change", counted)
+    result = fit(toy_dataset(), 2, FitConfig(penalty=penalty, lam=lam))
+    assert result.converged and result.iterations >= 4
+    assert (len(calls) == 0) == smooth
+
+
 def test_l1_change_keeps_small_steps():
     """Near the optimum the model decrease is ~1e-16 while ||theta||_1 is ~15:
     the difference of the two norms would round the l1 change of a small
