@@ -12,6 +12,10 @@ analysis live in the library; this module maps flags to library calls and
 writes the reports.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence.
+Every flag value is checked as the command line is parsed, before any file is
+read or written: a value outside the range its --help states is a usage error
+that names the flag.  The commands check only what needs another flag or the
+data (an order against the feature count, say), still before any report.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .analysis import (
     main_effects,
     top_by_strength,
 )
-from .cv import k_sweep_benchmark, resource_profile
+from .cv import SELECTION_METRICS, k_sweep_benchmark, resource_profile
 from .data import (
     DataError,
     Dataset,
@@ -44,7 +48,7 @@ from .data import (
     undersample,
 )
 from .model import ShapleyModel
-from .train import FitConfig, check_fit_size, fit, sensitivity_to_label_flip
+from .train import PENALTIES, FitConfig, check_fit_size, fit, sensitivity_to_label_flip
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,8 +93,48 @@ def _json_text(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shared argument groups
+# flag value types and shared argument groups
 # ---------------------------------------------------------------------------
+
+def _checked(kind: str, convert, accept):
+    """argparse type of the values ``convert`` parses and ``accept`` passes.
+    ``kind`` describes them: a flag's help shows it as %(type)s, and the
+    error for any other text repeats it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expects {kind}, got {text!r}")
+        return value
+    parse.__name__ = kind
+    return parse
+
+
+def _real(kind: str, accept):
+    """A finite float that ``accept`` passes; NaN and +-inf never do."""
+    return _checked(kind, float, lambda value: math.isfinite(value) and accept(value))
+
+
+def _comma_list(item, distinct: bool = False):
+    """A comma list of ``item`` values, blank entries skipped; an empty list,
+    or a repeated value when ``distinct``, is refused."""
+    return _checked(
+        f"a non-empty comma list of {'distinct ' if distinct else ''}values, each {item.__name__}",
+        lambda text: [item(token.strip()) for token in text.split(",") if token.strip()],
+        lambda values: values and (not distinct or len(set(values)) == len(values)))
+
+
+_seed = _checked("an int >= 0", int, lambda value: value >= 0)
+_count = _checked("an int >= 1", int, lambda value: value >= 1)
+_even_count = _checked("an even int >= 2", int, lambda value: value >= 2 and value % 2 == 0)
+_penalty = _checked(f"one of {', '.join(PENALTIES)}", str, lambda value: value in PENALTIES)
+_positive = _real("a finite number > 0", lambda value: value > 0)
+_non_negative = _real("a finite number >= 0", lambda value: value >= 0)
+_share = _real("a number in [0, 1]", lambda value: 0 <= value <= 1)
+_ratio = _real("a number in (0, 1]", lambda value: 0 < value <= 1)
+
 
 def _add_data_args(p: _Parser) -> None:
     p.add_argument("--dataset", required=True,
@@ -100,8 +144,8 @@ def _add_data_args(p: _Parser) -> None:
     p.add_argument("--delimiter", default=",")
     p.add_argument("--drop-missing", action="store_true",
                    help="drop rows with missing cells instead of failing")
-    p.add_argument("--undersample-ratio", type=float,
-                   help="subsample the majority class to this minority/majority ratio")
+    p.add_argument("--undersample-ratio", type=_ratio,
+                   help="subsample the majority class to this minority/majority ratio, %(type)s")
 
 
 def _add_model_args(p: _Parser, orders: bool = False) -> None:
@@ -109,15 +153,16 @@ def _add_model_args(p: _Parser, orders: bool = False) -> None:
         p.add_argument("--k", default="2",
                        help="additivity orders: K, LO..HI or a comma list (default 2)")
     else:
-        p.add_argument("--k", type=int, default=2, help="additivity order (default 2)")
+        p.add_argument("--k", type=_count, default=2, help="additivity order, %(type)s (default 2)")
     p.add_argument("--class-weight", choices=("off", "inverse-frequency"), default="off")
 
 
 def _add_common(p: _Parser, seed: bool = True, jobs: bool = False) -> None:
     if seed:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="random seed, %(type)s (default 0)")
     if jobs:
-        p.add_argument("--jobs", type=int, default=1, help="max parallel workers")
+        p.add_argument("--jobs", type=_count, default=1, help="max parallel workers, %(type)s")
     p.add_argument("--out-dir", required=True)
 
 
@@ -130,11 +175,7 @@ def _resolve_lambda(args) -> float:
         if args.lam is not None:
             raise UsageError("--lambda does not apply with --penalty none")
         return 0.0
-    if args.lam is None:
-        return 1.0
-    if not 0 <= args.lam < math.inf:  # NaN fails too
-        raise UsageError(f"--lambda must be finite and >= 0, got {args.lam}")
-    return args.lam
+    return 1.0 if args.lam is None else args.lam
 
 
 def _generate(args) -> Dataset:
@@ -147,6 +188,13 @@ def _generate(args) -> Dataset:
                          f"not {args.generator}")
     return GENERATORS[args.generator](
         seed=args.seed, **{key: value for key, value in options.items() if value is not None})
+
+
+def _load_model(path) -> ShapleyModel:
+    try:
+        return ShapleyModel.load(path)
+    except (OSError, KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise DataError(f"cannot read model file {path}: {exc}") from exc
 
 
 def _load_dataset(args) -> Dataset:
@@ -171,43 +219,19 @@ def _check_k(k: int, n: int, flag: str = "--k") -> None:
         raise UsageError(f"{flag} {k}: {exc}") from None
 
 
-def _count(text: str) -> int:
-    """argparse type of a repeat or iteration count: an int >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expects an int >= 1, got {text!r}")
-    return int(text)
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_k_range(text: str, flag: str) -> list[int]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated list of numbers") from None
-    if not values:
-        raise UsageError(f"{flag} is empty")
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"{flag} values must be finite, got {text}")
-    return values
-
-
-def _parse_k_range(text: str, n: int, flag: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
             ks = list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise UsageError(f"{flag} expects 'lo..hi' or a comma list") from None
-    else:
-        try:
+        else:
             ks = [int(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError:
-            raise UsageError(f"{flag} expects 'lo..hi' or a comma list") from None
+    except ValueError:
+        raise UsageError(f"{flag} expects 'lo..hi' or a comma list") from None
     if not ks:
         raise UsageError(f"{flag} '{text}' contains no k")
     if len(set(ks)) != len(ks):
         raise UsageError(f"{flag} '{text}' repeats an order")
-    for k in ks:
-        _check_k(k, n, flag)
     return ks
 
 
@@ -216,13 +240,13 @@ def _parse_k_range(text: str, n: int, flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    ds = _load_dataset(args)
-    _check_k(args.k, ds.n_features)
     config = FitConfig(
         penalty=args.penalty,
         lam=_resolve_lambda(args),
         class_weighting=_class_weighting(args),
     )
+    ds = _load_dataset(args)
+    _check_k(args.k, ds.n_features)
     result = fit(ds, args.k, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,11 +268,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        model = ShapleyModel.load(args.model)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise DataError(f"cannot read model file {args.model}: {exc}") from exc
-
+    model = _load_model(args.model)
     x = load_feature_matrix(args.dataset, args.delimiter, drop_column=args.label_column)
     if x.shape[1] != model.n:
         raise DataError(
@@ -265,27 +285,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    penalties = [p.strip() for p in args.penalties.split(",")]
-    for pen in penalties:
-        if pen not in ("none", "l1", "l2"):
-            raise UsageError(f"unknown penalty '{pen}'")
-    if len(set(penalties)) != len(penalties):
-        raise UsageError(f"--penalties '{args.penalties}' repeats a penalty")
-    grid = _parse_float_list(args.lambda_grid, "--lambda-grid") if args.lambda_grid else None
-    if grid is not None and not all(lam > 0 for lam in grid):
-        raise UsageError(f"--lambda-grid values must be > 0, got {args.lambda_grid}")
-    sigmas = tuple(_parse_float_list(args.sigmas, "--sigmas"))
-    if not all(sigma >= 0 for sigma in sigmas):
-        raise UsageError(f"--sigmas values must be >= 0, got {args.sigmas}")
+    k_values = _parse_k_range(args.k, "--k")
     ds = _load_dataset(args)
-    k_values = _parse_k_range(args.k, ds.n_features, "--k")
+    for k in k_values:
+        _check_k(k, ds.n_features)
 
     report = k_sweep_benchmark(
-        ds, k_values, penalties,
-        lambda_grid=grid,
+        ds, k_values, args.penalties,
+        lambda_grid=args.lambda_grid,
         selection_metric=args.selection_metric,
         class_weighting=_class_weighting(args),
-        sigmas=sigmas,
+        sigmas=args.sigmas,
         noise_repeats=args.noise_repeats,
         bootstrap_resamples=args.bootstrap_resamples,
         seed=args.seed,
@@ -316,7 +326,7 @@ def cmd_bench(args) -> int:
                     "Model Size (MB)", "FLOPs"],
                    rows)
     best = report.summary_rows()[0]
-    print(f"bench: {ds.name} penalties={','.join(penalties)} k={k_values} "
+    print(f"bench: {ds.name} penalties={','.join(args.penalties)} k={k_values} "
           f"best_acc={best['accuracy_mean']:.4f} (k={best['best_k_acc']}, {best['penalty']}) "
           f"-> {out}")
     return EXIT_OK
@@ -324,21 +334,12 @@ def cmd_bench(args) -> int:
 
 def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
-    c_grid = _parse_float_list(args.c_grid, "--c-grid")
-    if not all(c > 0 for c in c_grid):
-        raise UsageError(f"--c-grid values must be > 0, got {args.c_grid}")
-    k_range = _parse_k_range(args.gap_k_range, args.gap_n, "--gap-k-range")
+    k_range = _parse_k_range(args.gap_k_range, "--gap-k-range")
+    for k in k_range:
+        _check_k(k, args.gap_n, "--gap-k-range")
     _check_k(args.sens_k, args.sens_n, "--sens-k")
-    if args.gap_samples < 2 or args.gap_samples % 2:
-        raise UsageError(f"--gap-samples must be even and >= 2, got {args.gap_samples}")
-    if not args.gap_lambda > 0:
-        raise UsageError(f"--gap-lambda must be > 0, got {args.gap_lambda}")
-    if not args.b_norm >= 0:
-        raise UsageError(f"--b-norm must be >= 0, got {args.b_norm}")
-    if args.lipschitz is not None and not args.lipschitz >= 0:
-        raise UsageError(f"--lipschitz must be >= 0, got {args.lipschitz}")
     if args.model is not None:
-        b_norm = float(np.abs(ShapleyModel.load(args.model).indices).sum())
+        b_norm = float(np.abs(_load_model(args.model).indices).sum())
     else:
         b_norm = args.b_norm
 
@@ -347,7 +348,7 @@ def cmd_bounds(args) -> int:
     studies = [
         sensitivity_to_label_flip(sens_ds, args.sens_k, FitConfig.with_c(c, penalty="l2"),
                                   repeats=args.sens_repeats, seed=args.seed)
-        for c in c_grid
+        for c in args.c_grid
     ]
 
     # generalization-gap experiment; fits on small random halves can fail,
@@ -366,7 +367,7 @@ def cmd_bounds(args) -> int:
                 "max_risk_diff", "stability_ceiling"],
                [[c, 1.0 / c, study.mean_shift, study.std_shift, study.median_shift,
                  float(study.risk_diffs.max()), study.stability_ceiling]
-                for c, study in zip(c_grid, studies)])
+                for c, study in zip(args.c_grid, studies)])
     gap_rows = [[r["k"], r["D_k"], r["d_eff"], r["gap_none"], r["gap_none_std"],
                  r["gap_l2"], r["gap_l2_std"]] for r in exp.rows()]
     _write_csv(out / "gap_experiment.csv",
@@ -387,24 +388,17 @@ def cmd_bounds(args) -> int:
         "rows": report,
     }))
 
-    print(f"bounds: sensitivity over C={c_grid}, gap over k={args.gap_k_range} -> {out}")
+    print(f"bounds: sensitivity over C={args.c_grid}, gap over k={args.gap_k_range} -> {out}")
     return EXIT_OK
 
 
 def cmd_interactions(args) -> int:
-    if not args.models:
-        raise UsageError("at least one --models file required")
-    if not 0 <= args.min_support <= 1:  # NaN fails too
-        raise UsageError(f"--min-support must be in [0, 1], got {args.min_support}")
-    try:
-        models = [ShapleyModel.load(p) for p in args.models]
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise DataError(f"cannot read model file: {exc}") from exc
+    models = [_load_model(path) for path in args.models]
     if models[0].k < 2:
         raise UsageError("interaction matrices need models with k >= 2")
     n = models[0].n
-    if args.top_k is not None and not 1 <= args.top_k <= n:
-        raise UsageError(f"--top-k must be in [1, {n}]")
+    if args.top_k is not None and args.top_k > n:
+        raise UsageError(f"--top-k must be in [1, {n}], got {args.top_k}")
     top_k = args.top_k if args.top_k is not None else min(30, n)
 
     effects = main_effects(models)
@@ -450,10 +444,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit a model and write model.json")
     _add_data_args(p)
     _add_model_args(p)
-    p.add_argument("--penalty", choices=("none", "l1", "l2"), default="l2")
-    p.add_argument("--lambda", dest="lam", type=float, metavar="LAMBDA",
-                   help="regularization strength, finite and >= 0 "
-                        "(default 1; not with --penalty none)")
+    p.add_argument("--penalty", choices=PENALTIES, default="l2")
+    p.add_argument("--lambda", dest="lam", type=_non_negative, metavar="LAMBDA",
+                   help="regularization strength, %(type)s (default 1; not with --penalty none)")
     _add_common(p)
     p.add_argument("--verbose-trace", action="store_true",
                    help="include the full objective trace in fit_report.json")
@@ -471,51 +464,60 @@ def build_parser() -> _Parser:
     _add_data_args(p)
     _add_model_args(p, orders=True)
     _add_common(p, jobs=True)
-    p.add_argument("--penalties", default="l2", help="comma list, e.g. none,l1,l2 (default l2)")
-    p.add_argument("--lambda-grid", help="comma list of lambda values, each > 0")
-    p.add_argument("--selection-metric", choices=("accuracy", "f1"), default="accuracy")
-    p.add_argument("--sigmas", default="0.1,0.2,0.3",
-                   help="comma list of Gaussian noise levels on the normalized inputs, each >= 0")
-    p.add_argument("--noise-repeats", type=_count, default=10)
-    p.add_argument("--bootstrap-resamples", type=_count, default=50)
+    p.add_argument("--penalties", type=_comma_list(_penalty, distinct=True),
+                   default="l2", help="%(type)s (default l2)")
+    p.add_argument("--lambda-grid", type=_comma_list(_positive),
+                   help="lambdas to select from, %(type)s (default: cv.default_lambda_grid())")
+    p.add_argument("--selection-metric", choices=SELECTION_METRICS, default="accuracy")
+    p.add_argument("--sigmas", type=_comma_list(_non_negative), default="0.1,0.2,0.3",
+                   help="noise levels on the normalized inputs, %(type)s (default %(default)s)")
+    p.add_argument("--noise-repeats", type=_count, default=10, help="%(type)s (default 10)")
+    p.add_argument("--bootstrap-resamples", type=_count, default=50, help="%(type)s (default 50)")
     p.add_argument("--profile", action="store_true",
                    help="also write wall-clock resources.csv (not byte-reproducible)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bounds", help="stability curve, gap experiment, bound curves")
     _add_common(p, jobs=True)
-    p.add_argument("--sens-n", type=int, default=10)
-    p.add_argument("--sens-samples", type=int, default=100)
-    p.add_argument("--sens-k", type=int, default=2)
-    p.add_argument("--sens-repeats", type=_count, default=20)
-    p.add_argument("--c-grid", default="0.01,0.1,0.5,1.0,1.5,3.0",
-                   help="comma list of reciprocal l2 strengths C = 1/lambda, each > 0")
-    p.add_argument("--gap-n", type=int, default=8)
-    p.add_argument("--gap-samples", type=int, default=1000)
-    p.add_argument("--gap-k-range", default="1..8")
-    p.add_argument("--gap-iterations", type=_count, default=10)
-    p.add_argument("--gap-lambda", type=float, default=1.0)
+    p.add_argument("--sens-n", type=_count, default=10, help="features, %(type)s (default 10)")
+    p.add_argument("--sens-samples", type=_count, default=100, help="rows, %(type)s (default 100)")
+    p.add_argument("--sens-k", type=_count, default=2,
+                   help="additivity order, %(type)s and <= --sens-n (default 2)")
+    p.add_argument("--sens-repeats", type=_count, default=20, help="%(type)s (default 20)")
+    p.add_argument("--c-grid", type=_comma_list(_positive), default="0.01,0.1,0.5,1.0,1.5,3.0",
+                   help="reciprocal l2 strengths C = 1/lambda, %(type)s (default %(default)s)")
+    p.add_argument("--gap-n", type=_count, default=8, help="features, %(type)s (default 8)")
+    p.add_argument("--gap-samples", type=_even_count, default=1000,
+                   help="rows, split in halves: %(type)s (default 1000)")
+    p.add_argument("--gap-k-range", default="1..8",
+                   help="orders as for bench --k, each <= --gap-n (default 1..8)")
+    p.add_argument("--gap-iterations", type=_count, default=10, help="%(type)s (default 10)")
+    p.add_argument("--gap-lambda", type=_positive, default=1.0,
+                   help="l2 strength, %(type)s (default 1)")
     b_source = p.add_mutually_exclusive_group()
-    b_source.add_argument("--b-norm", type=float, default=1.0,
-                          help="l1 radius B for the Rademacher curve (default 1)")
+    b_source.add_argument("--b-norm", type=_non_negative, default=1.0,
+                          help="l1 radius B for the Rademacher curve, %(type)s (default 1)")
     b_source.add_argument("--model", help="model file supplying B = ||I||_1 instead")
-    p.add_argument("--lipschitz", type=float,
-                   help="override L (default: max design-row norm at --sens-k)")
+    p.add_argument("--lipschitz", type=_non_negative,
+                   help="override L, %(type)s (default: max design-row norm at --sens-k)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("interactions", help="main effects + consensus interaction matrix")
     p.add_argument("--models", nargs="+", required=True, help="model JSON files")
-    p.add_argument("--top-k", type=int, help="restrict to K strongest features (default min(30, n))")
-    p.add_argument("--min-support", type=float, default=0.7)
-    p.add_argument("--zero-tol", type=float, default=1e-8)
+    p.add_argument("--top-k", type=_count,
+                   help="restrict to K strongest features, %(type)s and <= n (default min(30, n))")
+    p.add_argument("--min-support", type=_share, default=0.7,
+                   help="share of models with a nonzero pair index, %(type)s (default 0.7)")
+    p.add_argument("--zero-tol", type=_non_negative, default=1e-8,
+                   help="largest |index| counted as zero, %(type)s (default 1e-8)")
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_interactions)
 
     p = sub.add_parser("synth", help="write a synthetic dataset CSV + provenance")
     p.add_argument("--generator", choices=GENERATORS, required=True)
-    p.add_argument("--gen-n", type=int, help="feature count")
-    p.add_argument("--gen-samples", type=int, help="sample count")
-    p.add_argument("--gen-pairs", type=int, help="planted pairs (pure-pairwise only)")
+    p.add_argument("--gen-n", type=_count, help="feature count, %(type)s")
+    p.add_argument("--gen-samples", type=_count, help="sample count, %(type)s")
+    p.add_argument("--gen-pairs", type=_count, help="planted pairs (pure-pairwise only), %(type)s")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -530,10 +532,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -164,7 +164,9 @@ def nested_cv(
     if penalty == "none":
         grid = [0.0]
     else:
-        grid = sorted(float(l) for l in (lambda_grid or default_lambda_grid()))
+        if lambda_grid is None:
+            lambda_grid = default_lambda_grid()
+        grid = sorted(float(l) for l in lambda_grid)
         if not grid or not all(0 < l < math.inf for l in grid):  # NaN fails too
             raise ValueError(f"lambda grid must hold finite positive values, got {grid}")
     _score_name = selection_metric

@@ -89,10 +89,15 @@ class ShapleyModel:
         return SetFunction(n=self.n, k=self.k, basis=Basis.SHAPLEY, values=self.indices)
 
     def normalize(self, x_raw: np.ndarray) -> np.ndarray:
-        """Map raw inputs through the stored min-max bounds (see apply_normalization)."""
+        """Map raw inputs through the stored min-max bounds (see apply_normalization).
+
+        Raw inputs must be finite: clipping would map +-inf into the box and
+        score it."""
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
         if x.shape[1] != self.n:
             raise ValueError(f"model has {self.n} features, input has {x.shape[1]}")
+        if not np.isfinite(x).all():
+            raise ValueError("inputs must be finite")
         return apply_normalization(x, self.normalization)
 
     def logit_normalized(self, x_norm: np.ndarray) -> np.ndarray:

@@ -31,8 +31,16 @@ def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
 
 
+def strict_json(path):
+    """A written report, parsed with NaN, Infinity and -Infinity refused:
+    Python's json module writes and reads them, but they are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{Path(path).name} holds {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def validate(path, schema_name):
-    jsonschema.validate(json.loads(Path(path).read_text()), load_schema(schema_name))
+    jsonschema.validate(strict_json(path), load_schema(schema_name))
 
 
 @pytest.fixture
@@ -67,7 +75,8 @@ def test_fit_writes_model_and_report(toy_csv, tmp_path):
     assert code == EXIT_OK
     validate(out / "model.json", "model.schema.json")
     validate(out / "fit_report.json", "fit_report.schema.json")
-    report = json.loads((out / "fit_report.json").read_text())
+    assert sorted(p.name for p in out.glob("*.json")) == ["fit_report.json", "model.json"]
+    report = strict_json(out / "fit_report.json")
     assert report["converged"] is True
     assert "objective_trace" not in report
 
@@ -111,6 +120,45 @@ def test_fit_budget_exit_code(toy_csv, tmp_path, monkeypatch, capsys):
     assert "NOT converged in 1 iterations" in capsys.readouterr().out
     report = json.loads((tmp_path / "nc/fit_report.json").read_text())
     assert report["converged"] is False and report["iterations"] == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fit", ["--seed", "-1"]),
+    ("fit", ["--k", "0"]),
+    ("fit", ["--undersample-ratio", "0"]),
+    ("fit", ["--undersample-ratio", "1.5"]),
+    ("fit", ["--undersample-ratio", "nan"]),
+    ("synth", ["--gen-n", "0"]),
+    ("synth", ["--gen-samples", "0"]),
+    ("synth", ["--gen-pairs", "0"]),
+    ("synth", ["--seed", "-1"]),
+])
+def test_fit_and_synth_check_flags_before_any_work(toy_csv, tmp_path, capsys, monkeypatch,
+                                                    command, flag):
+    monkeypatch.setattr(cli, "load_csv", None)  # never reached
+    monkeypatch.setattr(cli, "_generate", None)
+    argv = {"fit": ["--dataset", toy_csv, "--label-column", "y"],
+            "synth": ["--generator", "pure-pairwise"]}[command]
+    assert run(command, *argv, *flag, "--out-dir", tmp_path / "out") == EXIT_USAGE
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_flag_parses_with_bare_int_or_float():
+    """Bare int and float accept any sign, and float takes NaN and inf: every
+    numeric flag uses one of the checked types instead, and its help states
+    the values that type accepts."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    typed = 0
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            assert action.type not in (int, float), (name, action.option_strings)
+            if action.type is not None:
+                typed += 1
+                assert "%(type)s" in action.help, (name, action.option_strings)
+                assert action.type.__name__ in " ".join(parser.format_help().split())
+    assert typed == 32
 
 
 def test_fit_predict_round_trip(toy_csv, tmp_path):
@@ -332,6 +380,10 @@ def test_bench_outputs_and_determinism(toy_csv, tmp_path):
                  "cv_report_l2_k1.json", "cv_report_none_k2.json"):
         assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
     validate(tmp_path / "b1/cv_report_l2_k1.json", "cv_report.schema.json")
+    reports = sorted((tmp_path / "b1").glob("*.json"))
+    assert len(reports) == 4  # none and l2, each at k = 1 and 2
+    for path in reports:
+        strict_json(path)
     header = (tmp_path / "b1/bench_summary.csv").read_text().splitlines()[0]
     assert header == ("Dataset,Penalty,Best K (Acc),Accuracy,Accuracy Std,"
                       "Best K (Robust),Robustness Accuracy,Robustness Std,"
@@ -356,7 +408,8 @@ def test_bench_invalid_penalty_is_usage_error(toy_csv, tmp_path):
 
 
 @pytest.mark.parametrize("k_range", ["3..1", ","])
-def test_bench_empty_k_range_is_usage_error(toy_csv, tmp_path, capsys, k_range):
+def test_bench_empty_k_range_is_usage_error(toy_csv, tmp_path, capsys, monkeypatch, k_range):
+    monkeypatch.setattr(cli, "load_csv", None)  # the spec is checked before the data are read
     assert run("bench", "--dataset", toy_csv, "--label-column", "y",
                "--k", k_range, "--out-dir", tmp_path / "b") == EXIT_USAGE
     assert "--k " in capsys.readouterr().err
@@ -369,6 +422,10 @@ def test_bench_empty_k_range_is_usage_error(toy_csv, tmp_path, capsys, k_range):
     ["--lambda-grid", "0.1,0"],
     ["--sigmas", "0.1,inf"],
     ["--sigmas", "-0.1"],
+    ["--lambda-grid", ""],
+    ["--lambda-grid", ","],
+    ["--sigmas", ""],
+    ["--lambda-grid", "0.1,abc"],
 ])
 def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, monkeypatch,
                                                    flags):
@@ -385,6 +442,11 @@ def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, mo
     ["--noise-repeats", "0"],
     ["--bootstrap-resamples", "0"],
     ["--noise-repeats", "-1"],
+    ["--penalties", ""],
+    ["--penalties", "l2,ridge"],
+    ["--jobs", "0"],
+    ["--seed", "-1"],
+    ["--undersample-ratio", "0"],
 ])
 def test_bench_rejects_repeated_or_empty_work_before_any_work(toy_csv, tmp_path, capsys,
                                                               monkeypatch, flags):
@@ -440,6 +502,7 @@ def test_bounds_outputs(tmp_path):
         text = (out / name).read_text()
         assert len(text.strip().splitlines()) >= 2
     validate(out / "bound_report.json", "bound_report.schema.json")
+    assert [p.name for p in out.glob("*.json")] == ["bound_report.json"]
     gap_header = (out / "gap_experiment.csv").read_text().splitlines()[0]
     assert gap_header == "k,D_k,d_eff,gap_unreg,gap_unreg_std,gap_l2,gap_l2_std"
 
@@ -461,6 +524,16 @@ def test_bounds_outputs(tmp_path):
     ["--sens-k", "11"],
     ["--sens-k", "3", "--sens-n", "60"],
     ["--gap-k-range", "3", "--gap-n", "60"],
+    ["--gap-lambda", "inf"],
+    ["--b-norm", "inf"],
+    ["--lipschitz", "inf"],
+    ["--lipschitz", "nan"],
+    ["--sens-samples", "0"],
+    ["--sens-n", "0"],
+    ["--gap-n", "0"],
+    ["--jobs", "0"],
+    ["--seed", "-1"],
+    ["--c-grid", ""],
 ])
 def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypatch, flag):
     monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached
@@ -549,7 +622,8 @@ def test_interactions_identical_models_full_support(toy_csv, tmp_path):
 
 @pytest.mark.parametrize("flag", [["--top-k", "99"], ["--top-k", "0"],
                                   ["--min-support", "1.5"], ["--min-support", "-0.1"],
-                                  ["--min-support", "nan"]])
+                                  ["--min-support", "nan"], ["--zero-tol", "nan"],
+                                  ["--zero-tol", "-1"], ["--zero-tol", "inf"]])
 def test_interactions_checks_flags_before_writing(toy_csv, tmp_path, capsys, flag):
     models = make_models(toy_csv, tmp_path, count=1)
     capsys.readouterr()

@@ -136,7 +136,7 @@ def test_inner_ties_prefer_smaller_lambda():
             assert fold.selected_lam == 0.01
 
 
-@pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan], [np.inf, 1.0], [0.0, 1.0], [-1.0]])
+@pytest.mark.parametrize("grid", [[0.1, np.nan], [np.nan], [np.inf, 1.0], [0.0, 1.0], [-1.0], []])
 def test_nested_cv_rejects_unusable_grids(grid):
     with pytest.raises(ValueError, match="lambda grid"):
         nested_cv(signal_dataset(seed=6), 1, "l2", lambda_grid=grid, seed=0)

@@ -101,9 +101,11 @@ def test_json_round_trip_bit_exact(tmp_path):
 
 
 def test_nan_input_rejected():
+    """NaN, and +-inf, which clipping would map into the box, are refused."""
     model = make_model()
-    with pytest.raises(ValueError, match="finite"):
-        model.predict_proba(np.array([[0.1, np.nan, 0.3]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            model.predict_proba(np.array([[0.1, bad, 0.3]]))
 
 
 def test_dimension_mismatch_rejected():
