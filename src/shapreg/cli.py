@@ -126,6 +126,14 @@ def _comma_list(item, distinct: bool = False):
         lambda values: values and (not distinct or len(set(values)) == len(values)))
 
 
+def _order_list(text: str) -> list[int]:
+    """The orders ``K``, ``LO..HI`` (none when HI < LO) or a comma list names."""
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        return list(range(int(lo), int(hi) + 1))
+    return [int(token) for token in text.split(",") if token.strip()]
+
+
 _seed = _checked("an int >= 0", int, lambda value: value >= 0)
 _count = _checked("an int >= 1", int, lambda value: value >= 1)
 _even_count = _checked("an even int >= 2", int, lambda value: value >= 2 and value % 2 == 0)
@@ -134,6 +142,8 @@ _positive = _real("a finite number > 0", lambda value: value > 0)
 _non_negative = _real("a finite number >= 0", lambda value: value >= 0)
 _share = _real("a number in [0, 1]", lambda value: 0 <= value <= 1)
 _ratio = _real("a number in (0, 1]", lambda value: 0 < value <= 1)
+_orders = _checked("distinct additivity orders >= 1: K, LO..HI or a comma list", _order_list,
+                   lambda ks: ks and min(ks) >= 1 and len(set(ks)) == len(ks))
 
 
 def _add_data_args(p: _Parser) -> None:
@@ -150,8 +160,8 @@ def _add_data_args(p: _Parser) -> None:
 
 def _add_model_args(p: _Parser, orders: bool = False) -> None:
     if orders:
-        p.add_argument("--k", default="2",
-                       help="additivity orders: K, LO..HI or a comma list (default 2)")
+        p.add_argument("--k", type=_orders, default="2",
+                       help="%(type)s (default 2)")
     else:
         p.add_argument("--k", type=_count, default=2, help="additivity order, %(type)s (default 2)")
     p.add_argument("--class-weight", choices=("off", "inverse-frequency"), default="off")
@@ -186,8 +196,11 @@ def _generate(args) -> Dataset:
     elif args.gen_pairs is not None:
         raise UsageError(f"--gen-pairs applies only to --generator pure-pairwise, "
                          f"not {args.generator}")
-    return GENERATORS[args.generator](
-        seed=args.seed, **{key: value for key, value in options.items() if value is not None})
+    try:
+        return GENERATORS[args.generator](
+            seed=args.seed, **{key: value for key, value in options.items() if value is not None})
+    except ValueError as exc:  # more pairs than the features have, set or by default
+        raise UsageError(f"--gen-pairs with --gen-n: {exc}") from None
 
 
 def _load_model(path) -> ShapleyModel:
@@ -217,22 +230,6 @@ def _check_k(k: int, n: int, flag: str = "--k") -> None:
         check_fit_size(n, k)
     except ValueError as exc:
         raise UsageError(f"{flag} {k}: {exc}") from None
-
-
-def _parse_k_range(text: str, flag: str) -> list[int]:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            ks = list(range(int(lo), int(hi) + 1))
-        else:
-            ks = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects 'lo..hi' or a comma list") from None
-    if not ks:
-        raise UsageError(f"{flag} '{text}' contains no k")
-    if len(set(ks)) != len(ks):
-        raise UsageError(f"{flag} '{text}' repeats an order")
-    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +266,8 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = _load_model(args.model)
-    x = load_feature_matrix(args.dataset, args.delimiter, drop_column=args.label_column)
-    if x.shape[1] != model.n:
-        raise DataError(
-            f"dimension mismatch: model expects {model.n} features, data has {x.shape[1]}"
-        )
+    x = load_feature_matrix(args.dataset, args.delimiter, drop_column=args.label_column,
+                            feature_names=model.feature_names)
     proba = model.predict_proba(x)
     labels = (proba >= 0.5).astype(int)
     out = Path(args.out_dir)
@@ -285,13 +279,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    k_values = _parse_k_range(args.k, "--k")
     ds = _load_dataset(args)
-    for k in k_values:
+    for k in args.k:
         _check_k(k, ds.n_features)
 
     report = k_sweep_benchmark(
-        ds, k_values, args.penalties,
+        ds, args.k, args.penalties,
         lambda_grid=args.lambda_grid,
         selection_metric=args.selection_metric,
         class_weighting=_class_weighting(args),
@@ -326,7 +319,7 @@ def cmd_bench(args) -> int:
                     "Model Size (MB)", "FLOPs"],
                    rows)
     best = report.summary_rows()[0]
-    print(f"bench: {ds.name} penalties={','.join(args.penalties)} k={k_values} "
+    print(f"bench: {ds.name} penalties={','.join(args.penalties)} k={args.k} "
           f"best_acc={best['accuracy_mean']:.4f} (k={best['best_k_acc']}, {best['penalty']}) "
           f"-> {out}")
     return EXIT_OK
@@ -334,8 +327,7 @@ def cmd_bench(args) -> int:
 
 def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
-    k_range = _parse_k_range(args.gap_k_range, "--gap-k-range")
-    for k in k_range:
+    for k in args.gap_k_range:
         _check_k(k, args.gap_n, "--gap-k-range")
     _check_k(args.sens_k, args.sens_n, "--sens-k")
     if args.model is not None:
@@ -355,7 +347,7 @@ def cmd_bounds(args) -> int:
     # so no report is written before it has run
     exp = gap_experiment(
         n=args.gap_n, big_n=args.gap_samples,
-        k_range=k_range,
+        k_range=args.gap_k_range,
         penalties=("none", "l2"),
         iterations=args.gap_iterations,
         seed=args.seed,
@@ -489,8 +481,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gap-n", type=_count, default=8, help="features, %(type)s (default 8)")
     p.add_argument("--gap-samples", type=_even_count, default=1000,
                    help="rows, split in halves: %(type)s (default 1000)")
-    p.add_argument("--gap-k-range", default="1..8",
-                   help="orders as for bench --k, each <= --gap-n (default 1..8)")
+    p.add_argument("--gap-k-range", type=_orders, default="1..8",
+                   help="%(type)s, each <= --gap-n (default 1..8)")
     p.add_argument("--gap-iterations", type=_count, default=10, help="%(type)s (default 10)")
     p.add_argument("--gap-lambda", type=_positive, default=1.0,
                    help="l2 strength, %(type)s (default 1)")

@@ -284,8 +284,10 @@ class BootstrapResult:
         return int(self.accuracies.size)
 
     @property
-    def std(self) -> float:
-        return float(self.accuracies.std())
+    def std(self) -> float | None:
+        """Std of the out-of-bag accuracies; None when every resample was
+        skipped."""
+        return float(self.accuracies.std()) if self.effective else None
 
 
 def bootstrap_stability(
@@ -413,13 +415,16 @@ class SweepReport:
 
     def summary_rows(self) -> list[dict]:
         """One row per penalty, mirroring the benchmark summary table layout:
-        best k by accuracy, by noise robustness, and by bootstrap stability."""
+        best k by accuracy, by noise robustness, and by bootstrap stability.
+        The last is chosen among the cells with a bootstrap std, and is None
+        (with its std) when no cell has one."""
         rows = []
         for pen in self.penalties:
             cells = [self.cells[(pen, k)] for k in self.k_values]
             best_acc = max(cells, key=lambda c: (c.accuracy_mean, -c.k))
             best_rob = max(cells, key=lambda c: (c.robustness_mean, -c.k))
-            best_stab = min(cells, key=lambda c: (c.bootstrap.std, c.k))
+            stable = [c for c in cells if c.bootstrap.std is not None]
+            best_stab = min(stable, key=lambda c: (c.bootstrap.std, c.k), default=None)
             rows.append({
                 "dataset": self.dataset,
                 "penalty": pen,
@@ -429,8 +434,8 @@ class SweepReport:
                 "best_k_robust": best_rob.k,
                 "robustness_mean": best_rob.robustness_mean,
                 "robustness_std": best_rob.robustness_std,
-                "best_k_stab": best_stab.k,
-                "bootstrap_std": best_stab.bootstrap.std,
+                "best_k_stab": None if best_stab is None else best_stab.k,
+                "bootstrap_std": None if best_stab is None else best_stab.bootstrap.std,
             })
         return rows
 

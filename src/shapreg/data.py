@@ -82,15 +82,19 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
-def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: bool):
+def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: bool,
+                feature_names: list[str] | None = None):
     """Parse a headered CSV of numbers: the one reader behind
     :func:`load_csv` and :func:`load_feature_matrix`.
 
-    ``drop_column``, when given, must be in the header; its tokens are split
-    off unparsed.  Every other cell must be a finite number.  Blank lines are
-    skipped.  A row with the wrong field count aborts, and so does a missing,
-    non-numeric or non-finite cell unless ``drop_missing`` drops its row; the
-    error names the data row and column.  Returns (feature names, matrix,
+    No name may appear twice in the header.  ``drop_column``, when given,
+    must be in the header; its tokens are split off unparsed.  The names of
+    the other columns must equal ``feature_names`` in order, when given.
+    These header checks run before any row is read.  Every other cell must
+    be a finite number.  Blank lines are skipped.  A row with the wrong
+    field count aborts, and so does a missing, non-numeric or non-finite
+    cell unless ``drop_missing`` drops its row; the error names the data
+    row and column.  Returns (feature names, matrix,
     stripped tokens of ``drop_column`` or None, dropped row count).
 
     The rows are first parsed in bulk (:func:`_bulk_parse`); a file that
@@ -103,12 +107,17 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DataError(f"{path}: header repeats the column name(s) {repeated}")
         drop = None
         if drop_column is not None:
             if drop_column not in header:
                 raise DataError(f"{path}: label column '{drop_column}' not in header {header}")
             drop = header.index(drop_column)
         names = [h for i, h in enumerate(header) if i != drop]
+        if feature_names is not None:
+            _check_feature_names(path, names, list(feature_names))
         parsed = _bulk_parse(fh, delimiter, len(header), drop)
         if parsed is not None:
             return names, *parsed, 0
@@ -139,6 +148,16 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
     if tokens is not None:
         tokens = [tokens[i] for i in kept]
     return names, np.array(rows, dtype=float), tokens, len(records) - len(kept)
+
+
+def _check_feature_names(path, names: list[str], expected: list[str]) -> None:
+    if len(names) != len(expected):
+        raise DataError(f"dimension mismatch: model expects {len(expected)} features, "
+                        f"data has {len(names)}")
+    for i, (name, want) in enumerate(zip(names, expected)):
+        if name != want:
+            raise DataError(f"{path}: feature column {i + 1} is '{name}', "
+                            f"the model expects '{want}' there")
 
 
 def _bulk_parse(fh, delimiter: str, width: int, drop: int | None):
@@ -220,11 +239,15 @@ def load_csv(
     )
 
 
-def load_feature_matrix(path, delimiter: str = ",", drop_column: str | None = None) -> np.ndarray:
+def load_feature_matrix(path, delimiter: str = ",", drop_column: str | None = None,
+                        feature_names: list[str] | None = None) -> np.ndarray:
     """Feature matrix of a headered CSV, for prediction.  Cells are parsed and
     checked as :func:`load_csv` parses features; ``drop_column`` (a label
-    column, say) is dropped without interpreting its values."""
-    return _read_table(path, delimiter, drop_column, drop_missing=False)[1]
+    column, say) is dropped without interpreting its values.  When
+    ``feature_names`` is given (a model's, say), the remaining header must
+    name exactly those columns in that order; the first mismatch is named."""
+    return _read_table(path, delimiter, drop_column, drop_missing=False,
+                       feature_names=feature_names)[1]
 
 
 def gen_random_noise(n: int = 10, big_n: int = 100, seed: int = 0) -> Dataset:

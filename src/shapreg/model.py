@@ -10,12 +10,12 @@ import numpy as np
 from .games import Basis, SetFunction, k_additive_maps, num_coalitions, transposed_min_terms
 
 
-# Rows per block of ShapleyModel.logit_normalized.  The BLAS matrix-vector
-# kernels round the last N mod 4 columns of a product, and a product of
-# fewer than 4 columns, their own way; blocks of a multiple of 4 rows with a
-# last block of at least 4 give the logits of one product over all rows to
-# the bit, when the BLAS runs one thread (a threaded BLAS splits that one
-# product at row counts of its own).
+# Rows per block of ShapleyModel.logit_normalized, a multiple of 4.  The
+# BLAS matrix-vector kernels round the last N mod 4 columns of a product
+# their own way, and numpy takes a dot product for a one-column product;
+# padding every block product to a multiple of 4 columns sends every row
+# through the same body kernel, so a row's logit does not depend on the rows
+# scored with it.
 LOGIT_BLOCK = 512
 
 
@@ -105,23 +105,28 @@ class ShapleyModel:
 
         Rows are scored LOGIT_BLOCK at a time through one reused (D, block)
         min-term buffer, so memory beyond the input and the logits is
-        O(D * LOGIT_BLOCK) at any row count.  Every row is checked once; a
-        row outside the box raises before any logit is returned.
+        O(D * LOGIT_BLOCK) at any row count.  A last block of any other
+        size is padded to a multiple of 4 columns (see LOGIT_BLOCK), so a
+        row's logit is the same whichever rows share its call.  Every row
+        is checked once; a row outside the box raises before any logit is
+        returned.  Pad columns are not rows: they are never checked, and
+        their logits are dropped.
         """
         x = np.atleast_2d(x_norm)
         if x.ndim != 2 or x.shape[1] != self.n:
             raise ValueError(f"model has {self.n} features, input has shape {x.shape}")
         n_rows, size = x.shape[0], self.mobius.size
-        logits = np.empty(n_rows)
-        buffer = np.empty(size * min(n_rows, LOGIT_BLOCK + 3))
-        start = 0
-        while start < n_rows:
-            # a last block of 1-3 rows joins the one before it (see LOGIT_BLOCK)
-            stop = n_rows if n_rows - start < LOGIT_BLOCK + 4 else start + LOGIT_BLOCK
-            terms_t = buffer[:size * (stop - start)].reshape(size, stop - start)
-            transposed_min_terms(x[start:stop], self.k, out=terms_t)
-            np.matmul(self.mobius, terms_t, out=logits[start:stop])
-            start = stop
+        padded = -(-n_rows // 4) * 4
+        logits = np.empty(padded)
+        buffer = np.empty(size * min(padded, LOGIT_BLOCK))
+        for start in range(0, n_rows, LOGIT_BLOCK):
+            rows = x[start:start + LOGIT_BLOCK]
+            width = min(padded - start, LOGIT_BLOCK)
+            terms_t = buffer[:size * width].reshape(size, width)
+            transposed_min_terms(rows, self.k, out=terms_t[:, :len(rows)])
+            terms_t[:, len(rows):] = 0.0  # pad columns, so that their dropped logits are finite
+            np.matmul(self.mobius, terms_t, out=logits[start:start + width])
+        logits = logits[:n_rows]
         logits += self.bias
         return logits
 

@@ -158,7 +158,7 @@ def test_no_flag_parses_with_bare_int_or_float():
                 typed += 1
                 assert "%(type)s" in action.help, (name, action.option_strings)
                 assert action.type.__name__ in " ".join(parser.format_help().split())
-    assert typed == 32
+    assert typed == 34
 
 
 def test_fit_predict_round_trip(toy_csv, tmp_path):
@@ -208,6 +208,37 @@ def test_predict_dimension_mismatch(toy_csv, tmp_path):
     bad.write_text("a,b\n0.1,0.2\n")
     assert run("predict", "--model", out / "model.json", "--dataset", bad,
                "--out-dir", out) == EXIT_DATA
+
+
+def test_predict_refuses_columns_the_model_does_not_name(tmp_path, capsys):
+    """Swapping two columns, header included, keeps the count but would
+    score every row on the wrong features."""
+    assert run("synth", "--generator", "pure-pairwise", "--gen-n", "3", "--gen-samples", "60",
+               "--gen-pairs", "2", "--seed", "1", "--out-dir", tmp_path / "s") == EXIT_OK
+    data = tmp_path / "s/pure_pairwise.csv"
+    assert run("fit", "--dataset", data, "--label-column", "label", "--lambda", "0.1",
+               "--out-dir", tmp_path / "f") == EXIT_OK
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("".join(",".join([c, b, a, y]) + "\n" for a, b, c, y in
+                               (line.split(",") for line in data.read_text().split())))
+    assert swapped.read_text().startswith("x2,x1,x0,label\n")
+    capsys.readouterr()
+    assert run("predict", "--model", tmp_path / "f/model.json", "--dataset", swapped,
+               "--label-column", "label", "--out-dir", tmp_path / "p") == EXIT_DATA
+    assert "feature column 1 is 'x2', the model expects 'x0' there" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+    assert run("predict", "--model", tmp_path / "f/model.json", "--dataset", data,
+               "--label-column", "label", "--out-dir", tmp_path / "p") == EXIT_OK
+
+
+@pytest.mark.parametrize("header", ["f0,y,y", "f0,f0,y"])
+def test_fit_refuses_a_repeated_header_name(tmp_path, capsys, header):
+    path = tmp_path / "rows.csv"
+    path.write_text(header + "\n" + "".join(f"0.{i},{i % 2},{(i + 1) % 2}\n" for i in range(8)))
+    assert run("fit", "--dataset", path, "--label-column", "y",
+               "--out-dir", tmp_path / "out") == EXIT_DATA
+    assert f"repeats the column name(s) ['{header.split(',')[1]}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_malformed_model(toy_csv, tmp_path):
@@ -407,13 +438,38 @@ def test_bench_invalid_penalty_is_usage_error(toy_csv, tmp_path):
                "--penalties", "ridge", "--out-dir", tmp_path) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("k_range", ["3..1", ","])
+@pytest.mark.parametrize("k_range", ["3..1", ",", "0", "0..2", "1..x", "2.5"])
 def test_bench_empty_k_range_is_usage_error(toy_csv, tmp_path, capsys, monkeypatch, k_range):
     monkeypatch.setattr(cli, "load_csv", None)  # the spec is checked before the data are read
     assert run("bench", "--dataset", toy_csv, "--label-column", "y",
                "--k", k_range, "--out-dir", tmp_path / "b") == EXIT_USAGE
-    assert "--k " in capsys.readouterr().err
+    assert "argument --k: expects" in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("text, orders", [("3", [3]), ("1..3", [1, 2, 3]), ("4, 1,", [4, 1])])
+def test_order_lists_parse_to_the_orders_they_name(text, orders):
+    parser = cli.build_parser()
+    assert parser.parse_args(["bench", "--dataset", "d.csv", "--label-column", "y",
+                              "--k", text, "--out-dir", "o"]).k == orders
+    bounds = parser.parse_args(["bounds", "--gap-k-range", text, "--out-dir", "o"])
+    assert bounds.gap_k_range == orders
+
+
+def test_bench_without_a_usable_bootstrap_resample_leaves_its_std_empty(tmp_path):
+    """One resample of ten rows whose out-of-bag set is degenerate: no
+    accuracy, so no std to write (and none to take of an empty array) and
+    no order to call the most stable."""
+    x = np.linspace(0, 1, 10).tolist()
+    path = tmp_path / "tiny.csv"
+    path.write_text("a,b,label\n" + "".join(f"{v!r},{v!r},{i % 2}\n" for i, v in enumerate(x)))
+    assert run("bench", "--dataset", path, "--label-column", "label", "--k", "1",
+               "--lambda-grid", "1", "--noise-repeats", "1", "--bootstrap-resamples", "1",
+               "--seed", "39", "--out-dir", tmp_path / "b") == EXIT_OK
+    cells = (tmp_path / "b/bench_cells.csv").read_text().splitlines()
+    assert cells[1].split(",")[7:9] == ["", "0"]  # bootstrap_std, bootstrap_effective
+    summary = (tmp_path / "b/bench_summary.csv").read_text().splitlines()
+    assert summary[1].split(",")[-2:] == ["", ""]  # Best K (Stab), its std
 
 
 @pytest.mark.parametrize("flags", [
@@ -510,6 +566,8 @@ def test_bounds_outputs(tmp_path):
 @pytest.mark.parametrize("flag", [
     ["--gap-k-range", "3..1"],
     ["--gap-k-range", "1,2,1"],
+    ["--gap-k-range", "0"],
+    ["--gap-k-range", "1..x"],
     ["--gap-lambda", "0"],
     ["--gap-lambda", "nan"],
     ["--b-norm", "-1"],
@@ -677,6 +735,19 @@ def test_synth_deterministic_bytes(tmp_path):
         "--out-dir", tmp_path / "s2")
     assert (tmp_path / "s1/pure_pairwise.csv").read_bytes() == \
         (tmp_path / "s2/pure_pairwise.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, refused", [
+    (["--gen-n", "1"], "pairs must be in [1, 0] for n=1"),
+    (["--gen-n", "3"], "pairs must be in [1, 3] for n=3"),  # 5 pairs by default
+    (["--gen-n", "4", "--gen-pairs", "7"], "pairs must be in [1, 6] for n=4"),
+])
+def test_synth_more_pairs_than_the_features_have_is_a_usage_error(tmp_path, capsys, flags,
+                                                                  refused):
+    assert run("synth", "--generator", "pure-pairwise", *flags,
+               "--out-dir", tmp_path / "out") == EXIT_USAGE
+    assert f"usage error: --gen-pairs with --gen-n: {refused}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_pairs_needs_pure_pairwise(tmp_path, capsys):

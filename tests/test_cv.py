@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from shapreg.cv import (
+    BootstrapResult,
+    SweepCell,
+    SweepReport,
     bootstrap_stability,
     default_lambda_grid,
     k_sweep_benchmark,
@@ -246,6 +249,30 @@ def test_bootstrap_skips_degenerate():
     assert result.requested == 30
     assert result.effective + result.skipped == 30
     assert result.skipped > 0
+
+
+def test_bootstrap_std_is_none_without_a_usable_resample():
+    assert BootstrapResult(accuracies=np.array([]), requested=2, skipped=2).std is None
+    assert BootstrapResult(accuracies=np.array([0.5, 1.0]), requested=2, skipped=0).std == 0.25
+
+
+def test_best_k_by_stability_skips_orders_without_a_bootstrap_std():
+    def cell(k, accuracies):
+        boot = BootstrapResult(accuracies=np.array(accuracies), requested=2,
+                               skipped=2 - len(accuracies))
+        return SweepCell(penalty="l2", k=k, cv=None, accuracy_mean=0.5, accuracy_std=0.0,
+                         robustness_mean=0.5, robustness_std=0.0, bootstrap=boot,
+                         bootstrap_lam=1.0)
+
+    def summary(*cells):
+        return SweepReport(dataset="d", k_values=[c.k for c in cells], penalties=["l2"], seed=0,
+                           sigmas=(0.1,), noise_repeats=1,
+                           cells={("l2", c.k): c for c in cells}).summary_rows()[0]
+
+    row = summary(cell(1, []), cell(2, [0.5, 1.0]), cell(3, []))
+    assert (row["best_k_stab"], row["bootstrap_std"]) == (2, 0.25)
+    row = summary(cell(1, []), cell(2, []))
+    assert (row["best_k_stab"], row["bootstrap_std"]) == (None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,32 @@ def test_feature_matrix_drops_column_unparsed(tmp_path):
         load_feature_matrix(path, drop_column="z")
 
 
+@pytest.mark.parametrize("header, label, repeated", [
+    ("a,label,label", "label", "label"),
+    ("a,a,label", "label", "a"),
+])
+def test_a_repeated_header_name_is_refused(tmp_path, header, label, repeated):
+    """With ``a,label,label`` the first label column would be dropped and the
+    second trained on as a feature; ``a,a,label`` names two features alike."""
+    path = write(tmp_path, header + "\n0.5,1,0\n0.25,0,1\n")
+    with pytest.raises(DataError, match=f"repeats the column name\\(s\\) \\['{repeated}'\\]"):
+        load_csv(path, label_column=label)
+    with pytest.raises(DataError, match=f"\\['{repeated}'\\]"):
+        load_feature_matrix(path, drop_column=label)
+    with pytest.raises(DataError, match=f"\\['{repeated}'\\]"):
+        load_feature_matrix(path)
+
+
+def test_feature_matrix_checks_the_header_against_expected_names(tmp_path):
+    path = write(tmp_path, "b,y,a\n1,case,2\n")
+    x = load_feature_matrix(path, drop_column="y", feature_names=["b", "a"])
+    assert x.tolist() == [[1.0, 2.0]]
+    with pytest.raises(DataError, match="feature column 1 is 'b', the model expects 'a' there"):
+        load_feature_matrix(path, drop_column="y", feature_names=["a", "b"])
+    with pytest.raises(DataError, match="model expects 3 features, data has 2"):
+        load_feature_matrix(path, drop_column="y", feature_names=["b", "a", "c"])
+
+
 def test_non_numeric_cell(tmp_path):
     path = write(tmp_path, "a,b,y\n1,x,0\n")
     with pytest.raises(DataError, match="non-numeric"):

@@ -145,45 +145,61 @@ def test_expit_is_warning_free_at_the_extremes():
         assert expit(-1e6) == 0.0
 
 
-# Blocked logits against one product over all rows, in a process whose BLAS
-# runs one thread: a threaded BLAS splits the one product at row counts of
-# its own, and rounds the last columns of each part its own way.
-BLOCK_BOUNDARIES = r"""
-import json
+@pytest.mark.parametrize("n,k", [(10, 3), (6, 6), (20, 2)])
+def test_a_rows_logit_does_not_depend_on_the_rows_scored_with_it(n, k):
+    B = LOGIT_BLOCK
+    rng = np.random.default_rng(12)
+    model = make_model(n=n, k=k, bias=0.37, seed=n + k)
+    for rows in (1, 2, 3, 5, B - 1, B, B + 1, B + 3, 3 * B + 7, 20_001):
+        x = rng.uniform(size=(rows, n))
+        full = model.logit_normalized(x)
+        assert full.shape == (rows,)
+        # one-row calls on every row, or on every 97th of the largest batch
+        picked = range(0, rows, 97 if rows > 3 * B + 7 else 1)
+        one_row = np.concatenate([model.logit_normalized(x[i]) for i in picked])
+        assert one_row.tobytes() == full[picked.start::picked.step].tobytes()
+        for chunk in (3, 37, B + 1):
+            parts = [model.logit_normalized(x[i:i + chunk]) for i in range(0, rows, chunk)]
+            assert np.concatenate(parts).tobytes() == full.tobytes(), (rows, chunk)
+
+
+# Logits of every row count in a fresh process, hashed; the BLAS thread
+# count is set by the environment before numpy loads.  OpenBLAS splits the
+# products of (20, 3) (D = 1350) over two threads, and the smaller ones not.
+LOGIT_DIGEST = r"""
+import hashlib
 
 import numpy as np
 
-from shapreg.games import num_coalitions, transposed_min_terms
+from shapreg.games import num_coalitions
 from shapreg.model import LOGIT_BLOCK, ShapleyModel
 
 B = LOGIT_BLOCK
 rng = np.random.default_rng(12)
-mismatched = {}
-for n, k in [(10, 3), (6, 6), (20, 2)]:
+digest = hashlib.sha256()
+for n, k in [(10, 3), (6, 6), (20, 2), (20, 3)]:
     model = ShapleyModel(feature_names=[f"f{i}" for i in range(n)], k=k, bias=0.37,
                          indices=rng.normal(size=num_coalitions(n, k)),
                          normalization=np.tile([0.0, 1.0], (n, 1)))
-    for rows in (1, B - 1, B, B + 1, 3 * B + 7):
-        x = rng.uniform(size=(rows, n))
-        want = model.bias + model.mobius @ transposed_min_terms(x, k)
-        got = model.logit_normalized(x)
-        assert got.shape == want.shape
-        mismatched[f"{n},{k},{rows}"] = int(np.sum(got.view(np.int64) != want.view(np.int64)))
-print(json.dumps(mismatched))
+    for rows in (1, 2, 3, 5, B - 1, B, B + 1, B + 3, 3 * B + 7, 20_001):
+        digest.update(model.logit_normalized(rng.uniform(size=(rows, n))).tobytes())
+print(digest.hexdigest())
 """
 
 
-def test_blocked_logits_match_one_product_to_the_bit():
-    one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                         "MKL_NUM_THREADS")}
+def test_logits_do_not_depend_on_the_blas_thread_count():
+    """Checked for the BLAS numpy is built against (OpenBLAS in the test
+    environment); the padded block product is what makes it hold there."""
     src = str(Path(shapreg.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", BLOCK_BOUNDARIES],
-                          env={**os.environ, **one_thread, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    mismatched = json.loads(done.stdout.splitlines()[-1])
-    assert len(mismatched) == 15
-    assert {key: v for key, v in mismatched.items() if v} == {}
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", LOGIT_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split()[-1])
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5])
