@@ -88,6 +88,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_predictions(path: Path, rows) -> None:
+    """predictions.csv in one write: rows of a Python int, float and int,
+    rendered as _write_csv renders them (a float by its repr; no cell of
+    these types needs quoting)."""
+    _write_text(path, "row,probability,label_at_0.5\n"
+                + "".join([f"{i},{p!r},{label}\n" for i, p, label in rows]))
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -271,9 +279,8 @@ def cmd_predict(args) -> int:
     proba = model.predict_proba(x)
     labels = (proba >= 0.5).astype(int)
     out = Path(args.out_dir)
-    _write_csv(out / "predictions.csv",
-               ["row", "probability", "label_at_0.5"],
-               zip(range(x.shape[0]), proba.tolist(), labels.tolist()))
+    _write_predictions(out / "predictions.csv",
+                       zip(range(x.shape[0]), proba.tolist(), labels.tolist()))
     print(f"predict: {x.shape[0]} rows -> {out/'predictions.csv'}")
     return EXIT_OK
 

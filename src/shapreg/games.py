@@ -326,6 +326,21 @@ class KAdditiveMaps:
         return np.bincount(np.concatenate(subsets), weights=np.concatenate(terms),
                            minlength=self.size)
 
+    def min_terms(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, of shape (D, N), with the transposed min-terms of the
+        N rows of x and return it; x is a float (N, n) array in [0,1]^n, which
+        is not checked (:func:`transposed_min_terms` checks it).
+
+        Each order comes from the one below by peeling the top member,
+        min over T = min(min over T minus top(T), x_top(T)), both read from
+        T's row of the subset table and written straight into ``out``; the
+        rows gathered are contiguous."""
+        n = self.orders[0][0].stop
+        out[:n] = x.T
+        for a, (block, table, _) in enumerate(self.orders[1:], start=2):
+            np.minimum(out[table[:, (1 << a) - a - 2]], out[table[:, a - 1]], out=out[block])
+        return out
+
     def design(self, terms_t: np.ndarray) -> np.ndarray:
         """The design M W of some rows, from their transposed min-term matrix
         (:func:`transposed_min_terms`): one C-contiguous row per sample,
@@ -393,28 +408,20 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
 def transposed_min_terms(x, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Transposed min-term matrix M_t[T] = min_{i in T} x[:, i] for every
     coalition T of size <= k, in canonical order, one C-contiguous row per
-    coalition; rows of x are points of [0,1]^n.
-
-    Each order comes from the one below by peeling the top member,
-    min over T = min(min over T minus top(T), x_top(T)), both read from T's
-    row of the subset table and written straight into one preallocated
-    array; the rows gathered are contiguous.  ``out``, a float array of
-    shape (D, N) for D coalitions and N rows, is filled and returned
-    instead of a new array.
+    coalition; rows of x are points of [0,1]^n, checked by
+    :func:`check_unit_box` (see :meth:`KAdditiveMaps.min_terms`).  ``out``,
+    a float array of shape (D, N) for D coalitions and N rows, is filled and
+    returned instead of a new array.
     """
-    x = _check_unit_box(x)
+    x = check_unit_box(x)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D sample matrix, got shape {x.shape}")
-    n = x.shape[1]
-    maps = k_additive_maps(n, k)
+    maps = k_additive_maps(x.shape[1], k)
     if out is None:
         out = np.empty((maps.size, x.shape[0]))
     elif out.shape != (maps.size, x.shape[0]):
         raise ValueError(f"out has shape {out.shape}, expected {(maps.size, x.shape[0])}")
-    out[:n] = x.T
-    for a, (block, table, _) in enumerate(maps.orders[1:], start=2):
-        np.minimum(out[table[:, (1 << a) - a - 2]], out[table[:, a - 1]], out=out[block])
-    return out
+    return maps.min_terms(x, out)
 
 
 def truncate_k_additive(m: SetFunction, k: int) -> SetFunction:
@@ -432,7 +439,7 @@ def truncate_k_additive(m: SetFunction, k: int) -> SetFunction:
                        values=m.values[: num_coalitions(m.n, k)].copy())
 
 
-def _check_unit_box(x: np.ndarray) -> np.ndarray:
+def check_unit_box(x: np.ndarray) -> np.ndarray:
     """x as a float array, clipped to [0,1]; a value further than 1e-12
     outside it, or NaN, raises."""
     x = np.asarray(x, dtype=float)

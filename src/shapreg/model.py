@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Basis, SetFunction, k_additive_maps, num_coalitions, transposed_min_terms
+from .games import Basis, SetFunction, check_unit_box, k_additive_maps, num_coalitions
 
 
-# Rows per block of ShapleyModel.logit_normalized, a multiple of 4.  The
+# Rows per block of ShapleyModel's scoring loop, a multiple of 4.  The
 # BLAS matrix-vector kernels round the last N mod 4 columns of a product
 # their own way, and numpy takes a dot product for a one-column product;
 # padding every block product to a multiple of 4 columns sends every row
@@ -21,26 +21,33 @@ LOGIT_BLOCK = 512
 
 @np.errstate(over="ignore")  # as a decorator it costs less per call than a with block
 def expit(z) -> np.ndarray:
-    """Logistic sigmoid 1 / (1 + exp(-z)), elementwise.
+    """Logistic sigmoid 1 / (1 + exp(-z)), elementwise; np.float64 for a
+    scalar z.  Computed in place in one new array, never in z.
 
     Exactly 0, without an overflow warning, where exp(-z) overflows (z below
     about -709.78); it rounds to exactly 1 for z above about 37.
     """
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+    z = np.asarray(z, dtype=float)
+    t = np.negative(z, out=np.empty_like(z))
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    return t if t.ndim else t[()]
 
 
 def apply_normalization(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Map inputs through per-feature (min, max) bounds, clipping to [0,1].
+    """Map the rows of x through per-feature (min, max) bounds, clipping to
+    [0,1], in one new array; x is never written.
 
     Features with min == max (constant on the data the bounds came from) map
     to 0.
     """
     lo, hi = bounds[:, 0], bounds[:, 1]
     span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    out = (np.asarray(x, dtype=float) - lo) / safe
+    out = np.subtract(x, lo, dtype=float)
+    out /= np.where(span > 0, span, 1.0)
     out[:, span == 0] = 0.0
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -89,33 +96,43 @@ class ShapleyModel:
         return SetFunction(n=self.n, k=self.k, basis=Basis.SHAPLEY, values=self.indices)
 
     def normalize(self, x_raw: np.ndarray) -> np.ndarray:
-        """Map raw inputs through the stored min-max bounds (see apply_normalization).
+        """Map raw inputs, one row or an (N, n) array, through the stored
+        min-max bounds (see apply_normalization).
 
         Raw inputs must be finite: clipping would map +-inf into the box and
         score it."""
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
-        if x.shape[1] != self.n:
-            raise ValueError(f"model has {self.n} features, input has {x.shape[1]}")
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"model has {self.n} features, input has shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("inputs must be finite")
         return apply_normalization(x, self.normalization)
 
     def logit_normalized(self, x_norm: np.ndarray) -> np.ndarray:
-        """Logits for inputs already in [0,1]^n (skips normalization).
+        """Logits for inputs already in [0,1]^n (skips normalization); the
+        whole input is checked once (see games.check_unit_box), and a value
+        outside the box raises before any logit is computed."""
+        x = np.atleast_2d(x_norm)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"model has {self.n} features, input has shape {x.shape}")
+        return self._logits(check_unit_box(x))
+
+    def logit(self, x_raw: np.ndarray) -> np.ndarray:
+        # normalize's output is in the box by construction: not checked again
+        return self._logits(self.normalize(x_raw))
+
+    def _logits(self, x: np.ndarray) -> np.ndarray:
+        """Logits of the rows of a float (N, n) array in [0,1]^n, unchecked.
 
         Rows are scored LOGIT_BLOCK at a time through one reused (D, block)
         min-term buffer, so memory beyond the input and the logits is
         O(D * LOGIT_BLOCK) at any row count.  A last block of any other
         size is padded to a multiple of 4 columns (see LOGIT_BLOCK), so a
-        row's logit is the same whichever rows share its call.  Every row
-        is checked once; a row outside the box raises before any logit is
-        returned.  Pad columns are not rows: they are never checked, and
-        their logits are dropped.
+        row's logit is the same whichever rows share its call.  Pad columns
+        are not rows: their logits are dropped.
         """
-        x = np.atleast_2d(x_norm)
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise ValueError(f"model has {self.n} features, input has shape {x.shape}")
-        n_rows, size = x.shape[0], self.mobius.size
+        maps = k_additive_maps(self.n, self.k)
+        n_rows, size = x.shape[0], maps.size
         padded = -(-n_rows // 4) * 4
         logits = np.empty(padded)
         buffer = np.empty(size * min(padded, LOGIT_BLOCK))
@@ -123,15 +140,12 @@ class ShapleyModel:
             rows = x[start:start + LOGIT_BLOCK]
             width = min(padded - start, LOGIT_BLOCK)
             terms_t = buffer[:size * width].reshape(size, width)
-            transposed_min_terms(rows, self.k, out=terms_t[:, :len(rows)])
+            maps.min_terms(rows, terms_t[:, :len(rows)])
             terms_t[:, len(rows):] = 0.0  # pad columns, so that their dropped logits are finite
             np.matmul(self.mobius, terms_t, out=logits[start:start + width])
         logits = logits[:n_rows]
         logits += self.bias
         return logits
-
-    def logit(self, x_raw: np.ndarray) -> np.ndarray:
-        return self.logit_normalized(self.normalize(x_raw))
 
     def predict_proba(self, x_raw: np.ndarray) -> np.ndarray:
         """P(y=1) per row, in [0, 1]: expit rounds to exactly 1 for logits

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import re
 import shlex
@@ -288,6 +290,32 @@ def test_predictions_file_bytes_are_pinned(tmp_path):
     got = (tmp_path / "pred/predictions.csv").read_bytes()
     assert got == want.encode()
     assert got.splitlines()[1:4] == [b"0,0.0,0", b"1,1.0,1", b"2,0.5,1"]
+
+
+def test_predictions_csv_is_what_the_csv_module_writes(tmp_path):
+    """predict writes predictions.csv as one string; its bytes are those
+    csv.writer gives the same (int, float, int) rows, exact 0.0 and 1.0
+    probabilities included."""
+    # logit = -1000 + 2000 x: exactly 0.0 at x = 0, 1.0 at x = 1, the tie at 0.5
+    ShapleyModel(feature_names=["x"], k=1, bias=-1000.0, indices=np.array([2000.0]),
+                 normalization=np.array([[0.0, 1.0]])).save(tmp_path / "model.json")
+    x = [0.0, 1.0, 0.5, 0.49, 0.5001, 0.1234, 0.999, 0.2]
+    (tmp_path / "rows.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in x))
+    assert run("predict", "--model", tmp_path / "model.json", "--dataset", tmp_path / "rows.csv",
+               "--out-dir", tmp_path / "pred") == EXIT_OK
+    proba = ShapleyModel.load(tmp_path / "model.json").predict_proba(np.array(x)[:, None]).tolist()
+    assert proba[:3] == [0.0, 1.0, 0.5]
+    rows = [(i, p, int(p >= 0.5)) for i, p in enumerate(proba)]
+    # and the writer alone, on floats no model gives
+    odd = [(0, -0.0, 0), (1, 5e-324, 0), (22, 1e16, 1), (333, 0.1 + 0.2, 0),
+           (4444, 1.0 - 2.0 ** -53, 1), (10 ** 20, 1.5e-7, 0)]
+    cli._write_predictions(tmp_path / "odd.csv", odd)
+    for path, written in ((tmp_path / "pred/predictions.csv", rows), (tmp_path / "odd.csv", odd)):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["row", "probability", "label_at_0.5"])
+        writer.writerows(written)
+        assert path.read_bytes() == text.getvalue().encode()
 
 
 # flags that changed nothing, that another flag overrode, or that gave a
@@ -775,16 +803,23 @@ def test_synth_unknown_generator(tmp_path):
 def test_every_report_cell_is_a_python_str_int_or_float(tmp_path, monkeypatch):
     """The csv writer renders a Python float by its repr, but a numpy float
     as 'np.float64(...)' and a bool as 'True': every subcommand must hand
-    _write_csv rows of plain str, int and float values."""
+    _write_csv, and predict _write_predictions, rows of plain str, int and
+    float values."""
     written = {}
-    write_csv = cli._write_csv
+    write_csv, write_predictions = cli._write_csv, cli._write_predictions
 
     def recorded(path, header, rows):
         rows = [list(row) for row in rows]
         written[Path(path).name] = rows
         write_csv(path, header, rows)
 
+    def recorded_predictions(path, rows):
+        rows = [list(row) for row in rows]
+        written[Path(path).name] = rows
+        write_predictions(path, rows)
+
     monkeypatch.setattr(cli, "_write_csv", recorded)
+    monkeypatch.setattr(cli, "_write_predictions", recorded_predictions)
     data = tmp_path / "data"
     assert run("synth", "--generator", "pure-pairwise", "--gen-n", "4", "--gen-samples", "80",
                "--gen-pairs", "2", "--out-dir", data) == EXIT_OK

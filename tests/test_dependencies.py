@@ -91,7 +91,7 @@ def test_third_party_imports_are_the_declared_dependencies():
     assert imported - set(sys.stdlib_module_names) - {"shapreg"} == declared
 
 
-# a tiny bench and bounds run; prints whether numpy.ma was loaded
+# a tiny run of every subcommand; prints whether numpy.ma was loaded
 PROTOCOLS = r"""
 import sys
 from pathlib import Path
@@ -108,9 +108,15 @@ def run(*argv):
 
 run("synth", "--generator", "pure-pairwise", "--gen-n", "4", "--gen-samples", "80",
     "--gen-pairs", "2", "--seed", "0", "--out-dir", out / "data")
-run("bench", "--dataset", out / "data" / "pure_pairwise.csv", "--label-column", "label",
-    "--k", "1,2", "--penalties", "l1,l2", "--lambda-grid", "0.01,0.1,1", "--noise-repeats", "1",
-    "--bootstrap-resamples", "3", "--out-dir", out / "bench")
+data = ["--dataset", out / "data" / "pure_pairwise.csv", "--label-column", "label"]
+for penalty in ("l1", "l2"):
+    run("fit", *data, "--k", "2", "--penalty", penalty, "--lambda", "0.1",
+        "--out-dir", out / penalty)
+run("predict", "--model", out / "l2" / "model.json", *data, "--out-dir", out / "predict")
+run("interactions", "--models", out / "l1" / "model.json", out / "l2" / "model.json",
+    "--out-dir", out / "interactions")
+run("bench", *data, "--k", "1,2", "--penalties", "l1,l2", "--lambda-grid", "0.01,0.1,1",
+    "--noise-repeats", "1", "--bootstrap-resamples", "3", "--out-dir", out / "bench")
 run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "4", "--c-grid", "1",
     "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3", "--gap-iterations", "1",
     "--seed", "0", "--out-dir", out / "bounds")
@@ -121,7 +127,9 @@ print("numpy.ma" in sys.modules)
 def test_bench_and_bounds_never_load_numpy_ma(tmp_path):
     """np.unique, np.setdiff1d and np.median load numpy.ma on their first
     call (numpy 2.x), at a cost of ~1.5 MB and ~15 ms per process; the
-    protocols use sort- and bincount-based equivalents instead."""
+    protocols use sort- and bincount-based equivalents instead.  synth, fit,
+    predict and interactions, a serving process's commands, load it no
+    more than bench and bounds."""
     check = "import sys, numpy; print('numpy.ma' in sys.modules)"
     if subprocess.run([sys.executable, "-c", check], capture_output=True,
                       text=True).stdout.strip() == "True":

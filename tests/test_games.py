@@ -421,6 +421,10 @@ def test_min_terms_fill_a_given_buffer():
     out = np.full((num_coalitions(5, 3), 7), np.nan)
     assert transposed_min_terms(x, 3, out=out) is out
     assert np.array_equal(out, transposed_min_terms(x, 3))
+    # the unchecked core behind it, which the model's block loop calls
+    core = np.full_like(out, np.nan)
+    assert k_additive_maps(5, 3).min_terms(x, core) is core
+    assert core.tobytes() == out.tobytes()
     with pytest.raises(ValueError, match="shape"):
         transposed_min_terms(x, 3, out=np.empty((num_coalitions(5, 3), 6)))
 

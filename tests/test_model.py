@@ -10,7 +10,7 @@ import pytest
 
 import shapreg
 from shapreg.games import mobius_from_shapley, num_coalitions
-from shapreg.model import LOGIT_BLOCK, ShapleyModel, expit
+from shapreg.model import LOGIT_BLOCK, ShapleyModel, apply_normalization, expit
 
 from choquet_reference import capacity_lattice, choquet_sorted
 
@@ -110,8 +110,71 @@ def test_nan_input_rejected():
 
 def test_dimension_mismatch_rejected():
     model = make_model()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="features"):
         model.predict_proba(np.zeros((2, 5)))
+    # a 3-D input is refused by the shape check, not left to numpy
+    # broadcasting; (2, 3, 3) would broadcast against the 3 bounds
+    for shape in [(2, 3, 2), (2, 3, 3), (1, 3, 1)]:
+        for score in (model.normalize, model.logit, model.predict_proba, model.predict,
+                      model.logit_normalized):
+            with pytest.raises(ValueError, match="features"):
+                score(np.zeros(shape))
+
+
+def test_one_row_and_zero_rows():
+    model = make_model(bias=0.25)
+    row = np.array([0.2, 0.7, 0.4])
+    assert model.logit(row).shape == (1,)
+    assert model.logit(row).tobytes() == model.logit(row[None, :]).tobytes()
+    for score in (model.logit, model.predict_proba, model.logit_normalized):
+        assert score(np.zeros((0, 3))).shape == (0,)
+
+
+def test_logit_is_logit_normalized_of_normalize_to_the_bit():
+    """logit skips the unit-box check on normalize's output; the bits are
+    those of the checked path."""
+    rng = np.random.default_rng(8)
+    bounds = np.array([[-1.0, 2.0], [0.5, 0.5], [0.0, 3.0], [1.0, 4.0]])
+    model = make_model(n=4, k=3, bias=-0.3, bounds=bounds, seed=8)
+    for rows in (1, 3, 4, LOGIT_BLOCK + 1, 2_051):
+        x = rng.uniform(-2.0, 5.0, size=(rows, 4))  # some rows outside the bounds
+        assert model.logit(x).tobytes() == model.logit_normalized(model.normalize(x)).tobytes()
+
+
+def test_normalization_and_expit_never_write_their_inputs():
+    """apply_normalization (which train.prepare hands the training rows),
+    normalize and expit compute in arrays of their own: read-only inputs
+    are accepted and every input keeps its values, with a constant column
+    and values outside the bounds."""
+    bounds = np.array([[0.0, 1.0], [2.0, 2.0], [-1.0, 3.0]])
+    x = np.array([[0.5, 7.0, -5.0], [-3.0, 2.0, 9.0], [1.5, -1.0, 1.0], [-0.0, 2.0, 3.0]])
+    z = np.array([-800.0, -1.0, -0.0, 2.0, 40.0, 800.0])
+    model = make_model(bounds=bounds)
+    inputs = (x, bounds, z)
+    kept = [a.copy() for a in inputs]
+    for a in inputs:
+        a.setflags(write=False)
+    normalized = apply_normalization(x, bounds)
+    assert not np.shares_memory(normalized, x)
+    assert normalized.tobytes() == model.normalize(x).tobytes()
+    model.predict_proba(x)
+    assert not np.shares_memory(expit(z), z)
+    for a, before in zip(inputs, kept):
+        assert a.tobytes() == before.tobytes()
+    # the same bits as the formula computed in fresh temporaries
+    span = bounds[:, 1] - bounds[:, 0]
+    reference = (x - bounds[:, 0]) / np.where(span > 0, span, 1.0)
+    reference[:, span == 0] = 0.0
+    assert normalized.tobytes() == np.clip(reference, 0.0, 1.0).tobytes()
+    with np.errstate(over="ignore"):
+        assert expit(z).tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
+
+
+def test_expit_of_a_scalar_is_a_numpy_float():
+    for z in (0.5, -3, np.float64(2.0), np.float32(-1.5), np.array(4.0)):
+        p = expit(z)
+        assert type(p) is np.float64, type(z)
+        assert p == 1.0 / (1.0 + np.exp(-float(z)))
 
 
 def test_invalid_normalization_rejected():
