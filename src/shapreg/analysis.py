@@ -233,7 +233,6 @@ def gap_experiment(
     iterations: int = 10,
     seed: int = 0,
     lam: float = 1.0,
-    split: bool = True,
     jobs: int = 1,
 ) -> GapExperiment:
     """Train/test 0-1 error gaps on pure-noise data, per (k, penalty).
@@ -241,27 +240,22 @@ def gap_experiment(
     Each iteration draws X ~ U[0,1]^n with fair-coin labels, splits into equal
     halves, fits every configuration on the first half, and scores both
     halves.  At each k, ``d_eff`` and every penalty's fit share one prepared
-    design of the first half.  ``split=False`` is a diagnostic mode where
-    train and test coincide, forcing a zero gap.  Per-iteration seeds derive
-    from the root seed and every split is drawn before the fan-out; each
-    (iteration, k) cell is then one task for ``jobs`` workers, highest k
-    first, and results are reassembled by cell, so they are independent of
-    scheduling.
+    design of the first half.  Per-iteration seeds derive from the root seed
+    and every split is drawn before the fan-out; each (iteration, k) cell is
+    then one task for ``jobs`` workers, highest k first, and results are
+    reassembled by cell, so they are independent of scheduling.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if split and big_n % 2 != 0:
+    if big_n % 2 != 0:
         raise ValueError("N must be even to split into equal halves")
     k_values = [int(k) for k in k_range]
     penalties = list(penalties)
+    half = big_n // 2
     splits = []
     for child in np.random.SeedSequence(seed).spawn(iterations):
         ds = gen_random_noise(n, big_n, seed=child)
-        if split:
-            half = big_n // 2
-            splits.append((ds.subset(np.arange(half)), ds.subset(np.arange(half, big_n))))
-        else:
-            splits.append((ds, ds))
+        splits.append((ds.subset(np.arange(half)), ds.subset(np.arange(half, big_n))))
 
     def one_cell(cell):
         it, k = cell

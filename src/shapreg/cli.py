@@ -465,10 +465,11 @@ def build_parser() -> _Parser:
     _add_common(p, jobs=True)
     p.add_argument("--penalties", type=_comma_list(_penalty, distinct=True),
                    default="l2", help="%(type)s (default l2)")
-    p.add_argument("--lambda-grid", type=_comma_list(_positive),
+    p.add_argument("--lambda-grid", type=_comma_list(_positive, distinct=True),
                    help="lambdas to select from, %(type)s (default: cv.default_lambda_grid())")
     p.add_argument("--selection-metric", choices=SELECTION_METRICS, default="accuracy")
-    p.add_argument("--sigmas", type=_comma_list(_non_negative), default="0.1,0.2,0.3",
+    p.add_argument("--sigmas", type=_comma_list(_non_negative, distinct=True),
+                   default="0.1,0.2,0.3",
                    help="noise levels on the normalized inputs, %(type)s (default %(default)s)")
     p.add_argument("--noise-repeats", type=_count, default=10, help="%(type)s (default 10)")
     p.add_argument("--bootstrap-resamples", type=_count, default=50, help="%(type)s (default 50)")

@@ -23,11 +23,15 @@ logger = logging.getLogger(__name__)
 SELECTION_METRICS = ("accuracy", "f1")
 
 
-def default_lambda_grid(points: int = 13, c_low: float = 1e-3, c_high: float = 1e3) -> list[float]:
-    """Regularization grid: log-spaced reciprocal strengths c = 1/lam,
-    returned as ascending lambda values."""
-    cs = np.logspace(np.log10(c_low), np.log10(c_high), points)
-    return sorted(float(1.0 / c) for c in cs)
+def default_lambda_grid() -> list[float]:
+    """Regularization grid: 13 log-spaced reciprocal strengths c = 1/lam
+    from 1e-3 to 1e3, returned as ascending lambda values."""
+    return sorted(float(1.0 / c) for c in np.logspace(-3, 3, 13))
+
+
+def _repeated(values: list[float]) -> float | None:
+    """The first of ``values`` that an earlier one equals, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
@@ -53,6 +57,14 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
         for pos, row in enumerate(rows):
             folds[pos % n_folds].append(int(row))
     return [np.sort(np.array(f, dtype=int)) for f in folds]
+
+
+def _without(dataset: Dataset, rows: np.ndarray) -> Dataset:
+    """The rows of ``dataset`` not in ``rows``, in their order: the training
+    side of a fold."""
+    keep = np.ones(dataset.n_samples, dtype=bool)
+    keep[rows] = False
+    return dataset.subset(np.flatnonzero(keep))
 
 
 def _evaluate(model: ShapleyModel, x_raw: np.ndarray, y: np.ndarray) -> MetricSet:
@@ -169,18 +181,16 @@ def nested_cv(
         grid = sorted(float(l) for l in lambda_grid)
         if not grid or not all(0 < l < math.inf for l in grid):  # NaN fails too
             raise ValueError(f"lambda grid must hold finite positive values, got {grid}")
-    _score_name = selection_metric
-    if _score_name not in SELECTION_METRICS:
+        if (lam := _repeated(grid)) is not None:
+            raise ValueError(f"lambda grid repeats {lam}")
+    if selection_metric not in SELECTION_METRICS:
         raise ValueError(f"selection metric must be one of {SELECTION_METRICS}")
 
     outer = stratified_folds(dataset.y, outer_folds, np.random.SeedSequence([seed, 0]))
 
     def run_outer(fold_id: int) -> tuple[FoldReport, ShapleyModel]:
         test_rows = outer[fold_id]
-        train_mask = np.ones(dataset.n_samples, dtype=bool)
-        train_mask[test_rows] = False
-        train_rows = np.flatnonzero(train_mask)
-        train = dataset.subset(train_rows)
+        train = _without(dataset, test_rows)
         test_x, test_y = dataset.x[test_rows], dataset.y[test_rows]
 
         inner_scores: dict[float, float] = {}
@@ -190,9 +200,7 @@ def nested_cv(
             )
             scores: dict[float, list[float]] = {lam: [] for lam in grid}
             for val_rows in inner:
-                fit_mask = np.ones(train.n_samples, dtype=bool)
-                fit_mask[val_rows] = False
-                problem = prepare(train.subset(np.flatnonzero(fit_mask)), k)
+                problem = prepare(_without(train, val_rows), k)
                 val_x, val_y = train.x[val_rows], train.y[val_rows]
                 start = None
                 for lam in reversed(grid):
@@ -200,7 +208,7 @@ def nested_cv(
                     result = fit(problem, k, config, start=start)
                     start = result.parameters
                     rates = threshold_metrics(val_y, result.model.predict(val_x))
-                    scores[lam].append(rates[_score_name])
+                    scores[lam].append(rates[selection_metric])
             inner_scores = {lam: float(np.mean(scores[lam])) for lam in grid}
             best_lam = max(grid, key=lambda l: (inner_scores[l], -l))
         else:
@@ -224,7 +232,7 @@ def nested_cv(
         dataset=dataset.name,
         k=k,
         penalty=penalty,
-        selection_metric=_score_name,
+        selection_metric=selection_metric,
         class_weighting=class_weighting,
         seed=seed,
         outer_folds=outer_folds,
@@ -250,26 +258,27 @@ def noise_robustness(
     """Accuracy under i.i.d. Gaussian perturbation of the normalized test
     inputs, clipped back into [0,1]; mean and std over ``repeats``.
 
-    sigma = 0 reproduces the clean accuracy exactly.
+    sigma = 0 draws once and reproduces the clean accuracy exactly, with a
+    std of 0.  Each sigma must appear once in a non-empty ``sigmas``.
     """
     if repeats < 1:
         raise ValueError(f"noise robustness needs at least 1 repeat, got {repeats}")
+    sigmas = [float(sigma) for sigma in sigmas]
+    if not sigmas:
+        raise ValueError("noise robustness needs at least 1 sigma")
+    if (sigma := _repeated(sigmas)) is not None:
+        raise ValueError(f"noise robustness sigmas repeat {sigma}")
     x_norm = model.normalize(x_test)
     y_test = np.asarray(y_test)
     out: dict[float, tuple[float, float]] = {}
     for s_idx, sigma in enumerate(sigmas):
-        if sigma == 0:
-            proba = expit(model.logit_normalized(x_norm))
-            acc = float(((proba >= 0.5).astype(int) == y_test).mean())
-            out[float(sigma)] = (acc, 0.0)
-            continue
         accs = []
-        for r in range(repeats):
+        for r in range(repeats if sigma else 1):
             rng = np.random.default_rng(np.random.SeedSequence([seed, s_idx, r]))
             perturbed = np.clip(x_norm + rng.normal(0.0, sigma, size=x_norm.shape), 0.0, 1.0)
             proba = expit(model.logit_normalized(perturbed))
             accs.append(float(((proba >= 0.5).astype(int) == y_test).mean()))
-        out[float(sigma)] = (float(np.mean(accs)), float(np.std(accs)))
+        out[sigma] = (float(np.mean(accs)), float(np.std(accs)))
     return out
 
 
@@ -362,9 +371,7 @@ def resource_profile(
     train_times, infer_times, test_sizes = [], [], []
     for fold_id in range(folds):
         test_rows = assignments[fold_id]
-        mask = np.ones(dataset.n_samples, dtype=bool)
-        mask[test_rows] = False
-        train = dataset.subset(np.flatnonzero(mask))
+        train = _without(dataset, test_rows)
 
         t0 = time.perf_counter()
         result = fit(train, k, config)
@@ -473,8 +480,6 @@ def k_sweep_benchmark(
     k_range,
     penalties=("none", "l1", "l2"),
     lambda_grid: list[float] | None = None,
-    outer_folds: int = 5,
-    inner_folds: int = 3,
     selection_metric: str = "accuracy",
     class_weighting: str = "off",
     sigmas=(0.1, 0.2, 0.3),
@@ -483,9 +488,9 @@ def k_sweep_benchmark(
     seed: int = 0,
     jobs: int = 1,
 ) -> SweepReport:
-    """Benchmark protocol: per (penalty, k), nested-CV accuracy, noise
-    robustness of the per-fold models, and bootstrap stability at the modal
-    selected lambda."""
+    """Benchmark protocol: per (penalty, k), nested-CV accuracy (5 outer by
+    3 inner folds), noise robustness of the per-fold models, and bootstrap
+    stability at the modal selected lambda."""
     k_values = [int(k) for k in k_range]
     penalties = list(penalties)
     cells: dict[tuple[str, int], SweepCell] = {}
@@ -494,8 +499,6 @@ def k_sweep_benchmark(
             cv = nested_cv(
                 dataset, k, pen,
                 lambda_grid=lambda_grid,
-                outer_folds=outer_folds,
-                inner_folds=inner_folds,
                 selection_metric=selection_metric,
                 class_weighting=class_weighting,
                 seed=seed,

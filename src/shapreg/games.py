@@ -405,23 +405,17 @@ def k_additive_maps(n: int, k: int) -> KAdditiveMaps:
     return KAdditiveMaps(orders=tuple(orders), inversion=inversion, averaging=averaging)
 
 
-def transposed_min_terms(x, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def transposed_min_terms(x, k: int) -> np.ndarray:
     """Transposed min-term matrix M_t[T] = min_{i in T} x[:, i] for every
     coalition T of size <= k, in canonical order, one C-contiguous row per
     coalition; rows of x are points of [0,1]^n, checked by
-    :func:`check_unit_box` (see :meth:`KAdditiveMaps.min_terms`).  ``out``,
-    a float array of shape (D, N) for D coalitions and N rows, is filled and
-    returned instead of a new array.
+    :func:`check_unit_box` (see :meth:`KAdditiveMaps.min_terms`).
     """
     x = check_unit_box(x)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D sample matrix, got shape {x.shape}")
     maps = k_additive_maps(x.shape[1], k)
-    if out is None:
-        out = np.empty((maps.size, x.shape[0]))
-    elif out.shape != (maps.size, x.shape[0]):
-        raise ValueError(f"out has shape {out.shape}, expected {(maps.size, x.shape[0])}")
-    return maps.min_terms(x, out)
+    return maps.min_terms(x, np.empty((maps.size, x.shape[0])))
 
 
 def truncate_k_additive(m: SetFunction, k: int) -> SetFunction:

@@ -244,13 +244,6 @@ def test_bound_curves_monotone_in_k():
 # gap experiment
 # ---------------------------------------------------------------------------
 
-def test_gap_zero_when_split_disabled():
-    exp = gap_experiment(n=4, big_n=80, k_range=[1, 2], penalties=("l2",),
-                         iterations=2, seed=0, split=False)
-    for cell in exp.cells.values():
-        assert np.all(cell.gaps == 0.0)
-
-
 def test_gap_experiment_shapes_and_dimension_bounds():
     exp = gap_experiment(n=5, big_n=120, k_range=[1, 3], penalties=("none", "l2"),
                          iterations=2, seed=1, jobs=2)

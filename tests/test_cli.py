@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import re
@@ -19,9 +20,19 @@ from shapreg.cli import (
     EXIT_USAGE,
     main,
 )
+from shapreg.analysis import gap_experiment
+from shapreg.cv import (
+    bootstrap_stability,
+    default_lambda_grid,
+    k_sweep_benchmark,
+    nested_cv,
+    noise_robustness,
+    resource_profile,
+)
 from shapreg.data import gen_pure_pairwise
+from shapreg.games import transposed_min_terms
 from shapreg.model import ShapleyModel
-from shapreg.train import FitConfig, fit
+from shapreg.train import FitConfig, fit, prepare, sensitivity_to_label_flip
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -404,6 +415,32 @@ def test_flag_surface():
     assert sum(map(len, surface.values())) == 63
 
 
+LIBRARY_OPTION_SURFACE = {
+    fit: ["data", "k", "config", "start"],
+    prepare: ["dataset", "k"],
+    nested_cv: ["dataset", "k", "penalty", "lambda_grid", "outer_folds", "inner_folds",
+                "selection_metric", "class_weighting", "seed", "jobs"],
+    k_sweep_benchmark: ["dataset", "k_range", "penalties", "lambda_grid", "selection_metric",
+                        "class_weighting", "sigmas", "noise_repeats", "bootstrap_resamples",
+                        "seed", "jobs"],
+    noise_robustness: ["model", "x_test", "y_test", "sigmas", "repeats", "seed"],
+    bootstrap_stability: ["dataset", "k", "penalty", "lam", "resamples", "seed",
+                          "class_weighting", "jobs"],
+    resource_profile: ["dataset", "k", "penalty", "lam", "folds", "seed", "class_weighting"],
+    gap_experiment: ["n", "big_n", "k_range", "penalties", "iterations", "seed", "lam", "jobs"],
+    sensitivity_to_label_flip: ["dataset", "k", "config", "repeats", "seed"],
+    transposed_min_terms: ["x", "k"],
+    default_lambda_grid: [],
+}
+
+
+def test_library_option_surface():
+    """The parameters of the library's entry points, in order: adding or
+    dropping an option is an edit here, as a flag is in FLAG_SURFACE."""
+    surface = {func: list(inspect.signature(func).parameters) for func in LIBRARY_OPTION_SURFACE}
+    assert surface == LIBRARY_OPTION_SURFACE
+
+
 def test_readme_commands_parse():
     """Every ``shapreg ...`` command in the README's fenced blocks, with
     backslash continuations joined, parses: a removed or renamed flag cannot
@@ -523,6 +560,9 @@ def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, mo
 @pytest.mark.parametrize("flags", [
     ["--k", "2,1,2"],
     ["--penalties", "l2,l1,l2"],
+    ["--sigmas", "0.1,0.1,0.3"],
+    ["--sigmas", "0,0.0"],
+    ["--lambda-grid", "1.0,1,0.1"],
     ["--noise-repeats", "0"],
     ["--bootstrap-resamples", "0"],
     ["--noise-repeats", "-1"],
@@ -534,8 +574,9 @@ def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, mo
 ])
 def test_bench_rejects_repeated_or_empty_work_before_any_work(toy_csv, tmp_path, capsys,
                                                               monkeypatch, flags):
-    """A repeated order or penalty would run (and write) the same cell twice;
-    zero repeats would average an empty list into NaN columns."""
+    """A repeated order or penalty would run (and write) the same cell twice,
+    a repeated sigma or lambda would be pooled with its twin; zero repeats
+    would average an empty list into NaN columns."""
     monkeypatch.setattr(cli, "k_sweep_benchmark", None)  # never reached
     assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flags,
                "--out-dir", tmp_path / "b") == EXIT_USAGE

@@ -53,6 +53,9 @@ def test_default_lambda_grid_shape():
     assert grid == sorted(grid)
     assert grid[0] == pytest.approx(1e-3)
     assert grid[-1] == pytest.approx(1e3)
+    # the reciprocals of 13 log-spaced strengths from 1e-3 to 1e3, to the bit
+    cs = np.logspace(np.log10(1e-3), np.log10(1e3), 13)
+    assert grid == sorted(float(1.0 / c) for c in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +148,19 @@ def test_nested_cv_rejects_unusable_grids(grid):
         nested_cv(signal_dataset(seed=6), 1, "l2", lambda_grid=grid, seed=0)
 
 
+@pytest.mark.parametrize("penalty", ["l1", "l2"])
+def test_nested_cv_refuses_a_repeated_lambda(cv_fit_configs, penalty):
+    """A repeated lambda would be fitted twice per inner split and its scores
+    pooled; the grid is refused before any fit."""
+    with pytest.raises(ValueError, match="lambda grid repeats 1.0$"):
+        nested_cv(signal_dataset(seed=6), 1, penalty, lambda_grid=[1.0, 1, 0.1], seed=0)
+    assert cv_fit_configs == []
+
+
 def test_penalty_none_skips_grid():
     ds = signal_dataset(seed=6)
-    report = nested_cv(ds, 1, "none", lambda_grid=[0.1, 1.0], seed=0)
+    # the grid is ignored without a penalty, a repeated value too
+    report = nested_cv(ds, 1, "none", lambda_grid=[0.1, 1.0, 0.1], seed=0)
     assert report.lambda_grid == [0.0]
     assert all(f.selected_lam == 0.0 for f in report.folds)
     assert all(f.inner_scores == {} for f in report.folds)
@@ -177,7 +190,10 @@ def test_noise_sigma_zero_is_clean_accuracy():
     result = fit(ds, 1, FitConfig(penalty="l2", lam=1.0))
     clean = (result.model.predict(ds.x) == ds.y).mean()
     rob = noise_robustness(result.model, ds.x, ds.y, sigmas=(0.0, 0.2), repeats=3, seed=0)
-    assert rob[0.0] == (pytest.approx(clean), 0.0)
+    assert rob[0.0] == (clean, 0.0)
+    for repeats in (1, 3, 10):
+        again = noise_robustness(result.model, ds.x, ds.y, sigmas=(0.0,), repeats=repeats)
+        assert again[0.0] == rob[0.0]
 
 
 def test_noise_deterministic():
@@ -197,6 +213,27 @@ def test_robustness_and_bootstrap_need_a_repeat(repeats):
         noise_robustness(model, ds.x, ds.y, repeats=repeats)
     with pytest.raises(ValueError, match="at least 1 resample"):
         bootstrap_stability(ds, 1, "l2", 1.0, resamples=repeats)
+
+
+def test_robustness_needs_a_sigma():
+    """No sigma means an empty mean: a ValueError, not a NaN robustness."""
+    ds = signal_dataset(seed=10)
+    model = fit(ds, 1, FitConfig(penalty="l2", lam=1.0)).model
+    with pytest.raises(ValueError, match="at least 1 sigma"):
+        noise_robustness(model, ds.x, ds.y, sigmas=())
+    with pytest.raises(ValueError, match="at least 1 sigma"):
+        k_sweep_benchmark(ds, [1], penalties=("l2",), lambda_grid=[1.0], sigmas=(),
+                          noise_repeats=1, bootstrap_resamples=1)
+
+
+@pytest.mark.parametrize("sigmas, repeated", [((0.1, 0.1, 0.3), "0.1"), ((0, 0.2, 0.0), "0.0")])
+def test_robustness_refuses_a_repeated_sigma(sigmas, repeated):
+    """A repeated sigma would overwrite its twin's entry, so the sweep's
+    mean would run over fewer noise levels than it was given."""
+    ds = signal_dataset(seed=10)
+    model = fit(ds, 1, FitConfig(penalty="l2", lam=1.0)).model
+    with pytest.raises(ValueError, match=f"repeat {repeated}$"):
+        noise_robustness(model, ds.x, ds.y, sigmas=sigmas, repeats=1)
 
 
 def test_noise_degrades_separable_accuracy():
