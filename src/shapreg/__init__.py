@@ -45,10 +45,12 @@ from .games import (
 from .metrics import MetricSet, metrics
 from .model import ShapleyModel
 from .train import (
+    STATUSES,
     FitConfig,
     FitResult,
     LabelFlipStudy,
     Problem,
+    at_order,
     fit,
     loss_and_gradient,
     prepare,
@@ -69,8 +71,10 @@ __all__ = [
     "LabelFlipStudy",
     "MetricSet",
     "Problem",
+    "STATUSES",
     "SetFunction",
     "ShapleyModel",
+    "at_order",
     "bootstrap_stability",
     "bound_curves",
     "bound_report",

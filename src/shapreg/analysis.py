@@ -14,7 +14,7 @@ from .data import gen_random_noise
 from .games import num_coalitions
 from .model import ShapleyModel
 from .parallel import map_ordered
-from .train import FitConfig, fit, prepare
+from .train import STATUSES, FitConfig, at_order, fit, prepare
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,9 @@ def effective_dimension(design: DesignMatrix | np.ndarray) -> float:
 
 
 def bound_report(exp: "GapExperiment", norm_bound: float, lipschitz: float) -> list[dict]:
-    """Per-k table joining capacity measures, plug-in bound values, and the
-    measured generalization gaps of a gap experiment."""
+    """Per-k table joining capacity measures, plug-in bound values, the
+    measured generalization gaps of a gap experiment and, per penalty, its
+    count of fits with each status but ``converged``."""
     curves = bound_curves(exp.n, exp.big_n, exp.k_values, exp.lam, norm_bound, lipschitz)
     rows = []
     for curve in curves:
@@ -151,6 +152,7 @@ def bound_report(exp: "GapExperiment", norm_bound: float, lipschitz: float) -> l
         row["d_eff"] = exp.d_eff[k]
         for pen in exp.penalties:
             row[f"empirical_gap_{pen}"] = exp.cells[(k, pen)].mean_gap
+        row.update(exp.fit_counts(k))
         rows.append(row)
     return rows
 
@@ -182,6 +184,10 @@ def bound_curves(n: int, big_n: int, k_range, lam: float, norm_bound: float,
 # generalization-gap experiment on pure noise
 # ---------------------------------------------------------------------------
 
+# the statuses counted in the reports: every fit that did not converge
+UNCONVERGED = tuple(status for status in STATUSES if status != "converged")
+
+
 @dataclass(frozen=True)
 class GapCell:
     k: int
@@ -189,7 +195,7 @@ class GapCell:
     gaps: np.ndarray
     train_errors: np.ndarray
     test_errors: np.ndarray
-    converged_fits: int
+    status_counts: dict[str, int]  # fits per solver status, every STATUSES key
 
     @property
     def mean_gap(self) -> float:
@@ -214,6 +220,8 @@ class GapExperiment:
     cells: dict[tuple[int, str], GapCell]
 
     def rows(self) -> list[dict]:
+        """One row per order: the gaps per penalty, then per penalty the
+        count of fits that stopped with each status but ``converged``."""
         out = []
         for k in self.k_values:
             row = {"k": k, "D_k": self.d_k[k], "d_eff": self.d_eff[k]}
@@ -221,8 +229,15 @@ class GapExperiment:
                 cell = self.cells[(k, pen)]
                 row[f"gap_{pen}"] = cell.mean_gap
                 row[f"gap_{pen}_std"] = cell.std_gap
+            row.update(self.fit_counts(k))
             out.append(row)
         return out
+
+    def fit_counts(self, k: int) -> dict[str, int]:
+        """Per penalty, the fits at order k that stopped with each status but
+        ``converged``, as ``{status}_fits_{penalty}``."""
+        return {f"{status}_fits_{pen}": self.cells[(k, pen)].status_counts[status]
+                for pen in self.penalties for status in UNCONVERGED}
 
 
 def gap_experiment(
@@ -239,17 +254,27 @@ def gap_experiment(
 
     Each iteration draws X ~ U[0,1]^n with fair-coin labels, splits into equal
     halves, fits every configuration on the first half, and scores both
-    halves.  At each k, ``d_eff`` and every penalty's fit share one prepared
-    design of the first half.  Per-iteration seeds derive from the root seed
-    and every split is drawn before the fan-out; each (iteration, k) cell is
-    then one task for ``jobs`` workers, highest k first, and results are
-    reassembled by cell, so they are independent of scheduling.
+    halves.  Per-iteration seeds derive from the root seed and every split is
+    drawn before the fan-out; each iteration is then one task for ``jobs``
+    workers, and results are reassembled by cell, so they are independent of
+    scheduling.
+
+    A task prepares one design of the first half at the largest order; every
+    lower order reads a column-prefix view of it (:func:`train.at_order`),
+    which ``d_eff`` and every penalty's fit at that order share.  The orders
+    are walked upward: each penalty's fit starts from its own fit at the next
+    lower order, padded with zeros (the first order starts from zero).  A
+    penalized fit reaches the same minimizer from any start; an unpenalized
+    fit on separable rows has none and stops at its first separating iterate
+    (status ``separable``), so its errors are that iterate's, and an order
+    started from a separating fit below it stops at once.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if big_n % 2 != 0:
         raise ValueError("N must be even to split into equal halves")
     k_values = [int(k) for k in k_range]
+    orders = sorted(set(k_values))
     penalties = list(penalties)
     half = big_n // 2
     splits = []
@@ -257,38 +282,42 @@ def gap_experiment(
         ds = gen_random_noise(n, big_n, seed=child)
         splits.append((ds.subset(np.arange(half)), ds.subset(np.arange(half, big_n))))
 
-    def one_cell(cell):
-        it, k = cell
+    def one_iteration(it):
         train, test = splits[it]
-        problem = prepare(train, k)
-        out = {}
-        for pen in penalties:
-            result = fit(problem, k, FitConfig(penalty=pen, lam=lam))
-            train_err = float((result.model.predict(train.x) != train.y).mean())
-            test_err = float((result.model.predict(test.x) != test.y).mean())
-            out[pen] = (train_err, test_err, result.converged)
-        return effective_dimension(problem.design), out
+        top = prepare(train, orders[-1])
+        d_eff, out = {}, {}
+        start = dict.fromkeys(penalties)
+        for k in orders:
+            problem = at_order(top, k)
+            d_eff[k] = effective_dimension(problem.design)
+            dim = problem.design.shape[1] + 1
+            for pen in penalties:
+                prev = start[pen]
+                result = fit(problem, k, FitConfig(penalty=pen, lam=lam),
+                             start=None if prev is None else np.pad(prev, (0, dim - prev.size)))
+                start[pen] = result.parameters
+                train_err = float((result.model.predict(train.x) != train.y).mean())
+                test_err = float((result.model.predict(test.x) != test.y).mean())
+                out[(k, pen)] = (train_err, test_err, result.status)
+        return d_eff, out
 
-    # one task per (iteration, k), the largest design first, so that no
-    # worker is left idle behind a long last task
-    tasks = [(it, k) for k in sorted(set(k_values), reverse=True) for it in range(iterations)]
-    results = dict(zip(tasks, map_ordered(one_cell, tasks, jobs=jobs)))
+    results = map_ordered(one_iteration, range(iterations), jobs=jobs)
 
     cells = {}
     for k in k_values:
-        per_it = [results[(it, k)] for it in range(iterations)]
         for pen in penalties:
-            train_errs = np.array([res[1][pen][0] for res in per_it])
-            test_errs = np.array([res[1][pen][1] for res in per_it])
+            per_it = [res[1][(k, pen)] for res in results]
+            train_errs = np.array([train_err for train_err, _, _ in per_it])
+            test_errs = np.array([test_err for _, test_err, _ in per_it])
+            statuses = [status for _, _, status in per_it]
             cells[(k, pen)] = GapCell(
                 k=k, penalty=pen,
                 gaps=test_errs - train_errs,
                 train_errors=train_errs,
                 test_errors=test_errs,
-                converged_fits=sum(res[1][pen][2] for res in per_it),
+                status_counts={status: statuses.count(status) for status in STATUSES},
             )
-    d_eff = {k: float(np.mean([results[(it, k)][0] for it in range(iterations)]))
-             for k in k_values}
+    d_eff = {k: float(np.mean([res[0][k] for res in results])) for k in k_values}
     return GapExperiment(
         n=n, big_n=big_n, iterations=iterations, seed=seed, lam=lam,
         k_values=k_values, penalties=penalties,

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    UNCONVERGED,
     bound_report,
     consensus_interactions,
     filter_stable,
@@ -266,9 +267,8 @@ def cmd_fit(args) -> int:
         **result.report_dict(include_trace=args.verbose_trace),
     }
     _write_text(out / "fit_report.json", _json_text(report))
-    status = "converged" if result.converged else "NOT converged"
     print(f"fit: {ds.name} k={args.k} {config.penalty} lam={config.lam:g} "
-          f"{status} in {result.iterations} iterations -> {out/'model.json'}")
+          f"{result.status} after {result.iterations} iterations -> {out/'model.json'}")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -367,11 +367,13 @@ def cmd_bounds(args) -> int:
                [[c, 1.0 / c, study.mean_shift, study.std_shift, study.median_shift,
                  float(study.risk_diffs.max()), study.stability_ceiling]
                 for c, study in zip(args.c_grid, studies)])
-    gap_rows = [[r["k"], r["D_k"], r["d_eff"], r["gap_none"], r["gap_none_std"],
-                 r["gap_l2"], r["gap_l2_std"]] for r in exp.rows()]
+    # the fit counts per status come after every gap column; the CSV names
+    # the 'none' penalty 'unreg'
+    gap_columns = (["k", "D_k", "d_eff", "gap_none", "gap_none_std", "gap_l2", "gap_l2_std"]
+                   + [f"{status}_fits_{pen}" for pen in exp.penalties for status in UNCONVERGED])
     _write_csv(out / "gap_experiment.csv",
-               ["k", "D_k", "d_eff", "gap_unreg", "gap_unreg_std", "gap_l2", "gap_l2_std"],
-               gap_rows)
+               [name.replace("none", "unreg") for name in gap_columns],
+               [[r[name] for name in gap_columns] for r in exp.rows()])
 
     # plug-in bound curves; L defaults to the max design-row norm of the
     # sensitivity dataset at --sens-k, which every label-flip study measured
@@ -491,7 +493,8 @@ def build_parser() -> _Parser:
                    help="rows, split in halves: %(type)s (default 1000)")
     p.add_argument("--gap-k-range", type=_orders, default="1..8",
                    help="%(type)s, each <= --gap-n (default 1..8)")
-    p.add_argument("--gap-iterations", type=_count, default=10, help="%(type)s (default 10)")
+    p.add_argument("--gap-iterations", type=_count, default=10,
+                   help="%(type)s, one --jobs task each (default 10)")
     p.add_argument("--gap-lambda", type=_positive, default=1.0,
                    help="l2 strength, %(type)s (default 1)")
     b_source = p.add_mutually_exclusive_group()

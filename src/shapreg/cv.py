@@ -79,8 +79,12 @@ class FoldReport:
     inner_scores: dict[float, float]
     metrics: MetricSet
     coefficients: list[float]  # [bias, indices...]
-    converged: bool
+    status: str  # the refit's solver status, one of train.STATUSES
     test_rows: list[int]
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,9 @@ class CVReport:
 
     def nonconverged_fits(self) -> int:
         return sum(1 for f in self.folds if not f.converged)
+
+    def fits_with_status(self, status: str) -> int:
+        return sum(1 for f in self.folds if f.status == status)
 
     def to_dict(self) -> dict:
         return {
@@ -222,7 +229,7 @@ def nested_cv(
             inner_scores=inner_scores,
             metrics=_evaluate(result.model, test_x, test_y),
             coefficients=[float(v) for v in result.parameters],
-            converged=result.converged,
+            status=result.status,
             test_rows=[int(r) for r in test_rows],
         )
         return fold_report, result.model
@@ -247,6 +254,24 @@ def nested_cv(
 # robustness, stability, resources
 # ---------------------------------------------------------------------------
 
+def _noise_settings(sigmas, repeats: int) -> list[float]:
+    """Check a noise-robustness run's sigmas and repeat count; return the
+    sigmas as floats."""
+    if repeats < 1:
+        raise ValueError(f"noise robustness needs at least 1 repeat, got {repeats}")
+    sigmas = [float(sigma) for sigma in sigmas]
+    if not sigmas:
+        raise ValueError("noise robustness needs at least 1 sigma")
+    if (sigma := _repeated(sigmas)) is not None:
+        raise ValueError(f"noise robustness sigmas repeat {sigma}")
+    return sigmas
+
+
+def _check_resamples(resamples: int) -> None:
+    if resamples < 1:
+        raise ValueError(f"bootstrap stability needs at least 1 resample, got {resamples}")
+
+
 def noise_robustness(
     model: ShapleyModel,
     x_test: np.ndarray,
@@ -261,13 +286,7 @@ def noise_robustness(
     sigma = 0 draws once and reproduces the clean accuracy exactly, with a
     std of 0.  Each sigma must appear once in a non-empty ``sigmas``.
     """
-    if repeats < 1:
-        raise ValueError(f"noise robustness needs at least 1 repeat, got {repeats}")
-    sigmas = [float(sigma) for sigma in sigmas]
-    if not sigmas:
-        raise ValueError("noise robustness needs at least 1 sigma")
-    if (sigma := _repeated(sigmas)) is not None:
-        raise ValueError(f"noise robustness sigmas repeat {sigma}")
+    sigmas = _noise_settings(sigmas, repeats)
     x_norm = model.normalize(x_test)
     y_test = np.asarray(y_test)
     out: dict[float, tuple[float, float]] = {}
@@ -315,8 +334,7 @@ def bootstrap_stability(
     that were never drawn.  Degenerate resamples (missing a class, or an empty
     out-of-bag set) are skipped and counted.
     """
-    if resamples < 1:
-        raise ValueError(f"bootstrap stability needs at least 1 resample, got {resamples}")
+    _check_resamples(resamples)
     config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
 
     def one(b: int) -> float | None:
@@ -463,6 +481,7 @@ class SweepReport:
                     "bootstrap_effective": c.bootstrap.effective,
                     "bootstrap_lam": c.bootstrap_lam,
                     "nonconverged_fits": c.cv.nonconverged_fits(),
+                    "separable_fits": c.cv.fits_with_status("separable"),
                 })
         return rows
 
@@ -490,7 +509,10 @@ def k_sweep_benchmark(
 ) -> SweepReport:
     """Benchmark protocol: per (penalty, k), nested-CV accuracy (5 outer by
     3 inner folds), noise robustness of the per-fold models, and bootstrap
-    stability at the modal selected lambda."""
+    stability at the modal selected lambda.  The noise and bootstrap
+    settings are checked before the first fit."""
+    sigmas = tuple(_noise_settings(sigmas, noise_repeats))
+    _check_resamples(bootstrap_resamples)
     k_values = [int(k) for k in k_range]
     penalties = list(penalties)
     cells: dict[tuple[str, int], SweepCell] = {}
@@ -542,7 +564,7 @@ def k_sweep_benchmark(
         k_values=k_values,
         penalties=penalties,
         seed=seed,
-        sigmas=tuple(float(s) for s in sigmas),
+        sigmas=sigmas,
         noise_repeats=noise_repeats,
         cells=cells,
     )

@@ -12,11 +12,15 @@ backtracks until the Armijo condition holds (Lee, Sun & Saunders 2014).  The
 l1 subproblem is solved by feature-sign search (Lee et al. 2007); without an
 l1 term it is one solve of the Newton system.  The objective trace is
 non-increasing up to a rounding slack of a few ulps, and convergence means a
-pseudo-gradient (minimum-norm subgradient) norm within ``tol``.  Everything
+pseudo-gradient (minimum-norm subgradient) norm within ``tol``.  Without a
+penalty term the objective has no minimizer once every row is strictly on
+its label's side, so such a fit stops at the first separating iterate with
+status ``separable`` (Albert & Anderson 1984).  Everything
 is deterministic: zero initialization unless the caller passes a start, no
 stochastic steps.  :func:`prepare` builds a training split's normalization
 and design once; :func:`fit` solves one configuration on it, so a lambda path
-can share the design and warm-start each fit from the previous solution.
+can share the design and warm-start each fit from the previous solution, and
+:func:`at_order` reads any lower order from the same design.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ logger = logging.getLogger(__name__)
 
 PENALTIES = ("none", "l1", "l2")
 CLASS_WEIGHTINGS = ("off", "inverse_frequency")
+# why a fit stopped: within tol, at max_iters, no step accepted, or at a
+# separating iterate of an unpenalized objective (no finite minimizer)
+STATUSES = ("converged", "budget", "no_descent", "separable")
 
 
 @dataclass(frozen=True)
@@ -81,9 +88,13 @@ class FitConfig:
 class FitResult:
     model: ShapleyModel
     objective_trace: np.ndarray = field(repr=False)
-    converged: bool
+    status: str  # one of STATUSES
     iterations: int
     grad_norm: float
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
     @property
     def parameters(self) -> np.ndarray:
@@ -92,7 +103,8 @@ class FitResult:
 
     def report_dict(self, include_trace: bool = False) -> dict:
         out = {
-            "converged": bool(self.converged),
+            "status": self.status,
+            "converged": self.converged,
             "iterations": int(self.iterations),
             "grad_norm": float(self.grad_norm),
             "final_objective": float(self.objective_trace[-1]),
@@ -333,31 +345,42 @@ def _line_search(obj: _Objective, theta: np.ndarray, value: float, grad: np.ndar
 
 def _newton(obj: _Objective, tol: float, max_iters: int, start: np.ndarray | None = None):
     """Damped proximal Newton from ``start`` (the zero vector by default).
-    Returns (theta, trace, converged, iterations, residual).
+    Returns (theta, trace, status, iterations, residual), the status one of
+    :data:`STATUSES`.
 
     Each iteration minimizes the quadratic model of the smooth part plus the
     l1 term exactly (:func:`_newton_step`; one Newton solve without an l1
     term) and backtracks along the step.  A step the line search rejects is
     retried with the Hessian shifted by growing multiples of its mean
     diagonal.  The residual is the pseudo-gradient norm.
+
+    Without a penalty term, an iterate whose logits put every row strictly
+    on its label's side, y_i * z_i > 0 with y in {-1, +1}, certifies that
+    the rows are separable: the weighted loss tends to 0 along that iterate's
+    ray, so the infimum 0 is not attained and no finite minimizer exists.
+    The loop stops there, before the convergence test, with ``separable``.
     """
     dim = obj.phi.shape[1] + 1
     theta = np.zeros(dim) if start is None else np.array(start, dtype=float)
     if theta.shape != (dim,) or not np.all(np.isfinite(theta)):
         raise ValueError(f"start must hold {dim} finite parameters, got shape {theta.shape}")
+    signs = None if obj.l1 or obj.l2 else 2.0 * obj.y - 1.0
     z = obj.logits(theta)
     value = obj.value(theta, z)
     trace = [value]
-    converged = False
     it = 0
     while True:
         p = expit(z)
         grad = obj.gradient(theta, p)
         residual = float(np.linalg.norm(obj.pseudo_gradient(theta, grad)))
+        if signs is not None and np.all(signs * z > 0):
+            status = "separable"
+            break
         if residual <= tol:
-            converged = True
+            status = "converged"
             break
         if it == max_iters:
+            status = "budget"
             break
         it += 1
 
@@ -375,10 +398,11 @@ def _newton(obj: _Objective, tol: float, max_iters: int, start: np.ndarray | Non
             if step is not None:
                 break
         if step is None:
+            status = "no_descent"
             break
         theta, z, value = step
         trace.append(value)
-    return theta, np.asarray(trace), converged, it, residual
+    return theta, np.asarray(trace), status, it, residual
 
 
 def learn_normalization(x: np.ndarray) -> np.ndarray:
@@ -419,6 +443,18 @@ def prepare(dataset: Dataset, k: int) -> Problem:
     return Problem(dataset=dataset, k=k, normalization=normalization, design=design)
 
 
+def at_order(problem: Problem, k: int) -> Problem:
+    """The same rows at an order ``k`` up to the problem's own.  The order-k
+    design is bit for bit the first D_k columns of every higher order's
+    design (the subset table and the inversion weights grow order by order),
+    so the returned problem shares the normalization and reads a read-only
+    view of those columns: one design serves every lower order."""
+    if not 1 <= k <= problem.k:
+        raise ValueError(f"k must be in [1, {problem.k}], got {k}")
+    columns = num_coalitions(problem.dataset.n_features, k)
+    return replace(problem, k=k, design=DesignMatrix(values=problem.design.values[:, :columns]))
+
+
 def fit(data: Dataset | Problem, k: int, config: FitConfig,
         start: np.ndarray | None = None) -> FitResult:
     """Fit a k-additive Shapley regression on a dataset.
@@ -429,8 +465,10 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
     given rows only; the labels are ``problem.dataset.y`` and need at least
     2 rows of each class.  The solver starts from ``start``, a full parameter
     vector [bias, indices...] such as another fit's ``parameters``, or from
-    zero by default.  Non-convergence within ``config.max_iters`` is reported
-    through the result, not raised.
+    zero by default.  Why the solver stopped is the result's ``status``
+    (:data:`STATUSES`), never raised: ``separable`` only for a fit with no
+    penalty term ('none', or lam = 0), whose parameters are then the first
+    iterate that separates the rows.
     """
     problem = data if isinstance(data, Problem) else prepare(data, k)
     if k != problem.k:
@@ -444,14 +482,13 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
     w = sample_weights(dataset.y, config.class_weighting)
 
     obj = _Objective(problem.design.values, dataset.y, w, config.penalty, config.lam)
-    theta, trace, converged, iterations, residual = _newton(
+    theta, trace, status, iterations, residual = _newton(
         obj, config.tol, config.max_iters, start)
-    if not converged:
+    if status != "converged":
         logger.info(
-            "fit on '%s' (k=%d, %s, lam=%g) stopped at %d iterations (%s) with "
-            "residual %.3e > tol %g",
-            dataset.name, k, config.penalty, config.lam, iterations,
-            "iteration budget" if iterations == config.max_iters else "no descent step",
+            "fit on '%s' (k=%d, %s, lam=%g) stopped at %d iterations with status %s, "
+            "residual %.3e (tol %g)",
+            dataset.name, k, config.penalty, config.lam, iterations, status,
             residual, config.tol,
         )
     model = ShapleyModel(
@@ -464,7 +501,7 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
     return FitResult(
         model=model,
         objective_trace=trace,
-        converged=converged,
+        status=status,
         iterations=iterations,
         grad_norm=residual,
     )

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from shapreg import analysis
 from shapreg.analysis import (
     bound_curves,
     bound_report,
@@ -15,7 +18,7 @@ from shapreg.basis import design_matrix
 from shapreg.data import gen_random_noise
 from shapreg.games import num_coalitions
 from shapreg.model import ShapleyModel
-from shapreg.train import FitConfig, fit
+from shapreg.train import STATUSES, FitConfig, fit
 
 
 def model_from_indices(indices, n, k=2, names=None):
@@ -265,9 +268,9 @@ def test_gap_experiment_deterministic_across_jobs():
 
 
 def test_gap_fan_out_identical_for_any_job_count():
-    """One task per (iteration, k) cell, highest k first, reassembled by cell:
-    every field and report row is the same for any number of workers, and
-    the orders stay in the caller's order."""
+    """One task per iteration, which walks the orders upward on one design,
+    reassembled by cell: every field and report row is the same for any
+    number of workers, and the orders stay in the caller's order."""
     runs = [gap_experiment(n=4, big_n=60, k_range=[3, 1, 2], penalties=("none", "l2"),
                            iterations=3, seed=5, jobs=jobs) for jobs in (1, 2, 3)]
     first = runs[0]
@@ -279,7 +282,7 @@ def test_gap_fan_out_identical_for_any_job_count():
             other = exp.cells[key]
             for name in ("gaps", "train_errors", "test_errors"):
                 assert np.array_equal(getattr(other, name), getattr(cell, name))
-            assert other.converged_fits == cell.converged_fits
+            assert other.status_counts == cell.status_counts
         assert exp.d_eff == first.d_eff
         assert exp.rows() == first.rows()
 
@@ -297,6 +300,32 @@ def test_gap_cells_are_the_direct_fits_of_each_iteration():
             cell = exp.cells[(k, "l2")]
             assert cell.train_errors[it] == (model.predict(train.x) != train.y).mean()
             assert cell.test_errors[it] == (model.predict(test.x) != test.y).mean()
+
+
+def test_gap_protocol_solver_work_is_pinned(monkeypatch):
+    """The bounds workload's gap protocol (n=8, 2 iterations, k = 1..8):
+    one fit per (iteration, k, penalty), the orders warm-started upward, and
+    unpenalized fits stopped at their first separating iterate.  The total
+    Newton iterations and the fits per status are counts, so a change in the
+    solver's work shows here without timing anything."""
+    library_fit = analysis.fit
+    lock = threading.Lock()
+    iterations = []
+
+    def counted(*args, **kwargs):
+        result = library_fit(*args, **kwargs)
+        with lock:
+            iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(analysis, "fit", counted)
+    exp = gap_experiment(n=8, big_n=1000, k_range=range(1, 9), iterations=2, seed=11, jobs=2)
+    assert len(iterations) == 32 and sum(iterations) == 219
+    totals = {status: sum(cell.status_counts[status] for cell in exp.cells.values())
+              for status in STATUSES}
+    assert totals == {"converged": 28, "budget": 0, "no_descent": 0, "separable": 4}
+    assert {key: cell.status_counts["separable"] for key, cell in exp.cells.items()
+            if cell.status_counts["separable"]} == {(7, "none"): 2, (8, "none"): 2}
 
 
 def test_gap_experiment_rejects_odd_split():

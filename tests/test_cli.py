@@ -32,7 +32,7 @@ from shapreg.cv import (
 from shapreg.data import gen_pure_pairwise
 from shapreg.games import transposed_min_terms
 from shapreg.model import ShapleyModel
-from shapreg.train import FitConfig, fit, prepare, sensitivity_to_label_flip
+from shapreg.train import FitConfig, at_order, fit, prepare, sensitivity_to_label_flip
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -90,7 +90,7 @@ def test_fit_writes_model_and_report(toy_csv, tmp_path):
     validate(out / "fit_report.json", "fit_report.schema.json")
     assert sorted(p.name for p in out.glob("*.json")) == ["fit_report.json", "model.json"]
     report = strict_json(out / "fit_report.json")
-    assert report["converged"] is True
+    assert report["converged"] is True and report["status"] == "converged"
     assert "objective_trace" not in report
 
 
@@ -130,9 +130,25 @@ def test_fit_budget_exit_code(toy_csv, tmp_path, monkeypatch, capsys):
     code = run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "2",
                "--lambda", "0.01", "--out-dir", tmp_path / "nc")
     assert code == EXIT_NO_CONVERGENCE
-    assert "NOT converged in 1 iterations" in capsys.readouterr().out
+    assert "budget after 1 iterations" in capsys.readouterr().out
     report = json.loads((tmp_path / "nc/fit_report.json").read_text())
     assert report["converged"] is False and report["iterations"] == 1
+    assert report["status"] == "budget"
+
+
+def test_fit_separable_exit_code(tmp_path, capsys):
+    """Unpenalized rows one threshold separates have no finite minimizer:
+    the fit stops at a separating iterate and exits as not converged."""
+    path = tmp_path / "threshold.csv"
+    path.write_text("a,label\n" + "".join(f"{i / 10!r},{int(i > 5)}\n" for i in range(11)))
+    out = tmp_path / "sep"
+    code = run("fit", "--dataset", path, "--label-column", "label", "--k", "1",
+               "--penalty", "none", "--out-dir", out)
+    assert code == EXIT_NO_CONVERGENCE
+    assert " separable after " in capsys.readouterr().out
+    validate(out / "fit_report.json", "fit_report.schema.json")
+    report = strict_json(out / "fit_report.json")
+    assert report["status"] == "separable" and report["converged"] is False
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -418,6 +434,7 @@ def test_flag_surface():
 LIBRARY_OPTION_SURFACE = {
     fit: ["data", "k", "config", "start"],
     prepare: ["dataset", "k"],
+    at_order: ["problem", "k"],
     nested_cv: ["dataset", "k", "penalty", "lambda_grid", "outer_folds", "inner_folds",
                 "selection_metric", "class_weighting", "seed", "jobs"],
     k_sweep_benchmark: ["dataset", "k_range", "penalties", "lambda_grid", "selection_metric",
@@ -629,7 +646,9 @@ def test_bounds_outputs(tmp_path):
     validate(out / "bound_report.json", "bound_report.schema.json")
     assert [p.name for p in out.glob("*.json")] == ["bound_report.json"]
     gap_header = (out / "gap_experiment.csv").read_text().splitlines()[0]
-    assert gap_header == "k,D_k,d_eff,gap_unreg,gap_unreg_std,gap_l2,gap_l2_std"
+    assert gap_header == ("k,D_k,d_eff,gap_unreg,gap_unreg_std,gap_l2,gap_l2_std,"
+                          "budget_fits_unreg,no_descent_fits_unreg,separable_fits_unreg,"
+                          "budget_fits_l2,no_descent_fits_l2,separable_fits_l2")
 
 
 @pytest.mark.parametrize("flag", [
@@ -673,8 +692,9 @@ def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypa
 
 
 def test_bounds_bytes_do_not_depend_on_jobs(tmp_path):
-    """The gap cells fan out over the workers, largest design first; every
-    report is still the same file for any --jobs."""
+    """The gap experiment's iterations fan out over the workers, each one
+    task that climbs every order on one design; every report is still the
+    same file for any --jobs."""
     args = ("bounds", "--gap-n", "4", "--gap-samples", "60", "--gap-k-range", "1..4",
             "--gap-iterations", "3", "--sens-repeats", "3", "--seed", "7")
     for jobs in (1, 3):

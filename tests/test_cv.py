@@ -226,6 +226,21 @@ def test_robustness_needs_a_sigma():
                           noise_repeats=1, bootstrap_resamples=1)
 
 
+@pytest.mark.parametrize("settings, message", [
+    (dict(sigmas=()), "at least 1 sigma"),
+    (dict(sigmas=(0.1, 0.1)), "repeat 0.1"),
+    (dict(noise_repeats=0), "at least 1 repeat"),
+    (dict(bootstrap_resamples=0), "at least 1 resample"),
+])
+def test_k_sweep_checks_its_settings_before_any_fit(cv_fit_configs, settings, message):
+    """A library caller learns of a bad noise or bootstrap setting before the
+    first cell's nested CV, not after it."""
+    with pytest.raises(ValueError, match=message):
+        k_sweep_benchmark(signal_dataset(seed=10), [1], penalties=("l2",),
+                          **{"noise_repeats": 1, "bootstrap_resamples": 1, **settings})
+    assert cv_fit_configs == []
+
+
 @pytest.mark.parametrize("sigmas, repeated", [((0.1, 0.1, 0.3), "0.1"), ((0, 0.2, 0.0), "0.0")])
 def test_robustness_refuses_a_repeated_sigma(sigmas, repeated):
     """A repeated sigma would overwrite its twin's entry, so the sweep's

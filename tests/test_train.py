@@ -322,8 +322,8 @@ def test_hessian_shift_escalates_when_the_step_fails(monkeypatch, penalty, lam):
         return newton_step(hess, grad, theta, lam)
 
     monkeypatch.setattr(train, "_newton_step", recording_step)
-    theta, trace, converged, iterations, residual = train._newton(obj, 1e-8, 100)
-    assert converged and residual <= 1e-8
+    theta, trace, status, iterations, residual = train._newton(obj, 1e-8, 100)
+    assert status == "converged" and residual <= 1e-8
     assert np.diff(trace).max() <= 1e-12
     # on the first iteration that curvature is the shift alone, ~1e8 below
     # its true value; the shifts tried there rise in the order of _SHIFTS
@@ -491,6 +491,88 @@ def test_class_weighting_changes_the_optimum():
     weighted = fit(ds, 1, FitConfig(penalty="l2", lam=1.0, class_weighting="inverse_frequency"))
     # inverse-frequency weighting pushes the bias toward a balanced base rate
     assert weighted.model.bias > plain.model.bias
+
+
+# ---------------------------------------------------------------------------
+# solver status and the separation certificate
+# ---------------------------------------------------------------------------
+
+def threshold_dataset():
+    """n=1 with y = [x > 0.5]: one threshold separates the rows, so an
+    unpenalized loss has infimum 0 and no minimizer."""
+    x = np.linspace(0, 1, 11)
+    return Dataset(x=x[:, None], y=(x > 0.5).astype(int), feature_names=["a"])
+
+
+@pytest.mark.parametrize("config", [
+    FitConfig(penalty="none", max_iters=100),
+    FitConfig(penalty="none", class_weighting="inverse_frequency", max_iters=100),
+    FitConfig(penalty="l2", lam=0.0, max_iters=100),
+])
+def test_separable_rows_stop_at_a_separating_iterate(config):
+    ds = threshold_dataset()
+    result = fit(ds, 1, config)
+    assert result.status == "separable" and not result.converged
+    signed = (2 * ds.y - 1) * result.model.logit(ds.x)
+    assert np.all(signed > 0)
+    assert result.iterations < config.max_iters
+
+
+@pytest.mark.parametrize("penalty", ["l1", "l2"])
+def test_penalized_fits_are_never_separable(penalty):
+    """Any lam > 0 gives a finite minimizer, even on separable rows."""
+    for lam in (1e-3, 1.0):
+        result = fit(threshold_dataset(), 1, FitConfig(penalty=penalty, lam=lam))
+        assert result.status == "converged", (lam, result.status)
+
+
+@pytest.mark.parametrize("class_weighting, iterations, parameters", [
+    ("off", 6, ["0x1.7e874aaf9437ap-3", "0x1.36d96f822c178p+2", "-0x1.1ca45c804f013p+1",
+                "-0x1.d84bdbddea940p+0", "-0x1.d9527f8fb7884p-3", "0x1.6d11f513f4015p+3",
+                "-0x1.87bbc5c03612fp+2"]),
+    ("inverse_frequency", 6, ["0x1.1ad007c0322dfp-1", "0x1.366d463b54e38p+2",
+                              "-0x1.17dbf8356781fp+1", "-0x1.d646722606369p+0",
+                              "-0x1.3de4f633a4aa3p-3", "0x1.6c943b1bfd6b4p+3",
+                              "-0x1.79b416499df4cp+2"]),
+])
+def test_non_separable_unpenalized_fit_is_unchanged(class_weighting, iterations, parameters):
+    """Rows no iterate separates never meet the certificate, so the fit is
+    the plain Newton path: its iteration count and parameter bits are pinned
+    (OpenBLAS)."""
+    ds = toy_dataset(n=3, big_n=60, seed=7)
+    result = fit(ds, 2, FitConfig(penalty="none", class_weighting=class_weighting))
+    assert result.status == "converged" and result.iterations == iterations
+    assert [float(v).hex() for v in result.parameters] == parameters
+    assert np.sum((2 * ds.y - 1) * result.model.logit(ds.x) <= 0) > 0
+
+
+def test_every_lower_order_design_is_a_column_prefix():
+    """For every k' < k <= n <= 8, the order-k' design is bit for bit the
+    first D_k' columns of the order-k design."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        x = rng.uniform(size=(40, n))
+        designs = [design_matrix(x, k).values for k in range(1, n + 1)]
+        for k, top in enumerate(designs, start=1):
+            for lower in designs[:k - 1]:
+                assert np.array_equal(top[:, :lower.shape[1]], lower), (n, k, lower.shape[1])
+
+
+def test_a_fit_at_a_lower_order_view_is_the_fit_on_its_own_design():
+    ds = gen_random_noise(6, 200, seed=4)
+    top = prepare(ds, 6)
+    for k in range(1, 7):
+        view = train.at_order(top, k)
+        own = prepare(ds, k)
+        assert np.array_equal(view.normalization, own.normalization)
+        assert np.array_equal(view.design.values, own.design.values)
+        assert not view.design.values.flags.writeable
+        for config in (FitConfig(penalty="none"), FitConfig(penalty="l2", lam=0.5)):
+            a, b = fit(view, k, config), fit(own, k, config)
+            assert (a.status, a.iterations) == (b.status, b.iterations)
+            assert np.array_equal(a.parameters, b.parameters)
+    with pytest.raises(ValueError, match="k must be in"):
+        train.at_order(prepare(ds, 2), 3)
 
 
 # ---------------------------------------------------------------------------
