@@ -9,7 +9,6 @@ from math import comb, log, sqrt
 
 import numpy as np
 
-from .basis import DesignMatrix
 from .data import gen_random_noise
 from .games import num_coalitions
 from .model import ShapleyModel
@@ -122,14 +121,14 @@ def top_by_strength(matrix: InteractionMatrix, top_k: int) -> InteractionMatrix:
 # capacity measures and bound curves
 # ---------------------------------------------------------------------------
 
-def effective_dimension(design: DesignMatrix | np.ndarray) -> float:
+def effective_dimension(design: np.ndarray) -> float:
     """Stable rank of the empirical (uncentered) second-moment matrix:
     (tr S)^2 / tr(S^2) with S = Phi^T Phi / N.
 
     Equals the column count only when all eigenvalues coincide; correlated
     basis columns pull it far below that.
     """
-    phi = design.values if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+    phi = np.asarray(design, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < 2:
         raise ValueError("effective_dimension needs a 2-D design with at least 2 rows")
     second_moment = phi.T @ phi / phi.shape[0]

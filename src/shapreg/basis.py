@@ -69,7 +69,7 @@ def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:
     return DesignMatrix(values=k_additive_maps(np.shape(x)[1], k).design(terms_t))
 
 
-def max_row_norm(design: DesignMatrix) -> float:
-    """Largest Euclidean row norm of the design; the Lipschitz scale of the
-    per-sample logistic loss in these features."""
-    return float(np.sqrt((design.values ** 2).sum(axis=1).max()))
+def max_row_norm(design: np.ndarray) -> float:
+    """Largest Euclidean row norm of a design array; the Lipschitz scale of
+    the per-sample logistic loss in these features."""
+    return float(np.sqrt((design ** 2).sum(axis=1).max()))

@@ -486,7 +486,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sens-k", type=_count, default=2,
                    help="additivity order, %(type)s and <= --sens-n (default 2)")
     p.add_argument("--sens-repeats", type=_count, default=20, help="%(type)s (default 20)")
-    p.add_argument("--c-grid", type=_comma_list(_positive), default="0.01,0.1,0.5,1.0,1.5,3.0",
+    p.add_argument("--c-grid", type=_comma_list(_positive, distinct=True),
+                   default="0.01,0.1,0.5,1.0,1.5,3.0",
                    help="reciprocal l2 strengths C = 1/lambda, %(type)s (default %(default)s)")
     p.add_argument("--gap-n", type=_count, default=8, help="features, %(type)s (default 8)")
     p.add_argument("--gap-samples", type=_even_count, default=1000,

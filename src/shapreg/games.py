@@ -25,9 +25,9 @@ subset table, kept only here and cached per (n, k): see :class:`KAdditiveMaps`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -163,36 +163,6 @@ class SetFunction:
             raise KeyError(f"coalition {indices_of(mask)} not stored (size > k?)")
         return float(self.values[idx])
 
-    def to_json(self) -> str:
-        entries = [
-            {"coalition": list(indices_of(m)), "value": float(v)}
-            for m, v in zip(self.coalitions(), self.values)
-        ]
-        payload = {
-            "n": self.n,
-            "k": self.k,
-            "basis": self.basis.value,
-            "entries": entries,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SetFunction":
-        payload = json.loads(text)
-        n, k = int(payload["n"]), int(payload["k"])
-        index = _coalition_positions(n, k)
-        values = np.full(len(index), np.nan)
-        for entry in payload["entries"]:
-            mask = mask_of(entry["coalition"])
-            if mask not in index:
-                raise ValueError(f"unexpected coalition {entry['coalition']}")
-            if not np.isnan(values[index[mask]]):
-                raise ValueError(f"duplicate coalition {entry['coalition']}")
-            values[index[mask]] = float(entry["value"])
-        if np.any(np.isnan(values)):
-            raise ValueError("missing coalition entries")
-        return cls(n=n, k=k, basis=Basis(payload["basis"]), values=values)
-
 
 def _require_basis(sf: SetFunction, basis: Basis, op: str) -> None:
     if sf.basis is not basis:
@@ -258,13 +228,14 @@ def interaction_inversion_weights(max_order: int) -> np.ndarray:
 
     Defined by r_0 = 1 and sum_{d=0..e} C(e,d) r_d / (e-d+1) = 0 for e >= 1,
     so that m(A) = sum_{B >= A} r_{|B|-|A|} I(B) exactly.  (These are the
-    Bernoulli numbers: 1, -1/2, 1/6, 0, -1/30, ...)
+    Bernoulli numbers: 1, -1/2, 1/6, 0, -1/30, ...)  The recurrence runs in
+    exact rationals, so each weight is the double nearest its true value and
+    every odd weight from r_3 on is exactly 0.
     """
-    r = np.zeros(max_order + 1)
-    r[0] = 1.0
+    r = [Fraction(1)]
     for e in range(1, max_order + 1):
-        r[e] = -sum(comb(e, d) * r[d] / (e - d + 1) for d in range(e))
-    return r
+        r.append(-sum(comb(e, d) * r[d] / (e - d + 1) for d in range(e)))
+    return np.array([float(v) for v in r])
 
 
 def mobius_from_shapley(index_fn: SetFunction) -> SetFunction:

@@ -415,14 +415,14 @@ def learn_normalization(x: np.ndarray) -> np.ndarray:
 class Problem:
     """A dataset made ready for the solver at order k: the min-max
     normalization learned from its rows and the design of the normalized
-    rows.  Built once by :func:`prepare`, it can be solved at any number of
-    configurations, and for other labels on the same rows through
-    ``dataclasses.replace(problem, dataset=relabelled)``."""
+    rows, both read-only arrays.  Built once by :func:`prepare`, it can be
+    solved at any number of configurations, and for other labels on the same
+    rows through ``dataclasses.replace(problem, dataset=relabelled)``."""
 
     dataset: Dataset
     k: int
     normalization: np.ndarray = field(repr=False)
-    design: DesignMatrix = field(repr=False)
+    design: np.ndarray = field(repr=False)
 
 
 def check_fit_size(n: int, k: int) -> None:
@@ -437,8 +437,8 @@ def prepare(dataset: Dataset, k: int) -> Problem:
     order-k design, once for every fit on these rows, whatever their labels."""
     check_fit_size(dataset.n_features, k)
     normalization = learn_normalization(dataset.x)
-    design = design_matrix(apply_normalization(dataset.x, normalization), k)
-    for shared in (normalization, design.values):  # read by every fit on the problem
+    design = design_matrix(apply_normalization(dataset.x, normalization), k).values
+    for shared in (normalization, design):  # read by every fit on the problem
         shared.setflags(write=False)
     return Problem(dataset=dataset, k=k, normalization=normalization, design=design)
 
@@ -452,7 +452,7 @@ def at_order(problem: Problem, k: int) -> Problem:
     if not 1 <= k <= problem.k:
         raise ValueError(f"k must be in [1, {problem.k}], got {k}")
     columns = num_coalitions(problem.dataset.n_features, k)
-    return replace(problem, k=k, design=DesignMatrix(values=problem.design.values[:, :columns]))
+    return replace(problem, k=k, design=problem.design[:, :columns])
 
 
 def fit(data: Dataset | Problem, k: int, config: FitConfig,
@@ -481,7 +481,7 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
         )
     w = sample_weights(dataset.y, config.class_weighting)
 
-    obj = _Objective(problem.design.values, dataset.y, w, config.penalty, config.lam)
+    obj = _Objective(problem.design, dataset.y, w, config.penalty, config.lam)
     theta, trace, status, iterations, residual = _newton(
         obj, config.tol, config.max_iters, start)
     if status != "converged":

@@ -209,7 +209,7 @@ def test_effective_dimension_random_design_vs_eigen_oracle():
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(200, 8))
     design = design_matrix(x, 2)
-    d_eff = effective_dimension(design)
+    d_eff = effective_dimension(design.values)
     assert 1.0 <= d_eff < 36.0
     # independent eigenvalue oracle
     sigma = design.values.T @ design.values / design.values.shape[0]

@@ -99,7 +99,7 @@ def test_basis_equivalence_against_mobius_path():
 def test_max_row_norm():
     x = np.array([[1.0, 0.0], [1.0, 1.0]])
     d = design_matrix(x, 1)
-    assert max_row_norm(d) == pytest.approx(np.sqrt(2.0))
+    assert max_row_norm(d.values) == pytest.approx(np.sqrt(2.0))
 
 
 def test_gradient_consistency_of_the_fitted_game():

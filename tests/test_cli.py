@@ -680,6 +680,7 @@ def test_bounds_outputs(tmp_path):
     ["--jobs", "0"],
     ["--seed", "-1"],
     ["--c-grid", ""],
+    ["--c-grid", "1,1"],
 ])
 def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypatch, flag):
     monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached

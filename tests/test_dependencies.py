@@ -139,3 +139,27 @@ def test_bench_and_bounds_never_load_numpy_ma(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier, attribute and imported name a module's code uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name)
+    return names
+
+
+def test_a_design_is_an_array_past_design_matrix():
+    """The solver, the capacity measures and every protocol handle a design
+    as a plain ndarray: ``DesignMatrix`` is only what ``design_matrix``
+    returns (basis.py), an input ``loss_and_gradient`` accepts (train.py)
+    and a package export."""
+    naming = sorted(path.name for path in (ROOT / "src" / "shapreg").glob("*.py")
+                    if "DesignMatrix" in _names(path))
+    assert naming == ["__init__.py", "basis.py", "train.py"]

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,10 +269,17 @@ def test_pair_indices_equal_pair_mobius_for_2_additive():
 
 
 def test_inversion_weights_recurrence():
-    # r solves sum_d C(e,d) r_d / (e-d+1) = [e == 0]; first values are the
-    # Bernoulli numbers
-    r = interaction_inversion_weights(5)
-    assert r[:5] == pytest.approx([1.0, -0.5, 1 / 6, 0.0, -1 / 30], abs=1e-14)
+    """r solves sum_d C(e,d) r_d / (e-d+1) = [e == 0]: each weight is the
+    double nearest the exact Bernoulli number B_d (B_1 = -1/2), so every odd
+    weight from r_3 on is exactly 0.0."""
+    bernoulli = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0,
+                 Fraction(1, 42), 0, Fraction(-1, 30), 0, Fraction(5, 66), 0,
+                 Fraction(-691, 2730)]
+    for max_order in range(13):
+        r = interaction_inversion_weights(max_order)
+        assert r.tolist() == [float(b) for b in bernoulli[:max_order + 1]], max_order
+    odd = interaction_inversion_weights(12)[3::2]
+    assert np.all(odd == 0.0) and not np.any(np.signbit(odd))
 
 
 def test_basis_mismatch_rejected():
@@ -363,29 +371,8 @@ def test_full_lattice_transforms_fail_before_allocating():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# value lookup
 # ---------------------------------------------------------------------------
-
-def test_setfunction_json_round_trip_bit_exact():
-    rng = np.random.default_rng(9)
-    sf = random_sf(6, 3, Basis.SHAPLEY, rng)
-    back = SetFunction.from_json(sf.to_json())
-    assert back.n == sf.n and back.k == sf.k and back.basis is sf.basis
-    assert np.array_equal(back.values, sf.values)
-
-
-def test_setfunction_json_rejects_missing_and_duplicate():
-    sf = make_sf(2, 1, Basis.MOBIUS, [1.0, 2.0])
-    import json
-    payload = json.loads(sf.to_json())
-    payload["entries"] = payload["entries"][:1]
-    with pytest.raises(ValueError):
-        SetFunction.from_json(json.dumps(payload))
-    payload = json.loads(sf.to_json())
-    payload["entries"].append(payload["entries"][0])
-    with pytest.raises(ValueError):
-        SetFunction.from_json(json.dumps(payload))
-
 
 def test_value_lookup_by_indices_and_mask():
     sf = make_sf(3, 2, Basis.MOBIUS, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -412,7 +399,6 @@ def test_mutating_a_coalition_index_leaves_lookups_alone():
     index[mask_of([0, 1])] = 0
     assert coalition_index(n, k) == {m: i for i, m in enumerate(enumerate_coalitions(n, k))}
     assert sf.value([0, 1]) == enumerate_coalitions(n, k).index(mask_of([0, 1]))
-    assert np.array_equal(SetFunction.from_json(sf.to_json()).values, sf.values)
 
 
 def test_min_terms_fill_a_given_buffer():

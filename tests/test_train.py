@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 from shapreg import train
 from shapreg.basis import design_matrix
 from shapreg.data import Dataset, gen_random_noise
+from shapreg.games import num_coalitions
+from shapreg.model import apply_normalization
 from shapreg.train import (
     FitConfig,
     fit,
@@ -546,6 +548,26 @@ def test_non_separable_unpenalized_fit_is_unchanged(class_weighting, iterations,
     assert np.sum((2 * ds.y - 1) * result.model.logit(ds.x) <= 0) > 0
 
 
+def test_a_problem_design_is_a_read_only_array_of_the_normalized_rows():
+    ds = gen_random_noise(5, 120, seed=2)
+    for k in range(1, 6):
+        problem = prepare(ds, k)
+        assert type(problem.design) is np.ndarray
+        assert not problem.design.flags.writeable
+        want = design_matrix(apply_normalization(ds.x, problem.normalization), k).values
+        assert problem.design.dtype == want.dtype and problem.design.shape == want.shape
+        assert problem.design.tobytes() == want.tobytes()
+
+
+def test_every_order_view_is_a_read_only_slice_of_the_top_design():
+    top = prepare(gen_random_noise(6, 80, seed=3), 6)
+    for k in range(1, 7):
+        view = train.at_order(top, k).design
+        assert type(view) is np.ndarray and not view.flags.writeable
+        assert np.shares_memory(view, top.design)
+        assert view.shape == (80, num_coalitions(6, k))
+
+
 def test_every_lower_order_design_is_a_column_prefix():
     """For every k' < k <= n <= 8, the order-k' design is bit for bit the
     first D_k' columns of the order-k design."""
@@ -565,8 +587,8 @@ def test_a_fit_at_a_lower_order_view_is_the_fit_on_its_own_design():
         view = train.at_order(top, k)
         own = prepare(ds, k)
         assert np.array_equal(view.normalization, own.normalization)
-        assert np.array_equal(view.design.values, own.design.values)
-        assert not view.design.values.flags.writeable
+        assert np.array_equal(view.design, own.design)
+        assert not view.design.flags.writeable
         for config in (FitConfig(penalty="none"), FitConfig(penalty="l2", lam=0.5)):
             a, b = fit(view, k, config), fit(own, k, config)
             assert (a.status, a.iterations) == (b.status, b.iterations)
