@@ -9,6 +9,7 @@ from math import comb, log, sqrt
 
 import numpy as np
 
+from .cv import _check_sweep
 from .data import gen_random_noise
 from .games import num_coalitions
 from .model import ShapleyModel
@@ -189,8 +190,6 @@ UNCONVERGED = tuple(status for status in STATUSES if status != "converged")
 
 @dataclass(frozen=True)
 class GapCell:
-    k: int
-    penalty: str
     gaps: np.ndarray
     train_errors: np.ndarray
     test_errors: np.ndarray
@@ -209,8 +208,6 @@ class GapCell:
 class GapExperiment:
     n: int
     big_n: int
-    iterations: int
-    seed: int
     lam: float
     k_values: list[int]
     penalties: list[str]
@@ -256,7 +253,7 @@ def gap_experiment(
     halves.  Per-iteration seeds derive from the root seed and every split is
     drawn before the fan-out; each iteration is then one task for ``jobs``
     workers, and results are reassembled by cell, so they are independent of
-    scheduling.
+    scheduling.  An order or a penalty may appear once.
 
     A task prepares one design of the first half at the largest order; every
     lower order reads a column-prefix view of it (:func:`train.at_order`),
@@ -273,8 +270,9 @@ def gap_experiment(
     if big_n % 2 != 0:
         raise ValueError("N must be even to split into equal halves")
     k_values = [int(k) for k in k_range]
-    orders = sorted(set(k_values))
     penalties = list(penalties)
+    _check_sweep(k_values, penalties)
+    orders = sorted(k_values)
     half = big_n // 2
     splits = []
     for child in np.random.SeedSequence(seed).spawn(iterations):
@@ -310,7 +308,6 @@ def gap_experiment(
             test_errs = np.array([test_err for _, test_err, _ in per_it])
             statuses = [status for _, _, status in per_it]
             cells[(k, pen)] = GapCell(
-                k=k, penalty=pen,
                 gaps=test_errs - train_errs,
                 train_errors=train_errs,
                 test_errors=test_errs,
@@ -318,7 +315,7 @@ def gap_experiment(
             )
     d_eff = {k: float(np.mean([res[0][k] for res in results])) for k in k_values}
     return GapExperiment(
-        n=n, big_n=big_n, iterations=iterations, seed=seed, lam=lam,
+        n=n, big_n=big_n, lam=lam,
         k_values=k_values, penalties=penalties,
         d_k={k: num_coalitions(n, k) for k in k_values},
         d_eff=d_eff,

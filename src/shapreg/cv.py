@@ -7,7 +7,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ def default_lambda_grid() -> list[float]:
     return sorted(float(1.0 / c) for c in np.logspace(-3, 3, 13))
 
 
-def _repeated(values: list[float]) -> float | None:
+def _repeated(values: list):
     """The first of ``values`` that an earlier one equals, or None."""
     return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
@@ -78,13 +78,8 @@ class FoldReport:
     selected_lam: float
     inner_scores: dict[float, float]
     metrics: MetricSet
-    coefficients: list[float]  # [bias, indices...]
-    status: str  # the refit's solver status, one of train.STATUSES
+    result: FitResult  # the outer refit on every row outside test_rows
     test_rows: list[int]
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,11 @@ class CVReport:
     inner_folds: int
     lambda_grid: list[float]
     folds: list[FoldReport]
-    models: list[ShapleyModel] = field(repr=False)
+
+    @property
+    def models(self) -> list[ShapleyModel]:
+        """The outer refits' models, in fold order."""
+        return [f.result.model for f in self.folds]
 
     def aggregate(self) -> dict[str, tuple[float, float] | None]:
         """Mean and std per metric across outer folds; None when a metric was
@@ -117,11 +116,8 @@ class CVReport:
             raise ValueError(f"metric '{name}' undefined on all folds")
         return agg[0]
 
-    def nonconverged_fits(self) -> int:
-        return sum(1 for f in self.folds if not f.converged)
-
     def fits_with_status(self, status: str) -> int:
-        return sum(1 for f in self.folds if f.status == status)
+        return sum(1 for f in self.folds if f.result.status == status)
 
     def to_dict(self) -> dict:
         return {
@@ -144,8 +140,8 @@ class CVReport:
                     "selected_lam": f.selected_lam,
                     "inner_scores": {f"{lam:.12g}": s for lam, s in f.inner_scores.items()},
                     "metrics": f.metrics.to_dict(),
-                    "coefficients": f.coefficients,
-                    "converged": f.converged,
+                    "coefficients": [float(v) for v in f.result.parameters],
+                    **f.result.report_dict(),
                     "test_rows": f.test_rows,
                 }
                 for f in self.folds
@@ -195,7 +191,7 @@ def nested_cv(
 
     outer = stratified_folds(dataset.y, outer_folds, np.random.SeedSequence([seed, 0]))
 
-    def run_outer(fold_id: int) -> tuple[FoldReport, ShapleyModel]:
+    def run_outer(fold_id: int) -> FoldReport:
         test_rows = outer[fold_id]
         train = _without(dataset, test_rows)
         test_x, test_y = dataset.x[test_rows], dataset.y[test_rows]
@@ -223,18 +219,15 @@ def nested_cv(
 
         config = FitConfig(penalty=penalty, lam=best_lam, class_weighting=class_weighting)
         result = fit(train, k, config)
-        fold_report = FoldReport(
+        return FoldReport(
             fold=fold_id,
             selected_lam=best_lam,
             inner_scores=inner_scores,
             metrics=_evaluate(result.model, test_x, test_y),
-            coefficients=[float(v) for v in result.parameters],
-            status=result.status,
+            result=result,
             test_rows=[int(r) for r in test_rows],
         )
-        return fold_report, result.model
 
-    results = map_ordered(run_outer, range(outer_folds), jobs=jobs)
     return CVReport(
         dataset=dataset.name,
         k=k,
@@ -245,8 +238,7 @@ def nested_cv(
         outer_folds=outer_folds,
         inner_folds=inner_folds,
         lambda_grid=grid,
-        folds=[r[0] for r in results],
-        models=[r[1] for r in results],
+        folds=map_ordered(run_outer, range(outer_folds), jobs=jobs),
     )
 
 
@@ -265,6 +257,14 @@ def _noise_settings(sigmas, repeats: int) -> list[float]:
     if (sigma := _repeated(sigmas)) is not None:
         raise ValueError(f"noise robustness sigmas repeat {sigma}")
     return sigmas
+
+
+def _check_sweep(k_values: list[int], penalties: list[str]) -> None:
+    """Refuse an order or a penalty that a sweep's list repeats."""
+    if (k := _repeated(k_values)) is not None:
+        raise ValueError(f"orders repeat k={k}")
+    if (pen := _repeated(penalties)) is not None:
+        raise ValueError(f"penalties repeat '{pen}'")
 
 
 def _check_resamples(resamples: int) -> None:
@@ -417,7 +417,6 @@ def resource_profile(
 
 @dataclass(frozen=True)
 class SweepCell:
-    penalty: str
     k: int
     cv: CVReport
     accuracy_mean: float
@@ -433,9 +432,6 @@ class SweepReport:
     dataset: str
     k_values: list[int]
     penalties: list[str]
-    seed: int
-    sigmas: tuple[float, ...]
-    noise_repeats: int
     cells: dict[tuple[str, int], SweepCell]
 
     def summary_rows(self) -> list[dict]:
@@ -480,7 +476,7 @@ class SweepReport:
                     "bootstrap_std": c.bootstrap.std,
                     "bootstrap_effective": c.bootstrap.effective,
                     "bootstrap_lam": c.bootstrap_lam,
-                    "nonconverged_fits": c.cv.nonconverged_fits(),
+                    "nonconverged_fits": len(c.cv.folds) - c.cv.fits_with_status("converged"),
                     "separable_fits": c.cv.fits_with_status("separable"),
                 })
         return rows
@@ -509,12 +505,14 @@ def k_sweep_benchmark(
 ) -> SweepReport:
     """Benchmark protocol: per (penalty, k), nested-CV accuracy (5 outer by
     3 inner folds), noise robustness of the per-fold models, and bootstrap
-    stability at the modal selected lambda.  The noise and bootstrap
-    settings are checked before the first fit."""
+    stability at the modal selected lambda.  The orders, penalties, noise
+    and bootstrap settings are checked before the first fit; an order or a
+    penalty may appear once."""
     sigmas = tuple(_noise_settings(sigmas, noise_repeats))
     _check_resamples(bootstrap_resamples)
     k_values = [int(k) for k in k_range]
     penalties = list(penalties)
+    _check_sweep(k_values, penalties)
     cells: dict[tuple[str, int], SweepCell] = {}
     for pen in penalties:
         for k in k_values:
@@ -531,10 +529,10 @@ def k_sweep_benchmark(
             # robustness: per outer fold, mean perturbed accuracy over sigmas
             # and repeats; aggregate across folds
             fold_means = []
-            for fold, model in zip(cv.folds, cv.models):
+            for fold in cv.folds:
                 rows = np.asarray(fold.test_rows, dtype=int)
                 rob = noise_robustness(
-                    model, dataset.x[rows], dataset.y[rows],
+                    fold.result.model, dataset.x[rows], dataset.y[rows],
                     sigmas=sigmas, repeats=noise_repeats,
                     seed=seed + fold.fold,
                 )
@@ -549,7 +547,6 @@ def k_sweep_benchmark(
                 jobs=jobs,
             )
             cells[(pen, k)] = SweepCell(
-                penalty=pen,
                 k=k,
                 cv=cv,
                 accuracy_mean=acc[0],
@@ -563,8 +560,5 @@ def k_sweep_benchmark(
         dataset=dataset.name,
         k_values=k_values,
         penalties=penalties,
-        seed=seed,
-        sigmas=sigmas,
-        noise_repeats=noise_repeats,
         cells=cells,
     )

@@ -22,17 +22,14 @@ LOGIT_BLOCK = 512
 @np.errstate(over="ignore")  # as a decorator it costs less per call than a with block
 def expit(z) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-z)), elementwise; np.float64 for a
-    scalar z.  Computed in place in one new array, never in z.
+    scalar z.  Each step allocates its result: on small inputs that is
+    cheaper than reusing one array in place, whose ufuncs pay numpy's
+    operand-overlap check.
 
     Exactly 0, without an overflow warning, where exp(-z) overflows (z below
     about -709.78); it rounds to exactly 1 for z above about 37.
     """
-    z = np.asarray(z, dtype=float)
-    t = np.negative(z, out=np.empty_like(z))
-    np.exp(t, out=t)
-    t += 1.0
-    np.divide(1.0, t, out=t)
-    return t if t.ndim else t[()]
+    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
 def apply_normalization(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -338,6 +338,17 @@ def test_gap_experiment_rejects_no_iterations():
         gap_experiment(n=3, big_n=90, k_range=[1], iterations=0)
 
 
+@pytest.mark.parametrize("orders, penalties, message", [
+    ([1, 1], ("l2",), "orders repeat k=1"),
+    ([2, 1], ("l2", "none", "l2"), "penalties repeat 'l2'"),
+])
+def test_gap_experiment_refuses_a_repeated_order_or_penalty(monkeypatch, orders, penalties,
+                                                            message):
+    monkeypatch.setattr(analysis, "fit", None)  # any fit would raise a TypeError
+    with pytest.raises(ValueError, match=message):
+        gap_experiment(n=3, big_n=40, k_range=orders, penalties=penalties, iterations=1)
+
+
 def test_bound_report_joins_measurements():
     exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], penalties=("none", "l2"),
                          iterations=2, seed=3)

@@ -20,8 +20,12 @@ from shapreg.cli import (
     EXIT_USAGE,
     main,
 )
-from shapreg.analysis import gap_experiment
+from shapreg.analysis import GapCell, GapExperiment, gap_experiment
 from shapreg.cv import (
+    CVReport,
+    FoldReport,
+    SweepCell,
+    SweepReport,
     bootstrap_stability,
     default_lambda_grid,
     k_sweep_benchmark,
@@ -456,6 +460,26 @@ def test_library_option_surface():
     dropping an option is an edit here, as a flag is in FLAG_SURFACE."""
     surface = {func: list(inspect.signature(func).parameters) for func in LIBRARY_OPTION_SURFACE}
     assert surface == LIBRARY_OPTION_SURFACE
+
+
+RECORD_FIELDS = {
+    FoldReport: ["fold", "selected_lam", "inner_scores", "metrics", "result", "test_rows"],
+    CVReport: ["dataset", "k", "penalty", "selection_metric", "class_weighting", "seed",
+               "outer_folds", "inner_folds", "lambda_grid", "folds"],
+    SweepCell: ["k", "cv", "accuracy_mean", "accuracy_std", "robustness_mean",
+                "robustness_std", "bootstrap", "bootstrap_lam"],
+    SweepReport: ["dataset", "k_values", "penalties", "cells"],
+    GapCell: ["gaps", "train_errors", "test_errors", "status_counts"],
+    GapExperiment: ["n", "big_n", "lam", "k_values", "penalties", "d_k", "d_eff", "cells"],
+}
+
+
+def test_record_fields():
+    """The fields of the protocol records, in order: a field that copies
+    another record's value, or one nothing reads, comes back only through
+    an edit here."""
+    fields = {record: [f.name for f in dataclasses.fields(record)] for record in RECORD_FIELDS}
+    assert fields == RECORD_FIELDS
 
 
 def test_readme_commands_parse():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def test_warm_started_inner_scores_equal_cold_fits(penalty, selection_metric):
     assert report.folds[0].inner_scores == expected
     # the outer refit starts cold, so its coefficients are the plain fit's
     refit = fit(train, 2, FitConfig(penalty=penalty, lam=report.folds[0].selected_lam))
-    assert report.folds[0].coefficients == [float(v) for v in refit.parameters]
+    assert np.array_equal(report.folds[0].result.parameters, refit.parameters)
 
 
 def test_nested_cv_test_rows_partition():
@@ -127,8 +129,23 @@ def test_nested_cv_canary_test_rows_never_leak():
     x2[np.asarray(fold.test_rows)] = np.random.default_rng(9).uniform(size=(len(fold.test_rows), ds.n_features))
     perturbed = Dataset(x=x2, y=ds.y, feature_names=ds.feature_names, name=ds.name)
     report2 = nested_cv(perturbed, 2, "l2", lambda_grid=[0.5, 5.0], seed=1)
-    assert report2.folds[0].coefficients == fold.coefficients
+    assert np.array_equal(report2.folds[0].result.parameters, fold.result.parameters)
     assert report2.folds[0].selected_lam == fold.selected_lam
+
+
+@pytest.mark.parametrize("penalty, status", [("none", "separable"), ("l2", "converged")])
+def test_cv_report_folds_say_how_each_refit_stopped(penalty, status):
+    """Each fold entry of the JSON report holds exactly its outer refit's
+    ``report_dict()`` values, and ``models`` reads the folds' refits."""
+    ds = gen_pure_pairwise(4, 120, pairs=2, seed=3)
+    report = nested_cv(ds, 2, penalty, lambda_grid=[1.0], seed=0)
+    entries = json.loads(report.to_json())["folds"]
+    assert len(entries) == len(report.folds) == len(report.models) == 5
+    for i, (fold, entry) in enumerate(zip(report.folds, entries)):
+        expected = fold.result.report_dict()
+        assert {key: entry[key] for key in expected} == expected
+        assert entry["status"] == status
+        assert report.models[i] is fold.result.model
 
 
 def test_inner_ties_prefer_smaller_lambda():
@@ -231,13 +248,17 @@ def test_robustness_needs_a_sigma():
     (dict(sigmas=(0.1, 0.1)), "repeat 0.1"),
     (dict(noise_repeats=0), "at least 1 repeat"),
     (dict(bootstrap_resamples=0), "at least 1 resample"),
+    (dict(k_range=[1, 2, 1]), "orders repeat k=1"),
+    (dict(penalties=("l2", "none", "l2")), "penalties repeat 'l2'"),
 ])
 def test_k_sweep_checks_its_settings_before_any_fit(cv_fit_configs, settings, message):
-    """A library caller learns of a bad noise or bootstrap setting before the
-    first cell's nested CV, not after it."""
+    """A library caller learns of a bad noise or bootstrap setting, or a
+    repeated order or penalty, before the first cell's nested CV, not after
+    it."""
     with pytest.raises(ValueError, match=message):
-        k_sweep_benchmark(signal_dataset(seed=10), [1], penalties=("l2",),
-                          **{"noise_repeats": 1, "bootstrap_resamples": 1, **settings})
+        k_sweep_benchmark(signal_dataset(seed=10),
+                          **{"k_range": [1], "penalties": ("l2",), "noise_repeats": 1,
+                             "bootstrap_resamples": 1, **settings})
     assert cv_fit_configs == []
 
 
@@ -312,13 +333,12 @@ def test_best_k_by_stability_skips_orders_without_a_bootstrap_std():
     def cell(k, accuracies):
         boot = BootstrapResult(accuracies=np.array(accuracies), requested=2,
                                skipped=2 - len(accuracies))
-        return SweepCell(penalty="l2", k=k, cv=None, accuracy_mean=0.5, accuracy_std=0.0,
+        return SweepCell(k=k, cv=None, accuracy_mean=0.5, accuracy_std=0.0,
                          robustness_mean=0.5, robustness_std=0.0, bootstrap=boot,
                          bootstrap_lam=1.0)
 
     def summary(*cells):
-        return SweepReport(dataset="d", k_values=[c.k for c in cells], penalties=["l2"], seed=0,
-                           sigmas=(0.1,), noise_repeats=1,
+        return SweepReport(dataset="d", k_values=[c.k for c in cells], penalties=["l2"],
                            cells={("l2", c.k): c for c in cells}).summary_rows()[0]
 
     row = summary(cell(1, []), cell(2, [0.5, 1.0]), cell(3, []))
