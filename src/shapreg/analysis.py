@@ -75,19 +75,13 @@ def consensus_interactions(models: list[ShapleyModel], zero_tol: float = 1e-8) -
     if first.k < 2:
         raise ValueError("pair interactions need models with k >= 2")
     n = first.n
-    n_pairs = comb(n, 2)
-    pair_block = slice(n, n + n_pairs)
-    stacked = np.stack([m.indices[pair_block] for m in models])
-
+    # one row per pair, in canonical (i < j) order, one column per model
+    stacked = np.stack([m.indices[n:n + comb(n, 2)] for m in models], axis=1)
+    rows, cols = np.triu_indices(n, 1)
     mean = np.zeros((n, n))
     support = np.zeros((n, n))
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            mean[i, j] = mean[j, i] = stacked[:, pos].mean()
-            frac = float((np.abs(stacked[:, pos]) > zero_tol).mean())
-            support[i, j] = support[j, i] = frac
-            pos += 1
+    mean[rows, cols] = mean[cols, rows] = stacked.mean(axis=1)
+    support[rows, cols] = support[cols, rows] = (np.abs(stacked) > zero_tol).mean(axis=1)
     return InteractionMatrix(names=list(first.feature_names), mean=mean, support=support)
 
 
@@ -113,8 +107,8 @@ def top_by_strength(matrix: InteractionMatrix, top_k: int) -> InteractionMatrix:
     sub = np.ix_(keep, keep)
     return InteractionMatrix(
         names=[matrix.names[i] for i in keep],
-        mean=matrix.mean[sub].copy(),
-        support=matrix.support[sub].copy(),
+        mean=matrix.mean[sub],
+        support=matrix.support[sub],
     )
 
 
@@ -216,8 +210,9 @@ class GapExperiment:
     cells: dict[tuple[int, str], GapCell]
 
     def rows(self) -> list[dict]:
-        """One row per order: the gaps per penalty, then per penalty the
-        count of fits that stopped with each status but ``converged``."""
+        """One row per order, its keys in ``gap_experiment.csv``'s column
+        order: the gaps per penalty, then per penalty the count of fits that
+        stopped with each status but ``converged``."""
         out = []
         for k in self.k_values:
             row = {"k": k, "D_k": self.d_k[k], "d_eff": self.d_eff[k]}

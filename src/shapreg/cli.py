@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -30,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    UNCONVERGED,
     bound_report,
     consensus_interactions,
     filter_stable,
@@ -303,7 +303,7 @@ def cmd_bench(args) -> int:
     )
     out = Path(args.out_dir)
     for (pen, k), cell in report.cells.items():
-        _write_text(out / f"cv_report_{pen}_k{k}.json", cell.cv.to_json() + "\n")
+        _write_text(out / f"cv_report_{pen}_k{k}.json", _json_text(cell.cv.to_dict()))
     cell_rows = report.cell_rows()
     _write_csv(out / "bench_cells.csv", list(cell_rows[0]), [list(r.values()) for r in cell_rows])
     _write_csv(out / "bench_summary.csv",
@@ -367,21 +367,19 @@ def cmd_bounds(args) -> int:
                [[c, 1.0 / c, study.mean_shift, study.std_shift, study.median_shift,
                  float(study.risk_diffs.max()), study.stability_ceiling]
                 for c, study in zip(args.c_grid, studies)])
-    # the fit counts per status come after every gap column; the CSV names
-    # the 'none' penalty 'unreg'
-    gap_columns = (["k", "D_k", "d_eff", "gap_none", "gap_none_std", "gap_l2", "gap_l2_std"]
-                   + [f"{status}_fits_{pen}" for pen in exp.penalties for status in UNCONVERGED])
+    # the CSV names the 'none' penalty 'unreg'
+    gap_rows = exp.rows()
     _write_csv(out / "gap_experiment.csv",
-               [name.replace("none", "unreg") for name in gap_columns],
-               [[r[name] for name in gap_columns] for r in exp.rows()])
+               [name.replace("none", "unreg") for name in gap_rows[0]],
+               [list(r.values()) for r in gap_rows])
 
     # plug-in bound curves; L defaults to the max design-row norm of the
     # sensitivity dataset at --sens-k, which every label-flip study measured
     lipschitz = args.lipschitz if args.lipschitz is not None else studies[0].row_norm
     report = bound_report(exp, norm_bound=b_norm, lipschitz=lipschitz)
-    _write_csv(out / "bound_curves.csv",
-               ["k", "D_k", "vc", "rademacher", "stability"],
-               [[r["k"], r["D_k"], r["vc"], r["rademacher"], r["stability"]] for r in report])
+    curve_columns = ["k", "D_k", "vc", "rademacher", "stability"]
+    _write_csv(out / "bound_curves.csv", curve_columns,
+               [[r[name] for name in curve_columns] for r in report])
     _write_text(out / "bound_report.json", _json_text({
         "settings": {"n": args.gap_n, "N": args.gap_samples,
                      "iterations": args.gap_iterations, "lambda": args.gap_lambda,
@@ -437,7 +435,9 @@ def cmd_synth(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The shapreg parser, built once per process; it keeps no state between parses."""
     parser = _Parser(prog="shapreg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

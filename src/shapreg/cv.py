@@ -3,7 +3,6 @@ stability, and resource profiling."""
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -90,7 +89,6 @@ class CVReport:
     selection_metric: str
     class_weighting: str
     seed: int
-    outer_folds: int
     inner_folds: int
     lambda_grid: list[float]
     folds: list[FoldReport]
@@ -127,7 +125,7 @@ class CVReport:
             "selection_metric": self.selection_metric,
             "class_weighting": self.class_weighting,
             "seed": self.seed,
-            "outer_folds": self.outer_folds,
+            "outer_folds": len(self.folds),
             "inner_folds": self.inner_folds,
             "lambda_grid": self.lambda_grid,
             "aggregate": {
@@ -147,9 +145,6 @@ class CVReport:
                 for f in self.folds
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def nested_cv(
@@ -235,7 +230,6 @@ def nested_cv(
         selection_metric=selection_metric,
         class_weighting=class_weighting,
         seed=seed,
-        outer_folds=outer_folds,
         inner_folds=inner_folds,
         lambda_grid=grid,
         folds=map_ordered(run_outer, range(outer_folds), jobs=jobs),

@@ -177,7 +177,11 @@ class _Objective:
         self.w = w
         self.l1 = lam if penalty == "l1" else 0.0
         self.l2 = lam if penalty == "l2" else 0.0
-        self._scaled = np.empty(phi.shape)  # phi * sqrt(s), rewritten by each hessian
+        # phi * sqrt(s), rewritten by each hessian.  Keep the one buffer:
+        # allocating it per call read -3% to +14% in the median over 12
+        # interleaved gap_experiment calls (n=8, N=1000, k 1..8, 2
+        # iterations, jobs 1 and 2, 2-core machine), never a clear gain.
+        self._scaled = np.empty(phi.shape)
 
     def logits(self, theta: np.ndarray) -> np.ndarray:
         return theta[0] + self.phi @ theta[1:]

@@ -465,7 +465,7 @@ def test_library_option_surface():
 RECORD_FIELDS = {
     FoldReport: ["fold", "selected_lam", "inner_scores", "metrics", "result", "test_rows"],
     CVReport: ["dataset", "k", "penalty", "selection_metric", "class_weighting", "seed",
-               "outer_folds", "inner_folds", "lambda_grid", "folds"],
+               "inner_folds", "lambda_grid", "folds"],
     SweepCell: ["k", "cv", "accuracy_mean", "accuracy_std", "robustness_mean",
                 "robustness_std", "bootstrap", "bootstrap_lam"],
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
@@ -525,6 +525,28 @@ def test_bench_outputs_and_determinism(toy_csv, tmp_path):
     assert header == ("Dataset,Penalty,Best K (Acc),Accuracy,Accuracy Std,"
                       "Best K (Robust),Robustness Accuracy,Robustness Std,"
                       "Best K (Stab),Bootstrap Stability (Std)")
+
+
+def test_undersample_ratio_reaches_fit_and_bench(toy_csv, tmp_path):
+    """--undersample-ratio 1 drops 2 of the 61 positive rows of toy.csv
+    (59 negatives): the reports name the undersampled set, the bench folds
+    cover its 118 rows, and reruns are byte-identical."""
+    data = ("--dataset", toy_csv, "--label-column", "y", "--undersample-ratio", "1",
+            "--seed", "4")
+    bench = ("bench", *data, "--k", "1", "--lambda-grid", "1", "--noise-repeats", "1",
+             "--bootstrap-resamples", "2")
+    for rerun in ("a", "b"):
+        assert run("fit", *data, "--out-dir", tmp_path / f"fit_{rerun}") == EXIT_OK
+        assert run(*bench, "--out-dir", tmp_path / f"bench_{rerun}") == EXIT_OK
+    name = f"{toy_csv}_undersampled"
+    assert strict_json(tmp_path / "fit_a/fit_report.json")["dataset"] == name
+    report = strict_json(tmp_path / "bench_a/cv_report_l2_k1.json")
+    assert report["dataset"] == name
+    assert sorted(row for fold in report["folds"] for row in fold["test_rows"]) == list(range(118))
+    for name in ("fit_report.json", "model.json"):
+        assert (tmp_path / "fit_a" / name).read_bytes() == (tmp_path / "fit_b" / name).read_bytes()
+    for path in (tmp_path / "bench_a").iterdir():
+        assert path.read_bytes() == (tmp_path / "bench_b" / path.name).read_bytes()
 
 
 def test_bench_profile_fits_with_the_class_weighting(toy_csv, tmp_path, cv_fit_configs):
@@ -886,6 +908,29 @@ def test_synth_unknown_generator(tmp_path):
     assert run("synth", "--generator", "mystery", "--out-dir", tmp_path) == EXIT_USAGE
 
 
+def run_every_command(tmp_path) -> dict:
+    """Run every subcommand once on tiny inputs, bench with --profile, and
+    return the CSV files they wrote, by name."""
+    data = tmp_path / "data"
+    assert run("synth", "--generator", "pure-pairwise", "--gen-n", "4", "--gen-samples", "80",
+               "--gen-pairs", "2", "--out-dir", data) == EXIT_OK
+    common = ["--dataset", data / "pure_pairwise.csv", "--label-column", "label"]
+    for penalty in ("l1", "l2"):
+        assert run("fit", *common, "--penalty", penalty, "--lambda", "0.1",
+                   "--out-dir", tmp_path / penalty) == EXIT_OK
+    assert run("predict", "--model", tmp_path / "l2/model.json", *common[:4],
+               "--out-dir", tmp_path / "predict") == EXIT_OK
+    assert run("bench", *common, "--k", "1..2", "--penalties", "l1,l2", "--lambda-grid", "0.1,1",
+               "--noise-repeats", "1", "--bootstrap-resamples", "2", "--profile",
+               "--out-dir", tmp_path / "bench") == EXIT_OK
+    assert run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "2",
+               "--c-grid", "1", "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3",
+               "--gap-iterations", "1", "--out-dir", tmp_path / "bounds") == EXIT_OK
+    assert run("interactions", "--models", tmp_path / "l1/model.json", tmp_path / "l2/model.json",
+               "--out-dir", tmp_path / "interactions") == EXIT_OK
+    return {path.name: path for path in tmp_path.rglob("*.csv")}
+
+
 def test_every_report_cell_is_a_python_str_int_or_float(tmp_path, monkeypatch):
     """The csv writer renders a Python float by its repr, but a numpy float
     as 'np.float64(...)' and a bool as 'True': every subcommand must hand
@@ -906,23 +951,7 @@ def test_every_report_cell_is_a_python_str_int_or_float(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_csv", recorded)
     monkeypatch.setattr(cli, "_write_predictions", recorded_predictions)
-    data = tmp_path / "data"
-    assert run("synth", "--generator", "pure-pairwise", "--gen-n", "4", "--gen-samples", "80",
-               "--gen-pairs", "2", "--out-dir", data) == EXIT_OK
-    common = ["--dataset", data / "pure_pairwise.csv", "--label-column", "label"]
-    for penalty in ("l1", "l2"):
-        assert run("fit", *common, "--penalty", penalty, "--lambda", "0.1",
-                   "--out-dir", tmp_path / penalty) == EXIT_OK
-    assert run("predict", "--model", tmp_path / "l2/model.json", *common[:4],
-               "--out-dir", tmp_path / "predict") == EXIT_OK
-    assert run("bench", *common, "--k", "1..2", "--penalties", "l1,l2", "--lambda-grid", "0.1,1",
-               "--noise-repeats", "1", "--bootstrap-resamples", "2", "--profile",
-               "--out-dir", tmp_path / "bench") == EXIT_OK
-    assert run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "2",
-               "--c-grid", "1", "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3",
-               "--gap-iterations", "1", "--out-dir", tmp_path / "bounds") == EXIT_OK
-    assert run("interactions", "--models", tmp_path / "l1/model.json", tmp_path / "l2/model.json",
-               "--out-dir", tmp_path / "interactions") == EXIT_OK
+    run_every_command(tmp_path)
     assert sorted(written) == sorted([
         "pure_pairwise.csv", "predictions.csv", "bench_cells.csv", "bench_summary.csv",
         "resources.csv", "sensitivity_curve.csv", "gap_experiment.csv", "bound_curves.csv",
@@ -932,3 +961,17 @@ def test_every_report_cell_is_a_python_str_int_or_float(tmp_path, monkeypatch):
         types = {type(cell) for row in rows for cell in row}
         assert types <= {str, int, float}, (name, types)
 
+
+def test_csv_headers_match_the_documented_contract(tmp_path):
+    """Each ``name.csv``: ``header`` entry of docs/schemas/csv_columns.md is
+    the first row of the file the commands write under that name."""
+    text = (SCHEMA_DIR / "csv_columns.md").read_text()
+    documented = {name: [column.strip() for column in header.split(",")]
+                  for name, header in re.findall(r"^- `(\w+\.csv)`: `([^`]+)`", text, re.M)}
+    assert sorted(documented) == sorted([
+        "predictions.csv", "bench_cells.csv", "bench_summary.csv", "resources.csv",
+        "sensitivity_curve.csv", "gap_experiment.csv", "bound_curves.csv", "main_effects.csv"])
+    files = run_every_command(tmp_path)
+    for name, header in documented.items():
+        with open(files[name], newline="") as fh:
+            assert next(csv.reader(fh)) == header, name

@@ -60,6 +60,14 @@ def test_default_lambda_grid_shape():
     assert grid == sorted(float(1.0 / c) for c in cs)
 
 
+def test_nested_cv_without_a_grid_selects_from_the_default_grid():
+    report = nested_cv(signal_dataset(), 1, "l2", outer_folds=2, inner_folds=2, seed=0)
+    assert report.lambda_grid == default_lambda_grid()
+    for fold in report.folds:
+        assert sorted(fold.inner_scores) == report.lambda_grid
+        assert fold.selected_lam in report.lambda_grid
+
+
 # ---------------------------------------------------------------------------
 # nested CV
 # ---------------------------------------------------------------------------
@@ -70,7 +78,7 @@ def test_nested_cv_deterministic_bytes():
         kwargs = dict(lambda_grid=grid, seed=3)
         a = nested_cv(ds, k, penalty, **kwargs)
         b = nested_cv(ds, k, penalty, jobs=3, **kwargs)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
 
 @pytest.mark.parametrize("grid, outer, inner", [([0.1, 1.0, 10.0], 3, 2), ([0.5, 5.0], 2, 4)])
@@ -139,7 +147,7 @@ def test_cv_report_folds_say_how_each_refit_stopped(penalty, status):
     ``report_dict()`` values, and ``models`` reads the folds' refits."""
     ds = gen_pure_pairwise(4, 120, pairs=2, seed=3)
     report = nested_cv(ds, 2, penalty, lambda_grid=[1.0], seed=0)
-    entries = json.loads(report.to_json())["folds"]
+    entries = json.loads(json.dumps(report.to_dict()))["folds"]
     assert len(entries) == len(report.folds) == len(report.models) == 5
     for i, (fold, entry) in enumerate(zip(report.folds, entries)):
         expected = fold.result.report_dict()
@@ -373,7 +381,7 @@ def test_k_sweep_single_k_matches_nested_cv():
                               noise_repeats=2, bootstrap_resamples=4, seed=3)
     single = nested_cv(ds, 1, "l2", lambda_grid=[1.0], seed=3)
     cell = sweep.cells[("l2", 1)]
-    assert cell.cv.to_json() == single.to_json()
+    assert cell.cv.to_dict() == single.to_dict()
     assert cell.accuracy_mean == pytest.approx(single.mean_metric("accuracy"))
     rows = sweep.summary_rows()
     assert rows[0]["best_k_acc"] == 1

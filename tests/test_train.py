@@ -334,6 +334,37 @@ def test_hessian_shift_escalates_when_the_step_fails(monkeypatch, penalty, lam):
     assert first / first[0] * train._SHIFTS[0] == pytest.approx(train._SHIFTS[:len(first)], rel=1e-9)
 
 
+class _FlatHessian(train._Objective):
+    def hessian(self, z, p):
+        return np.zeros((self.phi.shape[1] + 1,) * 2)
+
+
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.1)])
+def test_singular_subproblems_stop_with_no_descent(monkeypatch, penalty, lam):
+    """A zero Hessian has a zero mean diagonal, so every shift leaves it
+    singular: each subproblem solve raises LinAlgError, which the loop
+    catches, and after the last shift the fit stops at its start with
+    ``no_descent``."""
+    ds = toy_dataset()
+    obj = _FlatHessian(prepare(ds, 2).design, ds.y.astype(float), np.ones(ds.n_samples),
+                       penalty, lam)
+    raised = []
+    newton_step = train._newton_step
+
+    def recording_step(hess, grad, theta, lam):
+        try:
+            return newton_step(hess, grad, theta, lam)
+        except np.linalg.LinAlgError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(train, "_newton_step", recording_step)
+    theta, trace, status, iterations, residual = train._newton(obj, 1e-8, 100)
+    assert (status, iterations) == ("no_descent", 1)
+    assert len(raised) == len(train._SHIFTS)
+    assert not theta.any() and trace.size == 1 and residual > 1e-8
+
+
 @pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.1), ("l2", 0.1), ("l2", 1.0)])
 def test_one_sigmoid_pass_per_iterate(monkeypatch, penalty, lam):
     """The gradient and the Hessian share one expit(z) per iterate; the
