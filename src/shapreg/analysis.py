@@ -14,7 +14,7 @@ from .data import gen_random_noise
 from .games import num_coalitions
 from .model import ShapleyModel
 from .parallel import map_ordered
-from .train import STATUSES, FitConfig, at_order, fit, prepare
+from .train import STATUSES, FitConfig, at_order, fit, prepare, stability_bound
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def bound_curves(n: int, big_n: int, k_range, lam: float, norm_bound: float,
             "D_k": d_k,
             "vc": sqrt(d_k / big_n),
             "rademacher": 2.0 * norm_bound * sqrt(2.0 * log(2.0 * d_k) / big_n),
-            "stability": 2.0 * lipschitz ** 2 / (lam * big_n),
+            "stability": stability_bound(lipschitz, lam, big_n),
         })
     return rows
 
@@ -248,7 +248,8 @@ def gap_experiment(
     halves.  Per-iteration seeds derive from the root seed and every split is
     drawn before the fan-out; each iteration is then one task for ``jobs``
     workers, and results are reassembled by cell, so they are independent of
-    scheduling.  An order or a penalty may appear once.
+    scheduling.  At least one order and one penalty are needed, and each
+    may appear once.
 
     A task prepares one design of the first half at the largest order; every
     lower order reads a column-prefix view of it (:func:`train.at_order`),

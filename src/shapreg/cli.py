@@ -304,16 +304,9 @@ def cmd_bench(args) -> int:
     out = Path(args.out_dir)
     for (pen, k), cell in report.cells.items():
         _write_text(out / f"cv_report_{pen}_k{k}.json", _json_text(cell.cv.to_dict()))
-    cell_rows = report.cell_rows()
-    _write_csv(out / "bench_cells.csv", list(cell_rows[0]), [list(r.values()) for r in cell_rows])
-    _write_csv(out / "bench_summary.csv",
-               ["Dataset", "Penalty", "Best K (Acc)", "Accuracy", "Accuracy Std",
-                "Best K (Robust)", "Robustness Accuracy", "Robustness Std",
-                "Best K (Stab)", "Bootstrap Stability (Std)"],
-               [[r["dataset"], r["penalty"], r["best_k_acc"], r["accuracy_mean"],
-                 r["accuracy_std"], r["best_k_robust"], r["robustness_mean"],
-                 r["robustness_std"], r["best_k_stab"], r["bootstrap_std"]]
-                for r in report.summary_rows()])
+    summary = report.summary_rows()
+    for name, rows in (("bench_cells.csv", report.cell_rows()), ("bench_summary.csv", summary)):
+        _write_csv(out / name, list(rows[0]), [list(r.values()) for r in rows])
     if args.profile:
         rows = []
         for (pen, k), cell in report.cells.items():
@@ -325,9 +318,9 @@ def cmd_bench(args) -> int:
                    ["Dataset", "Penalty", "k", "Training Time (s)", "Inference Time (s)",
                     "Model Size (MB)", "FLOPs"],
                    rows)
-    best = report.summary_rows()[0]
+    best = summary[0]
     print(f"bench: {ds.name} penalties={','.join(args.penalties)} k={args.k} "
-          f"best_acc={best['accuracy_mean']:.4f} (k={best['best_k_acc']}, {best['penalty']}) "
+          f"best_acc={best['Accuracy']:.4f} (k={best['Best K (Acc)']}, {best['Penalty']}) "
           f"-> {out}")
     return EXIT_OK
 

@@ -254,7 +254,9 @@ def _noise_settings(sigmas, repeats: int) -> list[float]:
 
 
 def _check_sweep(k_values: list[int], penalties: list[str]) -> None:
-    """Refuse an order or a penalty that a sweep's list repeats."""
+    """Refuse a sweep's empty list of orders or penalties, or one that repeats a value."""
+    if not k_values or not penalties:
+        raise ValueError("a sweep needs at least 1 order and 1 penalty")
     if (k := _repeated(k_values)) is not None:
         raise ValueError(f"orders repeat k={k}")
     if (pen := _repeated(penalties)) is not None:
@@ -299,11 +301,14 @@ def noise_robustness(
 class BootstrapResult:
     accuracies: np.ndarray
     requested: int
-    skipped: int
 
     @property
     def effective(self) -> int:
         return int(self.accuracies.size)
+
+    @property
+    def skipped(self) -> int:
+        return self.requested - self.effective
 
     @property
     def std(self) -> float | None:
@@ -345,11 +350,7 @@ def bootstrap_stability(
         return float((pred == dataset.y[oob]).mean())
 
     accs = [a for a in map_ordered(one, range(resamples), jobs=jobs) if a is not None]
-    return BootstrapResult(
-        accuracies=np.asarray(accs),
-        requested=resamples,
-        skipped=resamples - len(accs),
-    )
+    return BootstrapResult(accuracies=np.asarray(accs), requested=resamples)
 
 
 @dataclass(frozen=True)
@@ -358,7 +359,6 @@ class ResourceProfile:
     infer_time_s: float
     model_size_mb: float
     flops: float
-    folds: int
 
 
 def resource_profile(
@@ -401,7 +401,6 @@ def resource_profile(
         infer_time_s=float(np.mean(infer_times)),
         model_size_mb=(1 + d_k) * 8 / 2**20,
         flops=2.0 * d_k * mean_test,
-        folds=folds,
     )
 
 
@@ -411,14 +410,14 @@ def resource_profile(
 
 @dataclass(frozen=True)
 class SweepCell:
-    k: int
     cv: CVReport
-    accuracy_mean: float
-    accuracy_std: float
-    robustness_mean: float
-    robustness_std: float
+    robustness: list[float]  # per outer fold, in fold order
     bootstrap: BootstrapResult
     bootstrap_lam: float
+
+    @property
+    def accuracy_mean(self) -> float:
+        return self.cv.mean_metric("accuracy")
 
 
 @dataclass(frozen=True)
@@ -429,44 +428,49 @@ class SweepReport:
     cells: dict[tuple[str, int], SweepCell]
 
     def summary_rows(self) -> list[dict]:
-        """One row per penalty, mirroring the benchmark summary table layout:
-        best k by accuracy, by noise robustness, and by bootstrap stability.
+        """One row per penalty, keyed by ``bench_summary.csv``'s header in
+        column order: the best k by accuracy and by noise robustness (ties
+        go to the smaller k), and by bootstrap stability, the smallest std.
         The last is chosen among the cells with a bootstrap std, and is None
         (with its std) when no cell has one."""
+        cells = self.cell_rows()
         rows = []
         for pen in self.penalties:
-            cells = [self.cells[(pen, k)] for k in self.k_values]
-            best_acc = max(cells, key=lambda c: (c.accuracy_mean, -c.k))
-            best_rob = max(cells, key=lambda c: (c.robustness_mean, -c.k))
-            stable = [c for c in cells if c.bootstrap.std is not None]
-            best_stab = min(stable, key=lambda c: (c.bootstrap.std, c.k), default=None)
+            mine = [r for r in cells if r["penalty"] == pen]
+            best_acc = max(mine, key=lambda r: (r["accuracy_mean"], -r["k"]))
+            best_rob = max(mine, key=lambda r: (r["robustness_mean"], -r["k"]))
+            stable = [r for r in mine if r["bootstrap_std"] is not None]
+            best_stab = min(stable, key=lambda r: (r["bootstrap_std"], r["k"]),
+                            default={"k": None, "bootstrap_std": None})
             rows.append({
-                "dataset": self.dataset,
-                "penalty": pen,
-                "best_k_acc": best_acc.k,
-                "accuracy_mean": best_acc.accuracy_mean,
-                "accuracy_std": best_acc.accuracy_std,
-                "best_k_robust": best_rob.k,
-                "robustness_mean": best_rob.robustness_mean,
-                "robustness_std": best_rob.robustness_std,
-                "best_k_stab": None if best_stab is None else best_stab.k,
-                "bootstrap_std": None if best_stab is None else best_stab.bootstrap.std,
+                "Dataset": self.dataset,
+                "Penalty": pen,
+                "Best K (Acc)": best_acc["k"],
+                "Accuracy": best_acc["accuracy_mean"],
+                "Accuracy Std": best_acc["accuracy_std"],
+                "Best K (Robust)": best_rob["k"],
+                "Robustness Accuracy": best_rob["robustness_mean"],
+                "Robustness Std": best_rob["robustness_std"],
+                "Best K (Stab)": best_stab["k"],
+                "Bootstrap Stability (Std)": best_stab["bootstrap_std"],
             })
         return rows
 
     def cell_rows(self) -> list[dict]:
+        """One row per (penalty, k), keyed by ``bench_cells.csv``'s header."""
         rows = []
         for pen in self.penalties:
             for k in self.k_values:
                 c = self.cells[(pen, k)]
+                accuracy_mean, accuracy_std = c.cv.aggregate()["accuracy"]
                 rows.append({
                     "dataset": self.dataset,
                     "penalty": pen,
                     "k": k,
-                    "accuracy_mean": c.accuracy_mean,
-                    "accuracy_std": c.accuracy_std,
-                    "robustness_mean": c.robustness_mean,
-                    "robustness_std": c.robustness_std,
+                    "accuracy_mean": accuracy_mean,
+                    "accuracy_std": accuracy_std,
+                    "robustness_mean": float(np.mean(c.robustness)),
+                    "robustness_std": float(np.std(c.robustness)),
                     "bootstrap_std": c.bootstrap.std,
                     "bootstrap_effective": c.bootstrap.effective,
                     "bootstrap_lam": c.bootstrap_lam,
@@ -500,8 +504,8 @@ def k_sweep_benchmark(
     """Benchmark protocol: per (penalty, k), nested-CV accuracy (5 outer by
     3 inner folds), noise robustness of the per-fold models, and bootstrap
     stability at the modal selected lambda.  The orders, penalties, noise
-    and bootstrap settings are checked before the first fit; an order or a
-    penalty may appear once."""
+    and bootstrap settings are checked before the first fit; at least one
+    order and one penalty are needed, and each may appear once."""
     sigmas = tuple(_noise_settings(sigmas, noise_repeats))
     _check_resamples(bootstrap_resamples)
     k_values = [int(k) for k in k_range]
@@ -518,10 +522,8 @@ def k_sweep_benchmark(
                 seed=seed,
                 jobs=jobs,
             )
-            acc = cv.aggregate()["accuracy"]
 
-            # robustness: per outer fold, mean perturbed accuracy over sigmas
-            # and repeats; aggregate across folds
+            # robustness: per outer fold, mean perturbed accuracy over sigmas and repeats
             fold_means = []
             for fold in cv.folds:
                 rows = np.asarray(fold.test_rows, dtype=int)
@@ -540,16 +542,8 @@ def k_sweep_benchmark(
                 class_weighting=class_weighting,
                 jobs=jobs,
             )
-            cells[(pen, k)] = SweepCell(
-                k=k,
-                cv=cv,
-                accuracy_mean=acc[0],
-                accuracy_std=acc[1],
-                robustness_mean=float(np.mean(fold_means)),
-                robustness_std=float(np.std(fold_means)),
-                bootstrap=boot,
-                bootstrap_lam=boot_lam,
-            )
+            cells[(pen, k)] = SweepCell(cv=cv, robustness=fold_means, bootstrap=boot,
+                                        bootstrap_lam=boot_lam)
     return SweepReport(
         dataset=dataset.name,
         k_values=k_values,

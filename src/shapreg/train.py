@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,8 +72,12 @@ class FitConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if not self.max_iters >= 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        try:  # a fractional or infinite budget never equals an iteration count
+            budget = operator.index(self.max_iters)
+        except TypeError:
+            budget = -1
+        if budget < 0:
+            raise ValueError(f"max_iters must be an int >= 0, got {self.max_iters}")
         if self.penalty == "none" and self.lam != 0.0:
             object.__setattr__(self, "lam", 0.0)
 
@@ -511,6 +516,11 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
     )
 
 
+def stability_bound(lipschitz: float, lam: float, big_n: int) -> float:
+    """2 L^2 / (lam N): the stability ceiling of an l2 fit on N rows of norm <= L."""
+    return 2.0 * lipschitz ** 2 / (lam * big_n)
+
+
 @dataclass(frozen=True)
 class LabelFlipStudy:
     """Refit sensitivity under single-label flips.
@@ -520,9 +530,9 @@ class LabelFlipStudy:
     ``max_index_shifts`` the largest per-coalition coefficient change, which
     can never exceed the corresponding entry of ``shifts``;
     ``risk_diffs`` the change of the empirical mean cross-entropy over the
-    original samples, the quantity the stability bound
-    ``stability_ceiling`` = 2 L^2 / (lam N) controls, with L = ``row_norm``,
-    the largest design-row norm of the normalized samples.
+    original samples, the quantity that ``stability_ceiling``, the
+    :func:`stability_bound` at L = ``row_norm`` (the largest design-row norm
+    of the normalized samples), controls.
     """
 
     base: FitResult
@@ -566,10 +576,8 @@ def sensitivity_to_label_flip(
     base_params = base.parameters
 
     row_norm = max_row_norm(problem.design)
-    ceiling = (
-        2.0 * row_norm**2 / (config.lam * dataset.n_samples)
-        if config.lam > 0 else np.inf
-    )
+    ceiling = (stability_bound(row_norm, config.lam, dataset.n_samples)
+               if config.lam > 0 else np.inf)
 
     base_losses = per_sample_losses(base.model, dataset.x, dataset.y)
 

@@ -7,11 +7,13 @@ renames or reshapes either one fails here rather than in a benchmark run.
 """
 
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapreg
 from shapreg.data import Dataset
 from shapreg.games import num_coalitions
 from shapreg.train import FitConfig
@@ -41,6 +43,14 @@ def test_counts_see_one_fit_and_its_design(hooks):
     seen = counts.snapshot()
     assert (seen["fits"], seen["design_calls"]) == (1, 1)
     assert seen["design_cells"] == big_n * num_coalitions(n, k)
+
+
+def test_layers_name_every_package_module(hooks):
+    """The hooks import and trace the modules that ``LAYERS`` names: a
+    module left out would be invisible to the tracer, and a removed one would
+    fail every benchmark run."""
+    modules = [info.name for info in pkgutil.iter_modules(shapreg.__path__)]
+    assert sorted(hooks.LAYERS) == sorted(modules)
 
 
 def test_tracer_reaches_every_binding(hooks):

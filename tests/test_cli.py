@@ -22,8 +22,10 @@ from shapreg.cli import (
 )
 from shapreg.analysis import GapCell, GapExperiment, gap_experiment
 from shapreg.cv import (
+    BootstrapResult,
     CVReport,
     FoldReport,
+    ResourceProfile,
     SweepCell,
     SweepReport,
     bootstrap_stability,
@@ -466,8 +468,9 @@ RECORD_FIELDS = {
     FoldReport: ["fold", "selected_lam", "inner_scores", "metrics", "result", "test_rows"],
     CVReport: ["dataset", "k", "penalty", "selection_metric", "class_weighting", "seed",
                "inner_folds", "lambda_grid", "folds"],
-    SweepCell: ["k", "cv", "accuracy_mean", "accuracy_std", "robustness_mean",
-                "robustness_std", "bootstrap", "bootstrap_lam"],
+    SweepCell: ["cv", "robustness", "bootstrap", "bootstrap_lam"],
+    BootstrapResult: ["accuracies", "requested"],
+    ResourceProfile: ["train_time_s", "infer_time_s", "model_size_mb", "flops"],
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
     GapCell: ["gaps", "train_errors", "test_errors", "status_counts"],
     GapExperiment: ["n", "big_n", "lam", "k_values", "penalties", "d_k", "d_eff", "cells"],
@@ -525,6 +528,54 @@ def test_bench_outputs_and_determinism(toy_csv, tmp_path):
     assert header == ("Dataset,Penalty,Best K (Acc),Accuracy,Accuracy Std,"
                       "Best K (Robust),Robustness Accuracy,Robustness Std,"
                       "Best K (Stab),Bootstrap Stability (Std)")
+
+
+def test_bench_summary_follows_from_its_cells(toy_csv, tmp_path, monkeypatch):
+    """Each row of bench_summary.csv is computed from bench_cells.csv: per
+    penalty, the k of the highest accuracy_mean and of the highest
+    robustness_mean (ties to the smaller k), and of the smallest
+    bootstrap_std among the cells that have one, each with that cell's
+    values.  A cell's robustness columns are the mean and std of its
+    per-fold robustness, one value per outer fold."""
+    reports, sweep = [], cli.k_sweep_benchmark
+
+    def recorded_sweep(*args, **kwargs):
+        reports.append(sweep(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "k_sweep_benchmark", recorded_sweep)
+    assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1..3",
+               "--penalties", "none,l2", "--lambda-grid", "0.1,1.0", "--noise-repeats", "2",
+               "--bootstrap-resamples", "4", "--seed", "2", "--out-dir", tmp_path) == EXIT_OK
+    with open(tmp_path / "bench_cells.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    with open(tmp_path / "bench_summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+
+    assert [r["Penalty"] for r in summary] == ["none", "l2"]
+    for row in summary:
+        mine = [c for c in cells if c["penalty"] == row["Penalty"]]
+        assert [c["k"] for c in mine] == ["1", "2", "3"]
+        acc = max(mine, key=lambda c: (float(c["accuracy_mean"]), -int(c["k"])))
+        rob = max(mine, key=lambda c: (float(c["robustness_mean"]), -int(c["k"])))
+        stab = min((c for c in mine if c["bootstrap_std"]),
+                   key=lambda c: (float(c["bootstrap_std"]), int(c["k"])),
+                   default={"k": "", "bootstrap_std": ""})
+        assert row == {
+            "Dataset": acc["dataset"], "Penalty": acc["penalty"],
+            "Best K (Acc)": acc["k"], "Accuracy": acc["accuracy_mean"],
+            "Accuracy Std": acc["accuracy_std"],
+            "Best K (Robust)": rob["k"], "Robustness Accuracy": rob["robustness_mean"],
+            "Robustness Std": rob["robustness_std"],
+            "Best K (Stab)": stab["k"], "Bootstrap Stability (Std)": stab["bootstrap_std"],
+        }
+
+    (report,) = reports
+    for c in cells:
+        cell = report.cells[(c["penalty"], int(c["k"]))]
+        assert len(cell.robustness) == len(cell.cv.folds) == 5
+        assert float(c["robustness_mean"]) == float(np.mean(cell.robustness))
+        assert float(c["robustness_std"]) == float(np.std(cell.robustness))
 
 
 def test_undersample_ratio_reaches_fit_and_bench(toy_csv, tmp_path):

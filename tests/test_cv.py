@@ -5,7 +5,6 @@ import pytest
 
 from shapreg.cv import (
     BootstrapResult,
-    SweepCell,
     SweepReport,
     bootstrap_stability,
     default_lambda_grid,
@@ -333,26 +332,25 @@ def test_bootstrap_skips_degenerate():
 
 
 def test_bootstrap_std_is_none_without_a_usable_resample():
-    assert BootstrapResult(accuracies=np.array([]), requested=2, skipped=2).std is None
-    assert BootstrapResult(accuracies=np.array([0.5, 1.0]), requested=2, skipped=0).std == 0.25
+    empty = BootstrapResult(accuracies=np.array([]), requested=2)
+    assert empty.std is None and empty.skipped == 2
+    full = BootstrapResult(accuracies=np.array([0.5, 1.0]), requested=2)
+    assert full.std == 0.25 and full.skipped == 0
 
 
-def test_best_k_by_stability_skips_orders_without_a_bootstrap_std():
-    def cell(k, accuracies):
-        boot = BootstrapResult(accuracies=np.array(accuracies), requested=2,
-                               skipped=2 - len(accuracies))
-        return SweepCell(k=k, cv=None, accuracy_mean=0.5, accuracy_std=0.0,
-                         robustness_mean=0.5, robustness_std=0.0, bootstrap=boot,
-                         bootstrap_lam=1.0)
+def test_best_k_by_stability_skips_orders_without_a_bootstrap_std(monkeypatch):
+    def summary(*stds):
+        rows = [{"dataset": "d", "penalty": "l2", "k": k, "accuracy_mean": 0.5,
+                 "accuracy_std": 0.0, "robustness_mean": 0.5, "robustness_std": 0.0,
+                 "bootstrap_std": std} for k, std in enumerate(stds, start=1)]
+        monkeypatch.setattr(SweepReport, "cell_rows", lambda self: rows)
+        return SweepReport(dataset="d", k_values=list(range(1, len(stds) + 1)),
+                           penalties=["l2"], cells={}).summary_rows()[0]
 
-    def summary(*cells):
-        return SweepReport(dataset="d", k_values=[c.k for c in cells], penalties=["l2"],
-                           cells={("l2", c.k): c for c in cells}).summary_rows()[0]
-
-    row = summary(cell(1, []), cell(2, [0.5, 1.0]), cell(3, []))
-    assert (row["best_k_stab"], row["bootstrap_std"]) == (2, 0.25)
-    row = summary(cell(1, []), cell(2, []))
-    assert (row["best_k_stab"], row["bootstrap_std"]) == (None, None)
+    row = summary(None, 0.25, None)
+    assert (row["Best K (Stab)"], row["Bootstrap Stability (Std)"]) == (2, 0.25)
+    row = summary(None, None)
+    assert (row["Best K (Stab)"], row["Bootstrap Stability (Std)"]) == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +382,7 @@ def test_k_sweep_single_k_matches_nested_cv():
     assert cell.cv.to_dict() == single.to_dict()
     assert cell.accuracy_mean == pytest.approx(single.mean_metric("accuracy"))
     rows = sweep.summary_rows()
-    assert rows[0]["best_k_acc"] == 1
+    assert rows[0]["Best K (Acc)"] == 1
 
 
 def test_k_sweep_pairwise_signal_prefers_k2():

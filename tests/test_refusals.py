@@ -4,9 +4,9 @@ raises the error its message names, before any work."""
 import numpy as np
 import pytest
 
-from shapreg.analysis import bound_curves, main_effects
+from shapreg.analysis import bound_curves, gap_experiment, main_effects
 from shapreg.basis import phi
-from shapreg.cv import nested_cv, stratified_folds
+from shapreg.cv import k_sweep_benchmark, nested_cv, stratified_folds
 from shapreg.data import DataError, Dataset, gen_random_noise, load_csv
 from shapreg.games import Basis, SetFunction, choquet_mobius, transposed_min_terms
 from shapreg.metrics import threshold_metrics
@@ -87,6 +87,18 @@ REFUSALS = {
         lambda tmp: loss_and_gradient((0.0, np.zeros(2)), np.zeros((3, 2)), np.zeros(2),
                                       FitConfig()),
         ValueError, "label count does not match design rows"),
+    "sweep of no orders": (
+        lambda tmp: k_sweep_benchmark(NOISE, []), ValueError,
+        "a sweep needs at least 1 order and 1 penalty"),
+    "sweep of no penalties": (
+        lambda tmp: k_sweep_benchmark(NOISE, [1], penalties=[]), ValueError,
+        "a sweep needs at least 1 order and 1 penalty"),
+    "gap experiment of no orders": (
+        lambda tmp: gap_experiment(3, 20, []), ValueError,
+        "a sweep needs at least 1 order and 1 penalty"),
+    "gap experiment of no penalties": (
+        lambda tmp: gap_experiment(3, 20, [1], penalties=[]), ValueError,
+        "a sweep needs at least 1 order and 1 penalty"),
     "no flips": (
         lambda tmp: sensitivity_to_label_flip(NOISE, 1, FitConfig(), repeats=0), ValueError,
         "repeats must be >= 1"),

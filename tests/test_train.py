@@ -485,10 +485,11 @@ def test_nonconvergence_is_reported_not_raised():
 @pytest.mark.parametrize("kwargs", [
     dict(lam=-1.0), dict(lam=np.nan), dict(lam=np.inf), dict(penalty="none", lam=np.nan),
     dict(tol=0.0), dict(tol=np.nan), dict(tol=np.inf), dict(max_iters=-1),
+    dict(max_iters=0.5), dict(max_iters=np.inf),
 ])
 def test_config_rejects_unusable_settings(kwargs):
-    """A NaN strength or tolerance would fit to garbage, and a negative budget
-    would never stop the solver."""
+    """A NaN strength or tolerance would fit to garbage, and a negative,
+    fractional or infinite budget would never stop the solver."""
     with pytest.raises(ValueError):
         FitConfig(**kwargs)
 
