@@ -19,13 +19,13 @@ print(f"{'C':>6} {'lambda':>8} {'median shift':>13} {'max per-index':>14} "
       f"{'risk diff':>10} {'ceiling':>9}")
 for c in (0.01, 0.1, 0.5, 1.0, 1.5, 3.0):
     study = sensitivity_to_label_flip(
-        ds, 2, FitConfig.with_c(c, penalty="l2"), repeats=20, seed=7
+        ds, 2, FitConfig(penalty="l2", lam=1.0 / c), repeats=20, seed=7
     )
     print(f"{c:6.2f} {1/c:8.2f} {study.median_shift:13.4f} "
           f"{study.max_index_shifts.max():14.4f} "
           f"{study.risk_diffs.max():10.5f} {study.stability_ceiling:9.4f}")
 
 print("\nEvery per-index shift is bounded by the full-vector shift:")
-study = sensitivity_to_label_flip(ds, 2, FitConfig.with_c(1.0, penalty="l2"), repeats=20, seed=7)
+study = sensitivity_to_label_flip(ds, 2, FitConfig(penalty="l2", lam=1.0), repeats=20, seed=7)
 print("  max over trials of (per-index / vector) =",
       round(float((study.max_index_shifts / study.shifts).max()), 4))

@@ -9,8 +9,7 @@ This is the capacity story behind preferring small k with l2 regularization.
 
 from shapreg import bound_report, gap_experiment
 
-exp = gap_experiment(n=8, big_n=1000, k_range=range(1, 9),
-                     penalties=("none", "l2"), iterations=10, seed=42,
+exp = gap_experiment(n=8, big_n=1000, k_range=range(1, 9), iterations=10, seed=42,
                      lam=1.0, jobs=4)
 
 print(f"{'k':>2} {'D_k':>4} {'d_eff':>7} {'gap none':>9} {'gap l2':>7}")

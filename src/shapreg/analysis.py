@@ -144,7 +144,7 @@ def bound_report(exp: "GapExperiment", norm_bound: float, lipschitz: float) -> l
         k = curve["k"]
         row = dict(curve)
         row["d_eff"] = exp.d_eff[k]
-        for pen in exp.penalties:
+        for pen in GAP_PENALTIES:
             row[f"empirical_gap_{pen}"] = exp.cells[(k, pen)].mean_gap
         row.update(exp.fit_counts(k))
         rows.append(row)
@@ -178,6 +178,8 @@ def bound_curves(n: int, big_n: int, k_range, lam: float, norm_bound: float,
 # generalization-gap experiment on pure noise
 # ---------------------------------------------------------------------------
 
+# the penalties whose gaps the experiment compares: none against ridge
+GAP_PENALTIES = ("none", "l2")
 # the statuses counted in the reports: every fit that did not converge
 UNCONVERGED = tuple(status for status in STATUSES if status != "converged")
 
@@ -204,19 +206,18 @@ class GapExperiment:
     big_n: int
     lam: float
     k_values: list[int]
-    penalties: list[str]
-    d_k: dict[int, int]
     d_eff: dict[int, float]       # mean over iterations, from the train design
     cells: dict[tuple[int, str], GapCell]
 
     def rows(self) -> list[dict]:
         """One row per order, its keys in ``gap_experiment.csv``'s column
-        order: the gaps per penalty, then per penalty the count of fits that
-        stopped with each status but ``converged``."""
+        order: the gaps per penalty of :data:`GAP_PENALTIES`, then per
+        penalty the count of fits that stopped with each status but
+        ``converged``."""
         out = []
         for k in self.k_values:
-            row = {"k": k, "D_k": self.d_k[k], "d_eff": self.d_eff[k]}
-            for pen in self.penalties:
+            row = {"k": k, "D_k": num_coalitions(self.n, k), "d_eff": self.d_eff[k]}
+            for pen in GAP_PENALTIES:
                 cell = self.cells[(k, pen)]
                 row[f"gap_{pen}"] = cell.mean_gap
                 row[f"gap_{pen}_std"] = cell.std_gap
@@ -228,28 +229,27 @@ class GapExperiment:
         """Per penalty, the fits at order k that stopped with each status but
         ``converged``, as ``{status}_fits_{penalty}``."""
         return {f"{status}_fits_{pen}": self.cells[(k, pen)].status_counts[status]
-                for pen in self.penalties for status in UNCONVERGED}
+                for pen in GAP_PENALTIES for status in UNCONVERGED}
 
 
 def gap_experiment(
     n: int,
     big_n: int,
     k_range,
-    penalties=("none", "l2"),
     iterations: int = 10,
     seed: int = 0,
     lam: float = 1.0,
     jobs: int = 1,
 ) -> GapExperiment:
-    """Train/test 0-1 error gaps on pure-noise data, per (k, penalty).
+    """Train/test 0-1 error gaps on pure-noise data, per order k and penalty
+    of :data:`GAP_PENALTIES`: unregularized against ridge at strength ``lam``.
 
     Each iteration draws X ~ U[0,1]^n with fair-coin labels, splits into equal
     halves, fits every configuration on the first half, and scores both
     halves.  Per-iteration seeds derive from the root seed and every split is
     drawn before the fan-out; each iteration is then one task for ``jobs``
     workers, and results are reassembled by cell, so they are independent of
-    scheduling.  At least one order and one penalty are needed, and each
-    may appear once.
+    scheduling.  At least one order is needed, and each may appear once.
 
     A task prepares one design of the first half at the largest order; every
     lower order reads a column-prefix view of it (:func:`train.at_order`),
@@ -266,8 +266,7 @@ def gap_experiment(
     if big_n % 2 != 0:
         raise ValueError("N must be even to split into equal halves")
     k_values = [int(k) for k in k_range]
-    penalties = list(penalties)
-    _check_sweep(k_values, penalties)
+    _check_sweep(k_values, GAP_PENALTIES)
     orders = sorted(k_values)
     half = big_n // 2
     splits = []
@@ -279,12 +278,12 @@ def gap_experiment(
         train, test = splits[it]
         top = prepare(train, orders[-1])
         d_eff, out = {}, {}
-        start = dict.fromkeys(penalties)
+        start = dict.fromkeys(GAP_PENALTIES)
         for k in orders:
             problem = at_order(top, k)
             d_eff[k] = effective_dimension(problem.design)
             dim = problem.design.shape[1] + 1
-            for pen in penalties:
+            for pen in GAP_PENALTIES:
                 prev = start[pen]
                 result = fit(problem, k, FitConfig(penalty=pen, lam=lam),
                              start=None if prev is None else np.pad(prev, (0, dim - prev.size)))
@@ -298,7 +297,7 @@ def gap_experiment(
 
     cells = {}
     for k in k_values:
-        for pen in penalties:
+        for pen in GAP_PENALTIES:
             per_it = [res[1][(k, pen)] for res in results]
             train_errs = np.array([train_err for train_err, _, _ in per_it])
             test_errs = np.array([test_err for _, test_err, _ in per_it])
@@ -312,8 +311,7 @@ def gap_experiment(
     d_eff = {k: float(np.mean([res[0][k] for res in results])) for k in k_values}
     return GapExperiment(
         n=n, big_n=big_n, lam=lam,
-        k_values=k_values, penalties=penalties,
-        d_k={k: num_coalitions(n, k) for k in k_values},
+        k_values=k_values,
         d_eff=d_eff,
         cells=cells,
     )

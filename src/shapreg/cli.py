@@ -338,7 +338,7 @@ def cmd_bounds(args) -> int:
     # label-flip sensitivity curve on the synthetic noise protocol
     sens_ds = gen_random_noise(args.sens_n, args.sens_samples, seed=args.seed)
     studies = [
-        sensitivity_to_label_flip(sens_ds, args.sens_k, FitConfig.with_c(c, penalty="l2"),
+        sensitivity_to_label_flip(sens_ds, args.sens_k, FitConfig(penalty="l2", lam=1.0 / c),
                                   repeats=args.sens_repeats, seed=args.seed)
         for c in args.c_grid
     ]
@@ -348,7 +348,6 @@ def cmd_bounds(args) -> int:
     exp = gap_experiment(
         n=args.gap_n, big_n=args.gap_samples,
         k_range=args.gap_k_range,
-        penalties=("none", "l2"),
         iterations=args.gap_iterations,
         seed=args.seed,
         lam=args.gap_lambda,

@@ -20,6 +20,10 @@ from .train import FitConfig, FitResult, fit, prepare
 logger = logging.getLogger(__name__)
 
 SELECTION_METRICS = ("accuracy", "f1")
+# the protocol's stratified folds: nested_cv's outer and inner splits, and
+# the outer folds that resource_profile averages over
+OUTER_FOLDS = 5
+INNER_FOLDS = 3
 
 
 def default_lambda_grid() -> list[float]:
@@ -89,7 +93,6 @@ class CVReport:
     selection_metric: str
     class_weighting: str
     seed: int
-    inner_folds: int
     lambda_grid: list[float]
     folds: list[FoldReport]
 
@@ -125,8 +128,8 @@ class CVReport:
             "selection_metric": self.selection_metric,
             "class_weighting": self.class_weighting,
             "seed": self.seed,
-            "outer_folds": len(self.folds),
-            "inner_folds": self.inner_folds,
+            "outer_folds": OUTER_FOLDS,
+            "inner_folds": INNER_FOLDS,
             "lambda_grid": self.lambda_grid,
             "aggregate": {
                 name: (None if agg is None else {"mean": agg[0], "std": agg[1]})
@@ -152,18 +155,16 @@ def nested_cv(
     k: int,
     penalty: str,
     lambda_grid: list[float] | None = None,
-    outer_folds: int = 5,
-    inner_folds: int = 3,
     selection_metric: str = "accuracy",
     class_weighting: str = "off",
     seed: int = 0,
     jobs: int = 1,
 ) -> CVReport:
-    """Stratified nested cross-validation.
+    """Stratified nested cross-validation over :data:`OUTER_FOLDS` outer folds.
 
     The inner loop scores every grid lambda by the mean selection metric over
-    ``inner_folds`` stratified splits of the outer-train rows (ties prefer the
-    smaller lambda).  Each inner split builds its normalization and design
+    :data:`INNER_FOLDS` stratified splits of the outer-train rows (ties prefer
+    the smaller lambda).  Each inner split builds its normalization and design
     once and solves the grid as a path in descending lambda, every fit
     warm-started from the previous one's parameters; its validation rows are
     scored for the selection metric only.  The winner is refit cold (from
@@ -184,7 +185,7 @@ def nested_cv(
     if selection_metric not in SELECTION_METRICS:
         raise ValueError(f"selection metric must be one of {SELECTION_METRICS}")
 
-    outer = stratified_folds(dataset.y, outer_folds, np.random.SeedSequence([seed, 0]))
+    outer = stratified_folds(dataset.y, OUTER_FOLDS, np.random.SeedSequence([seed, 0]))
 
     def run_outer(fold_id: int) -> FoldReport:
         test_rows = outer[fold_id]
@@ -194,7 +195,7 @@ def nested_cv(
         inner_scores: dict[float, float] = {}
         if len(grid) > 1:
             inner = stratified_folds(
-                train.y, inner_folds, np.random.SeedSequence([seed, 1, fold_id])
+                train.y, INNER_FOLDS, np.random.SeedSequence([seed, 1, fold_id])
             )
             scores: dict[float, list[float]] = {lam: [] for lam in grid}
             for val_rows in inner:
@@ -230,9 +231,8 @@ def nested_cv(
         selection_metric=selection_metric,
         class_weighting=class_weighting,
         seed=seed,
-        inner_folds=inner_folds,
         lambda_grid=grid,
-        folds=map_ordered(run_outer, range(outer_folds), jobs=jobs),
+        folds=map_ordered(run_outer, range(OUTER_FOLDS), jobs=jobs),
     )
 
 
@@ -366,23 +366,22 @@ def resource_profile(
     k: int,
     penalty: str,
     lam: float,
-    folds: int = 5,
     seed: int = 0,
     class_weighting: str = "off",
 ) -> ResourceProfile:
-    """Wall-clock train/inference cost averaged over stratified folds.
+    """Wall-clock train/inference cost averaged over the :data:`OUTER_FOLDS`
+    stratified folds that :func:`nested_cv` draws from the same seed.
 
     Model size counts (1 + D_k) float64 parameters; the FLOPs estimate is the
     inference cost 2 * D_k * (mean test-fold size), i.e. one multiply and one
     add per design-matrix entry of the test fold.
     """
-    assignments = stratified_folds(dataset.y, folds, np.random.SeedSequence([seed, 0]))
+    assignments = stratified_folds(dataset.y, OUTER_FOLDS, np.random.SeedSequence([seed, 0]))
     config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
     d_k = num_coalitions(dataset.n_features, k)
 
     train_times, infer_times, test_sizes = [], [], []
-    for fold_id in range(folds):
-        test_rows = assignments[fold_id]
+    for test_rows in assignments:
         train = _without(dataset, test_rows)
 
         t0 = time.perf_counter()

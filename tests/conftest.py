@@ -1,6 +1,14 @@
-import pytest
+import os
 
-from shapreg import cv
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# the suite's matrices are small, so a BLAS thread pool only adds overhead
+# (the README's BLAS section and perfbench/run.py pin it the same way).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from shapreg import cv  # noqa: E402
 
 
 @pytest.fixture

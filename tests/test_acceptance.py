@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from shapreg import train
 from shapreg.analysis import consensus_interactions, gap_experiment
 from shapreg.basis import design_matrix
 from shapreg.cv import k_sweep_benchmark, nested_cv, resource_profile
@@ -165,10 +166,11 @@ def test_criterion_3_gradient_check():
 # 4. k=1 equivalence with direct logistic regression
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_k1_equivalence():
-    """Probabilities of the k=1 fit against the minimizer of the same
-    objective found by L-BFGS-B, and against scikit-learn's
-    LogisticRegression when it is installed."""
+def test_criterion_4_k1_equivalence(monkeypatch):
+    """Probabilities of the k=1 fit, solved to a 1e-10 residual, against the
+    minimizer of the same objective found by L-BFGS-B, and against
+    scikit-learn's LogisticRegression when it is installed."""
+    monkeypatch.setattr(train, "TOL", 1e-10)
     try:
         sklearn_linear = importlib.import_module("sklearn.linear_model")
     except ImportError:
@@ -187,7 +189,7 @@ def test_criterion_4_k1_equivalence():
     with timer() as t:
         worst = 0.0
         for ds in datasets:
-            result = fit(ds, 1, FitConfig(penalty="l2", lam=lam, tol=1e-10))
+            result = fit(ds, 1, FitConfig(penalty="l2", lam=lam))
             x_norm = result.model.normalize(ds.x)
             proba = result.model.predict_proba(ds.x)
             _, params, _ = lbfgsb_reference(x_norm, ds.y.astype(float),
@@ -279,7 +281,7 @@ def flip_studies():
     t0 = time.perf_counter()
     studies = {
         c: sensitivity_to_label_flip(
-            ds, 2, FitConfig.with_c(c, penalty="l2"), repeats=20, seed=7
+            ds, 2, FitConfig(penalty="l2", lam=1.0 / c), repeats=20, seed=7
         )
         for c in C_GRID
     }
@@ -321,11 +323,10 @@ def test_criterion_9_per_index_ceiling():
 
 def test_criterion_8_gap_protocol():
     with timer() as t:
-        exp = gap_experiment(n=8, big_n=1000, k_range=range(1, 9),
-                             penalties=("none", "l2"), iterations=10,
+        exp = gap_experiment(n=8, big_n=1000, k_range=range(1, 9), iterations=10,
                              seed=42, lam=1.0, jobs=JOBS)
     for k in range(2, 9):
-        assert exp.d_eff[k] < exp.d_k[k], f"d_eff !< D_k at k={k}"
+        assert exp.d_eff[k] < num_coalitions(8, k), f"d_eff !< D_k at k={k}"
     unreg_1 = exp.cells[(1, "none")].mean_gap
     unreg_8 = exp.cells[(8, "none")].mean_gap
     ridge_8 = exp.cells[(8, "l2")].mean_gap
@@ -351,8 +352,8 @@ def test_criterion_10_resource_profile():
         ds = Dataset(x=x, y=y, feature_names=[f"f{i}" for i in range(8)], name="pima_shaped")
         note = "pima absent: shape-equivalent 768x8 synthetic"
     with timer() as t:
-        prof_k1 = resource_profile(ds, 1, "l2", 1.0, folds=5)
-        prof_k2 = resource_profile(ds, 2, "l2", 1.0, folds=5)
+        prof_k1 = resource_profile(ds, 1, "l2", 1.0)
+        prof_k2 = resource_profile(ds, 2, "l2", 1.0)
     assert prof_k1.flops == pytest.approx(2457.6), f"k=1 FLOPs {prof_k1.flops} != 2457.6"
     assert prof_k2.flops == pytest.approx(2 * 36 * 153.6)
     assert prof_k2.train_time_s + prof_k2.infer_time_s < 1.0, (

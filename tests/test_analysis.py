@@ -283,21 +283,19 @@ def test_bound_curves_monotone_in_k():
 # ---------------------------------------------------------------------------
 
 def test_gap_experiment_shapes_and_dimension_bounds():
-    exp = gap_experiment(n=5, big_n=120, k_range=[1, 3], penalties=("none", "l2"),
-                         iterations=2, seed=1, jobs=2)
+    exp = gap_experiment(n=5, big_n=120, k_range=[1, 3], iterations=2, seed=1, jobs=2)
     assert set(exp.cells) == {(1, "none"), (1, "l2"), (3, "none"), (3, "l2")}
     for k in (1, 3):
-        assert 1.0 <= exp.d_eff[k] <= exp.d_k[k]
+        assert 1.0 <= exp.d_eff[k] <= num_coalitions(5, k)
     rows = exp.rows()
     assert [r["k"] for r in rows] == [1, 3]
+    assert [r["D_k"] for r in rows] == [num_coalitions(5, 1), num_coalitions(5, 3)]
     assert all("gap_none" in r and "gap_l2" in r for r in rows)
 
 
 def test_gap_experiment_deterministic_across_jobs():
-    a = gap_experiment(n=4, big_n=60, k_range=[2], penalties=("l2",), iterations=3,
-                       seed=2, jobs=1)
-    b = gap_experiment(n=4, big_n=60, k_range=[2], penalties=("l2",), iterations=3,
-                       seed=2, jobs=3)
+    a = gap_experiment(n=4, big_n=60, k_range=[2], iterations=3, seed=2, jobs=1)
+    b = gap_experiment(n=4, big_n=60, k_range=[2], iterations=3, seed=2, jobs=3)
     assert np.array_equal(a.cells[(2, "l2")].gaps, b.cells[(2, "l2")].gaps)
     assert a.d_eff == b.d_eff
 
@@ -306,8 +304,8 @@ def test_gap_fan_out_identical_for_any_job_count():
     """One task per iteration, which walks the orders upward on one design,
     reassembled by cell: every field and report row is the same for any
     number of workers, and the orders stay in the caller's order."""
-    runs = [gap_experiment(n=4, big_n=60, k_range=[3, 1, 2], penalties=("none", "l2"),
-                           iterations=3, seed=5, jobs=jobs) for jobs in (1, 2, 3)]
+    runs = [gap_experiment(n=4, big_n=60, k_range=[3, 1, 2], iterations=3, seed=5, jobs=jobs)
+            for jobs in (1, 2, 3)]
     first = runs[0]
     for exp in runs:
         assert exp.k_values == [3, 1, 2]
@@ -325,8 +323,7 @@ def test_gap_fan_out_identical_for_any_job_count():
 def test_gap_cells_are_the_direct_fits_of_each_iteration():
     """Reference loop: iteration i draws its data from the i-th child of the
     root seed, fits the first half and scores both halves."""
-    exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], penalties=("l2",),
-                         iterations=2, seed=4, lam=0.5, jobs=2)
+    exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], iterations=2, seed=4, lam=0.5, jobs=2)
     for it, child in enumerate(np.random.SeedSequence(4).spawn(2)):
         ds = gen_random_noise(4, 60, seed=child)
         train, test = ds.subset(np.arange(30)), ds.subset(np.arange(30, 60))
@@ -373,20 +370,14 @@ def test_gap_experiment_rejects_no_iterations():
         gap_experiment(n=3, big_n=90, k_range=[1], iterations=0)
 
 
-@pytest.mark.parametrize("orders, penalties, message", [
-    ([1, 1], ("l2",), "orders repeat k=1"),
-    ([2, 1], ("l2", "none", "l2"), "penalties repeat 'l2'"),
-])
-def test_gap_experiment_refuses_a_repeated_order_or_penalty(monkeypatch, orders, penalties,
-                                                            message):
+def test_gap_experiment_refuses_a_repeated_order(monkeypatch):
     monkeypatch.setattr(analysis, "fit", None)  # any fit would raise a TypeError
-    with pytest.raises(ValueError, match=message):
-        gap_experiment(n=3, big_n=40, k_range=orders, penalties=penalties, iterations=1)
+    with pytest.raises(ValueError, match="orders repeat k=1"):
+        gap_experiment(n=3, big_n=40, k_range=[1, 1], iterations=1)
 
 
 def test_bound_report_joins_measurements():
-    exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], penalties=("none", "l2"),
-                         iterations=2, seed=3)
+    exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], iterations=2, seed=3)
     rows = bound_report(exp, norm_bound=1.0, lipschitz=2.0)
     assert [r["k"] for r in rows] == [1, 2]
     for row in rows:

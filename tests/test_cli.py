@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapreg import cli
+from shapreg import analysis, cli, cv, train
 from shapreg.cli import (
     EXIT_DATA,
     EXIT_NO_CONVERGENCE,
@@ -130,9 +130,7 @@ def test_fit_nonconvergence_exit_code(toy_csv, tmp_path):
 
 def test_fit_budget_exit_code(toy_csv, tmp_path, monkeypatch, capsys):
     # a one-iteration budget cannot converge from the zero start
-    library_fit = cli.fit
-    monkeypatch.setattr(cli, "fit", lambda ds, k, config: library_fit(
-        ds, k, dataclasses.replace(config, max_iters=1)))
+    monkeypatch.setattr(train, "MAX_ITERS", 1)
     code = run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "2",
                "--lambda", "0.01", "--out-dir", tmp_path / "nc")
     assert code == EXIT_NO_CONVERGENCE
@@ -441,16 +439,16 @@ LIBRARY_OPTION_SURFACE = {
     fit: ["data", "k", "config", "start"],
     prepare: ["dataset", "k"],
     at_order: ["problem", "k"],
-    nested_cv: ["dataset", "k", "penalty", "lambda_grid", "outer_folds", "inner_folds",
-                "selection_metric", "class_weighting", "seed", "jobs"],
+    nested_cv: ["dataset", "k", "penalty", "lambda_grid", "selection_metric",
+                "class_weighting", "seed", "jobs"],
     k_sweep_benchmark: ["dataset", "k_range", "penalties", "lambda_grid", "selection_metric",
                         "class_weighting", "sigmas", "noise_repeats", "bootstrap_resamples",
                         "seed", "jobs"],
     noise_robustness: ["model", "x_test", "y_test", "sigmas", "repeats", "seed"],
     bootstrap_stability: ["dataset", "k", "penalty", "lam", "resamples", "seed",
                           "class_weighting", "jobs"],
-    resource_profile: ["dataset", "k", "penalty", "lam", "folds", "seed", "class_weighting"],
-    gap_experiment: ["n", "big_n", "k_range", "penalties", "iterations", "seed", "lam", "jobs"],
+    resource_profile: ["dataset", "k", "penalty", "lam", "seed", "class_weighting"],
+    gap_experiment: ["n", "big_n", "k_range", "iterations", "seed", "lam", "jobs"],
     sensitivity_to_label_flip: ["dataset", "k", "config", "repeats", "seed"],
     transposed_min_terms: ["x", "k"],
     default_lambda_grid: [],
@@ -464,16 +462,27 @@ def test_library_option_surface():
     assert surface == LIBRARY_OPTION_SURFACE
 
 
+def test_protocol_constants():
+    """The settings every fit and protocol run shares, one value each: the
+    solver's tolerance and budget, the nested-CV folds and the penalties the
+    gap experiment compares."""
+    assert (train.TOL, train.MAX_ITERS) == (1e-8, 10_000)
+    assert FitConfig().max_iters == train.MAX_ITERS
+    assert (cv.OUTER_FOLDS, cv.INNER_FOLDS) == (5, 3)
+    assert analysis.GAP_PENALTIES == ("none", "l2")
+
+
 RECORD_FIELDS = {
+    FitConfig: ["penalty", "lam", "class_weighting"],
     FoldReport: ["fold", "selected_lam", "inner_scores", "metrics", "result", "test_rows"],
     CVReport: ["dataset", "k", "penalty", "selection_metric", "class_weighting", "seed",
-               "inner_folds", "lambda_grid", "folds"],
+               "lambda_grid", "folds"],
     SweepCell: ["cv", "robustness", "bootstrap", "bootstrap_lam"],
     BootstrapResult: ["accuracies", "requested"],
     ResourceProfile: ["train_time_s", "infer_time_s", "model_size_mb", "flops"],
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
     GapCell: ["gaps", "train_errors", "test_errors", "status_counts"],
-    GapExperiment: ["n", "big_n", "lam", "k_values", "penalties", "d_k", "d_eff", "cells"],
+    GapExperiment: ["n", "big_n", "lam", "k_values", "d_eff", "cells"],
 }
 
 

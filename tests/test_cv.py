@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from shapreg.cv import (
+    INNER_FOLDS,
+    OUTER_FOLDS,
     BootstrapResult,
     SweepReport,
     bootstrap_stability,
@@ -60,7 +62,7 @@ def test_default_lambda_grid_shape():
 
 
 def test_nested_cv_without_a_grid_selects_from_the_default_grid():
-    report = nested_cv(signal_dataset(), 1, "l2", outer_folds=2, inner_folds=2, seed=0)
+    report = nested_cv(signal_dataset(), 1, "l2", seed=0)
     assert report.lambda_grid == default_lambda_grid()
     for fold in report.folds:
         assert sorted(fold.inner_scores) == report.lambda_grid
@@ -80,13 +82,13 @@ def test_nested_cv_deterministic_bytes():
         assert a.to_dict() == b.to_dict()
 
 
-@pytest.mark.parametrize("grid, outer, inner", [([0.1, 1.0, 10.0], 3, 2), ([0.5, 5.0], 2, 4)])
-def test_nested_cv_fit_count(cv_fit_configs, grid, outer, inner):
+@pytest.mark.parametrize("grid", [[0.1, 1.0, 10.0], [0.5, 5.0]])
+def test_nested_cv_fit_count(cv_fit_configs, grid):
     """Every inner-grid cell and every outer refit is one ``train.fit`` call,
-    O * (G * I + 1) in all; the benchmark's closed-form fit count relies on it."""
-    nested_cv(signal_dataset(seed=1), 2, "l1", lambda_grid=grid,
-              outer_folds=outer, inner_folds=inner, seed=0)
-    assert len(cv_fit_configs) == outer * (len(grid) * inner + 1)
+    5 * (G * 3 + 1) in all over the 5 outer and 3 inner folds; the
+    benchmark's closed-form fit count relies on it."""
+    nested_cv(signal_dataset(seed=1), 2, "l1", lambda_grid=grid, seed=0)
+    assert len(cv_fit_configs) == 5 * (len(grid) * 3 + 1)
 
 
 @pytest.mark.parametrize("penalty, selection_metric", [("l1", "accuracy"), ("l2", "f1")])
@@ -96,13 +98,13 @@ def test_warm_started_inner_scores_equal_cold_fits(penalty, selection_metric):
     warm-started path exactly, and its outer refit is the cold fit."""
     ds = gen_pure_pairwise(4, 120, pairs=2, seed=3)
     grid = [1e-3, 1e-2, 0.1, 1.0, 10.0]
-    seed, outer_folds, inner_folds = 2, 3, 3
-    report = nested_cv(ds, 2, penalty, lambda_grid=grid, outer_folds=outer_folds,
-                       inner_folds=inner_folds, selection_metric=selection_metric, seed=seed)
+    seed = 2
+    report = nested_cv(ds, 2, penalty, lambda_grid=grid, selection_metric=selection_metric,
+                       seed=seed)
 
-    test_rows = stratified_folds(ds.y, outer_folds, np.random.SeedSequence([seed, 0]))[0]
+    test_rows = stratified_folds(ds.y, OUTER_FOLDS, np.random.SeedSequence([seed, 0]))[0]
     train = ds.subset(np.setdiff1d(np.arange(ds.n_samples), test_rows))
-    inner = stratified_folds(train.y, inner_folds, np.random.SeedSequence([seed, 1, 0]))
+    inner = stratified_folds(train.y, INNER_FOLDS, np.random.SeedSequence([seed, 1, 0]))
     expected = {}
     for lam in grid:
         scores = []
@@ -358,17 +360,16 @@ def test_best_k_by_stability_skips_orders_without_a_bootstrap_std(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_resource_profile_fits_with_the_class_weighting(cv_fit_configs):
-    resource_profile(signal_dataset(seed=16), 1, "l2", 1.0, folds=3,
-                     class_weighting="inverse_frequency")
-    assert [c.class_weighting for c in cv_fit_configs] == ["inverse_frequency"] * 3
+    resource_profile(signal_dataset(seed=16), 1, "l2", 1.0, class_weighting="inverse_frequency")
+    assert [c.class_weighting for c in cv_fit_configs] == ["inverse_frequency"] * OUTER_FOLDS
 
 
 def test_resource_profile_flops_convention():
     ds = signal_dataset(n=8, big_n=768, seed=15)
-    prof1 = resource_profile(ds, 1, "l2", 1.0, folds=5)
+    prof1 = resource_profile(ds, 1, "l2", 1.0)
     assert prof1.flops == pytest.approx(2 * 8 * 153.6)
     assert prof1.flops == pytest.approx(2457.6)
-    prof2 = resource_profile(ds, 2, "l2", 1.0, folds=5)
+    prof2 = resource_profile(ds, 2, "l2", 1.0)
     assert prof2.flops == pytest.approx(2 * 36 * 153.6)
     assert prof2.model_size_mb > prof1.model_size_mb
 

@@ -96,9 +96,6 @@ REFUSALS = {
     "gap experiment of no orders": (
         lambda tmp: gap_experiment(3, 20, []), ValueError,
         "a sweep needs at least 1 order and 1 penalty"),
-    "gap experiment of no penalties": (
-        lambda tmp: gap_experiment(3, 20, [1], penalties=[]), ValueError,
-        "a sweep needs at least 1 order and 1 penalty"),
     "no flips": (
         lambda tmp: sensitivity_to_label_flip(NOISE, 1, FitConfig(), repeats=0), ValueError,
         "repeats must be >= 1"),
