@@ -25,7 +25,6 @@ from .cv import (
     k_sweep_benchmark,
     nested_cv,
     noise_robustness,
-    resource_profile,
     stratified_folds,
 )
 from .data import Dataset, gen_pure_pairwise, gen_random_noise, load_csv, undersample
@@ -103,7 +102,6 @@ __all__ = [
     "num_coalitions",
     "phi",
     "prepare",
-    "resource_profile",
     "sensitivity_to_label_flip",
     "shapley_from_mobius",
     "stratified_folds",

@@ -186,10 +186,14 @@ UNCONVERGED = tuple(status for status in STATUSES if status != "converged")
 
 @dataclass(frozen=True)
 class GapCell:
-    gaps: np.ndarray
     train_errors: np.ndarray
     test_errors: np.ndarray
     status_counts: dict[str, int]  # fits per solver status, every STATUSES key
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """Test minus train error, per iteration."""
+        return self.test_errors - self.train_errors
 
     @property
     def mean_gap(self) -> float:
@@ -303,7 +307,6 @@ def gap_experiment(
             test_errs = np.array([test_err for _, test_err, _ in per_it])
             statuses = [status for _, _, status in per_it]
             cells[(k, pen)] = GapCell(
-                gaps=test_errs - train_errs,
                 train_errors=train_errs,
                 test_errors=test_errs,
                 status_counts={status: statuses.count(status) for status in STATUSES},

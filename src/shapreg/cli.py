@@ -38,7 +38,7 @@ from .analysis import (
     main_effects,
     top_by_strength,
 )
-from .cv import SELECTION_METRICS, k_sweep_benchmark, resource_profile
+from .cv import SELECTION_METRICS, k_sweep_benchmark
 from .data import (
     DataError,
     Dataset,
@@ -310,8 +310,7 @@ def cmd_bench(args) -> int:
     if args.profile:
         rows = []
         for (pen, k), cell in report.cells.items():
-            prof = resource_profile(ds, k, pen, cell.bootstrap_lam, seed=args.seed,
-                                    class_weighting=_class_weighting(args))
+            prof = cell.cv.resources()
             rows.append([ds.name, pen, k, prof.train_time_s, prof.infer_time_s,
                          prof.model_size_mb, prof.flops])
         _write_csv(out / "resources.csv",

@@ -1,17 +1,16 @@
-"""Nested cross-validation, k-sweep benchmarking, noise robustness, bootstrap
-stability, and resource profiling."""
+"""Nested cross-validation and the cost of its outer refits, k-sweep
+benchmarking, noise robustness and bootstrap stability."""
 
 from __future__ import annotations
 
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .games import num_coalitions
 from .metrics import MetricSet, metrics, threshold_metrics
 from .model import ShapleyModel, expit
 from .parallel import map_ordered
@@ -20,8 +19,8 @@ from .train import FitConfig, FitResult, fit, prepare
 logger = logging.getLogger(__name__)
 
 SELECTION_METRICS = ("accuracy", "f1")
-# the protocol's stratified folds: nested_cv's outer and inner splits, and
-# the outer folds that resource_profile averages over
+# the protocol's stratified folds: nested_cv's outer and inner splits; a
+# CVReport's resources() averages over the outer folds
 OUTER_FOLDS = 5
 INNER_FOLDS = 3
 
@@ -70,11 +69,6 @@ def _without(dataset: Dataset, rows: np.ndarray) -> Dataset:
     return dataset.subset(np.flatnonzero(keep))
 
 
-def _evaluate(model: ShapleyModel, x_raw: np.ndarray, y: np.ndarray) -> MetricSet:
-    proba = model.predict_proba(x_raw)
-    return metrics(y, (proba >= 0.5).astype(int), proba)
-
-
 @dataclass(frozen=True)
 class FoldReport:
     fold: int
@@ -83,6 +77,18 @@ class FoldReport:
     metrics: MetricSet
     result: FitResult  # the outer refit on every row outside test_rows
     test_rows: list[int]
+    # wall seconds of the outer refit (its prepare included) and of its
+    # predict_proba on the test rows; never serialized, never compared
+    fit_s: float = field(compare=False)
+    predict_s: float = field(compare=False)
+
+
+@dataclass(frozen=True)
+class ResourceProfile:
+    train_time_s: float
+    infer_time_s: float
+    model_size_mb: float
+    flops: float
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,24 @@ class CVReport:
 
     def fits_with_status(self, status: str) -> int:
         return sum(1 for f in self.folds if f.result.status == status)
+
+    def resources(self) -> ResourceProfile:
+        """What the outer refits cost, averaged over the folds: the wall time
+        of each refit and of its prediction on the fold's test rows.  Under
+        ``jobs > 1`` the folds ran concurrently, and the times include that.
+
+        Model size counts (1 + D_k) float64 parameters; the FLOPs estimate is
+        the inference cost 2 * D_k * (mean test-fold size), i.e. one multiply
+        and one add per design-matrix entry of the test fold.
+        """
+        d_k = self.folds[0].result.model.indices.size
+        mean_test = float(np.mean([len(f.test_rows) for f in self.folds]))
+        return ResourceProfile(
+            train_time_s=float(np.mean([f.fit_s for f in self.folds])),
+            infer_time_s=float(np.mean([f.predict_s for f in self.folds])),
+            model_size_mb=(1 + d_k) * 8 / 2**20,
+            flops=2.0 * d_k * mean_test,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -169,8 +193,10 @@ def nested_cv(
     warm-started from the previous one's parameters; its validation rows are
     scored for the selection metric only.  The winner is refit cold (from
     zero) on the full outer-train split, whose min-max normalization never
-    sees test rows.  Everything derives from ``seed``, so reports are
-    byte-identical across runs and ``jobs`` values.
+    sees test rows; each fold records that refit's wall time and its
+    prediction's (see :meth:`CVReport.resources`).  Everything else derives
+    from ``seed``, so reports are byte-identical across runs and ``jobs``
+    values.
     """
     if penalty == "none":
         grid = [0.0]
@@ -214,14 +240,21 @@ def nested_cv(
             best_lam = grid[0]
 
         config = FitConfig(penalty=penalty, lam=best_lam, class_weighting=class_weighting)
+        t0 = time.perf_counter()
         result = fit(train, k, config)
+        fit_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        proba = result.model.predict_proba(test_x)
+        predict_s = time.perf_counter() - t0
         return FoldReport(
             fold=fold_id,
             selected_lam=best_lam,
             inner_scores=inner_scores,
-            metrics=_evaluate(result.model, test_x, test_y),
+            metrics=metrics(test_y, (proba >= 0.5).astype(int), proba),
             result=result,
             test_rows=[int(r) for r in test_rows],
+            fit_s=fit_s,
+            predict_s=predict_s,
         )
 
     return CVReport(
@@ -237,7 +270,7 @@ def nested_cv(
 
 
 # ---------------------------------------------------------------------------
-# robustness, stability, resources
+# robustness, stability
 # ---------------------------------------------------------------------------
 
 def _noise_settings(sigmas, repeats: int) -> list[float]:
@@ -351,56 +384,6 @@ def bootstrap_stability(
 
     accs = [a for a in map_ordered(one, range(resamples), jobs=jobs) if a is not None]
     return BootstrapResult(accuracies=np.asarray(accs), requested=resamples)
-
-
-@dataclass(frozen=True)
-class ResourceProfile:
-    train_time_s: float
-    infer_time_s: float
-    model_size_mb: float
-    flops: float
-
-
-def resource_profile(
-    dataset: Dataset,
-    k: int,
-    penalty: str,
-    lam: float,
-    seed: int = 0,
-    class_weighting: str = "off",
-) -> ResourceProfile:
-    """Wall-clock train/inference cost averaged over the :data:`OUTER_FOLDS`
-    stratified folds that :func:`nested_cv` draws from the same seed.
-
-    Model size counts (1 + D_k) float64 parameters; the FLOPs estimate is the
-    inference cost 2 * D_k * (mean test-fold size), i.e. one multiply and one
-    add per design-matrix entry of the test fold.
-    """
-    assignments = stratified_folds(dataset.y, OUTER_FOLDS, np.random.SeedSequence([seed, 0]))
-    config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
-    d_k = num_coalitions(dataset.n_features, k)
-
-    train_times, infer_times, test_sizes = [], [], []
-    for test_rows in assignments:
-        train = _without(dataset, test_rows)
-
-        t0 = time.perf_counter()
-        result = fit(train, k, config)
-        train_times.append(time.perf_counter() - t0)
-
-        x_test = dataset.x[test_rows]
-        t0 = time.perf_counter()
-        result.model.predict_proba(x_test)
-        infer_times.append(time.perf_counter() - t0)
-        test_sizes.append(test_rows.size)
-
-    mean_test = float(np.mean(test_sizes))
-    return ResourceProfile(
-        train_time_s=float(np.mean(train_times)),
-        infer_time_s=float(np.mean(infer_times)),
-        model_size_mb=(1 + d_k) * 8 / 2**20,
-        flops=2.0 * d_k * mean_test,
-    )
 
 
 # ---------------------------------------------------------------------------

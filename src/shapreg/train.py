@@ -179,10 +179,16 @@ class _Objective:
         return theta[0] + self.phi @ theta[1:]
 
     def value(self, theta: np.ndarray, z: np.ndarray) -> float:
-        """Full objective, penalty included."""
+        """Full objective, penalty included.  A penalty term is added only
+        when its weight is nonzero: at a far line-search candidate its norm
+        can overflow, and 0 * inf would make the value NaN."""
         coef = theta[1:]
         val = float(self.w @ (np.logaddexp(0.0, z) - self.y * z))
-        return val + self.l2 * float(coef @ coef) + self.l1 * float(np.abs(coef).sum())
+        if self.l2:
+            val += self.l2 * float(coef @ coef)
+        if self.l1:
+            val += self.l1 * float(np.abs(coef).sum())
+        return val
 
     def gradient(self, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Gradient of the smooth part (loss plus any l2 term), given the
@@ -220,7 +226,9 @@ class _Objective:
 
 
 # Hessian shifts, in units of the mean diagonal, tried in turn while the
-# line search fails; every iteration starts again from the smallest.
+# line search fails; every iteration starts again from the smallest.  When
+# every one fails and that diagonal is below 1, as at a saturated iterate
+# whose logits all lie far from 0, they are tried once more in units of 1.
 _SHIFTS = (1e-12, 1e-8, 1e-4, 1.0)
 
 
@@ -349,7 +357,8 @@ def _newton(obj: _Objective, start: np.ndarray | None = None):
     l1 term exactly (:func:`_newton_step`; one Newton solve without an l1
     term) and backtracks along the step.  A step the line search rejects is
     retried with the Hessian shifted by growing multiples of its mean
-    diagonal.  The residual is the pseudo-gradient norm.
+    diagonal, and then, if that diagonal is below 1, of 1 (see
+    :data:`_SHIFTS`).  The residual is the pseudo-gradient norm.
 
     Without a penalty term, an iterate whose logits put every row strictly
     on its label's side, y_i * z_i > 0 with y in {-1, +1}, certifies that
@@ -383,10 +392,11 @@ def _newton(obj: _Objective, start: np.ndarray | None = None):
 
         hess = obj.hessian(z, p)
         scale = float(np.trace(hess)) / dim
+        units = (scale,) if scale >= 1.0 else (scale, 1.0)
         step = None
-        for shift in _SHIFTS:
+        for shift in (s * unit for unit in units for s in _SHIFTS):
             shifted = hess.copy()
-            shifted.flat[::dim + 1] += shift * scale
+            shifted.flat[::dim + 1] += shift
             try:
                 direction = _newton_step(shifted, grad, theta, obj.l1)
             except np.linalg.LinAlgError:

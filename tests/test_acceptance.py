@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 from shapreg import train
 from shapreg.analysis import consensus_interactions, gap_experiment
 from shapreg.basis import design_matrix
-from shapreg.cv import k_sweep_benchmark, nested_cv, resource_profile
+from shapreg.cv import k_sweep_benchmark, nested_cv
 from shapreg.data import Dataset, gen_pure_pairwise, gen_random_noise, load_csv
 from shapreg.games import (
     Basis,
@@ -352,8 +352,8 @@ def test_criterion_10_resource_profile():
         ds = Dataset(x=x, y=y, feature_names=[f"f{i}" for i in range(8)], name="pima_shaped")
         note = "pima absent: shape-equivalent 768x8 synthetic"
     with timer() as t:
-        prof_k1 = resource_profile(ds, 1, "l2", 1.0)
-        prof_k2 = resource_profile(ds, 2, "l2", 1.0)
+        prof_k1 = nested_cv(ds, 1, "l2", lambda_grid=[1.0]).resources()
+        prof_k2 = nested_cv(ds, 2, "l2", lambda_grid=[1.0]).resources()
     assert prof_k1.flops == pytest.approx(2457.6), f"k=1 FLOPs {prof_k1.flops} != 2457.6"
     assert prof_k2.flops == pytest.approx(2 * 36 * 153.6)
     assert prof_k2.train_time_s + prof_k2.infer_time_s < 1.0, (

@@ -1,9 +1,11 @@
-"""What the benchmark's hooks (perfbench/hooks.py) need from the package.
+"""What the benchmark (perfbench/) needs from the package.
 
 The hooks count fits and design cells by rebinding ``train.fit`` and
 ``basis.design_matrix`` wherever the package can reach them, and read the
-design's shape from what ``design_matrix`` returns.  A refactor that moves,
-renames or reshapes either one fails here rather than in a benchmark run.
+design's shape from what ``design_matrix`` returns.  The workloads call
+``cli.main`` with fixed command lines.  A refactor that moves, renames or
+reshapes one of these, or drops a flag a workload passes, fails here rather
+than in a benchmark run.
 """
 
 import importlib.util
@@ -14,19 +16,24 @@ import numpy as np
 import pytest
 
 import shapreg
+from shapreg import cli
 from shapreg.data import Dataset
 from shapreg.games import num_coalitions
 from shapreg.train import FitConfig
 
-HOOKS = Path(__file__).resolve().parent.parent / "perfbench" / "hooks.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def hooks():
-    spec = importlib.util.spec_from_file_location("perfbench_hooks", HOOKS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("hooks")
 
 
 def test_counts_see_one_fit_and_its_design(hooks):
@@ -59,3 +66,58 @@ def test_tracer_reaches_every_binding(hooks):
         assert patch.unpatched_bindings() == []
     finally:
         patch.restore()
+
+
+class _Handed(Exception):
+    """Raised in place of running a command, once its argv is recorded."""
+
+
+class _Model:
+    """Stands in for the fitted model a serving session predicts with."""
+
+    def predict_proba(self, rows):
+        return np.full(np.atleast_2d(rows).shape[0], 0.5)
+
+
+def workload_argvs(monkeypatch, tmp_path) -> dict[str, list[str]]:
+    """Every command line the workloads hand to ``cli.main``, by step and
+    job count, recorded without running one: the recorder stops each step
+    at its call."""
+    workloads = load_perfbench("workloads")
+    handed = []
+
+    def record(argv):
+        handed.append([str(arg) for arg in argv])
+        raise _Handed
+
+    monkeypatch.setattr(cli, "main", record)
+    serving = {"seed": 0, "model": _Model(), "batch": np.zeros((0, 10)),
+               "model_path": tmp_path / "model.json", "rows_csv": tmp_path / "rows.csv",
+               "latencies_ns": [], "single_outputs": [], "batch_s": [], "batch_outputs": []}
+    steps = {
+        "cv_bench": lambda wl: wl.run_protocol({"csv": tmp_path / "planted.csv"}, tmp_path),
+        "bounds_noise": lambda wl: wl.run_protocol({"seed": 0}, tmp_path),
+        "predict_serving setup": lambda wl: wl.setup(0, tmp_path),
+        "predict_serving": lambda wl: wl.run_protocol(serving, tmp_path),
+    }
+    argvs = {}
+    for jobs in (1, 2):
+        for step, call in steps.items():
+            with pytest.raises(_Handed):
+                call(workloads.make(step.split()[0], jobs))
+            argvs[f"{step}, jobs {jobs}"] = handed.pop()
+    return argvs
+
+
+def test_every_workload_command_line_parses(monkeypatch, tmp_path):
+    """Each command line a workload passes parses, flag for flag: a parser
+    change that drops one (``bench --jobs``, say) fails here instead
+    of every benchmark run."""
+    argvs = workload_argvs(monkeypatch, tmp_path)
+    assert {argv[0] for argv in argvs.values()} == {"bench", "bounds", "fit", "predict"}
+    parser = cli.build_parser()
+    for step, argv in argvs.items():
+        try:
+            parser.parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"{step}: {' '.join(argv)} does not parse: {exc}")

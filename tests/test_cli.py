@@ -33,7 +33,6 @@ from shapreg.cv import (
     k_sweep_benchmark,
     nested_cv,
     noise_robustness,
-    resource_profile,
 )
 from shapreg.data import gen_pure_pairwise
 from shapreg.games import transposed_min_terms
@@ -447,7 +446,6 @@ LIBRARY_OPTION_SURFACE = {
     noise_robustness: ["model", "x_test", "y_test", "sigmas", "repeats", "seed"],
     bootstrap_stability: ["dataset", "k", "penalty", "lam", "resamples", "seed",
                           "class_weighting", "jobs"],
-    resource_profile: ["dataset", "k", "penalty", "lam", "seed", "class_weighting"],
     gap_experiment: ["n", "big_n", "k_range", "iterations", "seed", "lam", "jobs"],
     sensitivity_to_label_flip: ["dataset", "k", "config", "repeats", "seed"],
     transposed_min_terms: ["x", "k"],
@@ -474,14 +472,15 @@ def test_protocol_constants():
 
 RECORD_FIELDS = {
     FitConfig: ["penalty", "lam", "class_weighting"],
-    FoldReport: ["fold", "selected_lam", "inner_scores", "metrics", "result", "test_rows"],
+    FoldReport: ["fold", "selected_lam", "inner_scores", "metrics", "result", "test_rows",
+                 "fit_s", "predict_s"],
     CVReport: ["dataset", "k", "penalty", "selection_metric", "class_weighting", "seed",
                "lambda_grid", "folds"],
     SweepCell: ["cv", "robustness", "bootstrap", "bootstrap_lam"],
     BootstrapResult: ["accuracies", "requested"],
     ResourceProfile: ["train_time_s", "infer_time_s", "model_size_mb", "flops"],
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
-    GapCell: ["gaps", "train_errors", "test_errors", "status_counts"],
+    GapCell: ["train_errors", "test_errors", "status_counts"],
     GapExperiment: ["n", "big_n", "lam", "k_values", "d_eff", "cells"],
 }
 
@@ -611,14 +610,46 @@ def test_undersample_ratio_reaches_fit_and_bench(toy_csv, tmp_path):
 
 def test_bench_profile_fits_with_the_class_weighting(toy_csv, tmp_path, cv_fit_configs):
     """Every fit of ``bench --class-weight inverse-frequency --profile``,
-    the profiled ones included, is class-weighted."""
+    the profiled outer refits included, is class-weighted."""
     assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1",
                "--penalties", "l2", "--lambda-grid", "1.0", "--noise-repeats", "1",
                "--bootstrap-resamples", "2", "--class-weight", "inverse-frequency",
                "--profile", "--out-dir", tmp_path / "b") == EXIT_OK
     assert (tmp_path / "b" / "resources.csv").exists()
-    # 5 outer refits, 2 bootstrap fits, 5 profiled folds
-    assert [c.class_weighting for c in cv_fit_configs] == ["inverse_frequency"] * 12
+    # 5 outer refits, 2 bootstrap fits
+    assert [c.class_weighting for c in cv_fit_configs] == ["inverse_frequency"] * 7
+
+
+def test_bench_profile_reads_the_fits_bench_makes(toy_csv, tmp_path, cv_fit_configs, monkeypatch):
+    """``--profile`` adds no fit: ``resources.csv`` reports each cell's own
+    outer refits, so its size and FLOPs columns are that cell's CV profile."""
+    reports = []
+    sweep = cli.k_sweep_benchmark
+
+    def recorded(*args, **kwargs):
+        reports.append(sweep(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "k_sweep_benchmark", recorded)
+    bench = ["bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1..2",
+             "--penalties", "l1,l2", "--lambda-grid", "0.1,1", "--noise-repeats", "1",
+             "--bootstrap-resamples", "2"]
+    assert run(*bench, "--out-dir", tmp_path / "plain") == EXIT_OK
+    plain = list(cv_fit_configs)
+    cv_fit_configs.clear()
+    assert run(*bench, "--profile", "--out-dir", tmp_path / "profiled") == EXIT_OK
+    assert cv_fit_configs == plain
+    assert not (tmp_path / "plain" / "resources.csv").exists()
+    with open(tmp_path / "profiled" / "resources.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["Dataset", "Penalty", "k", "Training Time (s)", "Inference Time (s)",
+                      "Model Size (MB)", "FLOPs"]
+    cells = reports[-1].cells
+    assert [(pen, int(k)) for _, pen, k, *_ in rows] == list(cells)
+    for (_, pen, k, train_s, infer_s, size_mb, flops) in rows:
+        prof = cells[(pen, int(k))].cv.resources()
+        assert (float(size_mb), float(flops)) == (prof.model_size_mb, prof.flops)
+        assert (float(train_s), float(infer_s)) == (prof.train_time_s, prof.infer_time_s)
 
 
 def test_bench_invalid_penalty_is_usage_error(toy_csv, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from shapreg.cv import (
     k_sweep_benchmark,
     nested_cv,
     noise_robustness,
-    resource_profile,
     stratified_folds,
 )
 from shapreg.data import Dataset, gen_pure_pairwise, gen_random_noise
@@ -359,17 +359,26 @@ def test_best_k_by_stability_skips_orders_without_a_bootstrap_std(monkeypatch):
 # resources and sweep
 # ---------------------------------------------------------------------------
 
-def test_resource_profile_fits_with_the_class_weighting(cv_fit_configs):
-    resource_profile(signal_dataset(seed=16), 1, "l2", 1.0, class_weighting="inverse_frequency")
+def test_cv_resources_time_the_outer_refits(cv_fit_configs):
+    """A one-point grid makes only the outer refits, each class-weighted as
+    asked; their costs are the folds' own timings, which equality ignores."""
+    report = nested_cv(signal_dataset(seed=16), 1, "l2", lambda_grid=[1.0],
+                       class_weighting="inverse_frequency")
     assert [c.class_weighting for c in cv_fit_configs] == ["inverse_frequency"] * OUTER_FOLDS
+    prof = report.resources()
+    assert all(f.fit_s > 0 and f.predict_s > 0 for f in report.folds)
+    assert prof.train_time_s == np.mean([f.fit_s for f in report.folds])
+    assert prof.infer_time_s == np.mean([f.predict_s for f in report.folds])
+    fold = report.folds[0]
+    assert dataclasses.replace(fold, fit_s=-1.0, predict_s=-1.0) == fold
 
 
-def test_resource_profile_flops_convention():
+def test_cv_resources_flops_convention():
     ds = signal_dataset(n=8, big_n=768, seed=15)
-    prof1 = resource_profile(ds, 1, "l2", 1.0)
+    prof1 = nested_cv(ds, 1, "l2", lambda_grid=[1.0]).resources()
     assert prof1.flops == pytest.approx(2 * 8 * 153.6)
     assert prof1.flops == pytest.approx(2457.6)
-    prof2 = resource_profile(ds, 2, "l2", 1.0)
+    prof2 = nested_cv(ds, 2, "l2", lambda_grid=[1.0]).resources()
     assert prof2.flops == pytest.approx(2 * 36 * 153.6)
     assert prof2.model_size_mb > prof1.model_size_mb
 

@@ -342,29 +342,40 @@ class _FlatHessian(train._Objective):
 
 @pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.1)])
 def test_singular_subproblems_stop_with_no_descent(monkeypatch, penalty, lam):
-    """A zero Hessian has a zero mean diagonal, so every shift leaves it
-    singular: each subproblem solve raises LinAlgError, which the loop
-    catches, and after the last shift the fit stops at its start with
-    ``no_descent``."""
+    """A subproblem solve that raises LinAlgError at every shift, caught by
+    the loop, stops the fit at its start with ``no_descent``.  A zero
+    Hessian has a zero mean diagonal, so the shifts are tried twice: once in
+    units of that diagonal and once in units of 1."""
     ds = toy_dataset()
     obj = _FlatHessian(prepare(ds, 2).design, ds.y.astype(float), np.ones(ds.n_samples),
                        penalty, lam)
-    raised = []
-    newton_step = train._newton_step
+    diagonals = []
 
-    def recording_step(hess, grad, theta, lam):
-        try:
-            return newton_step(hess, grad, theta, lam)
-        except np.linalg.LinAlgError as exc:
-            raised.append(exc)
-            raise
+    def singular_step(hess, grad, theta, lam):
+        diagonals.append(hess[0, 0])
+        raise np.linalg.LinAlgError("singular")
 
-    monkeypatch.setattr(train, "_newton_step", recording_step)
-    monkeypatch.setattr(train, "MAX_ITERS", 100)
+    monkeypatch.setattr(train, "_newton_step", singular_step)
     theta, trace, status, iterations, residual = train._newton(obj)
     assert (status, iterations) == ("no_descent", 1)
-    assert len(raised) == len(train._SHIFTS)
+    assert diagonals == [0.0] * len(train._SHIFTS) + list(train._SHIFTS)
     assert not theta.any() and trace.size == 1 and residual > 1e-8
+
+
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 1.0), ("l2", 1.0)])
+def test_saturated_start_reaches_the_cold_fit(penalty, lam):
+    """From a start whose logits all lie beyond |z| = 50, the Hessian's mean
+    diagonal without an l2 term is about 1e-23, so every shift in its units
+    leaves the first step far too long; the shifts in units of 1 take the fit
+    on to the minimizer that a cold start finds.  The l2 curvature keeps
+    that diagonal above 1, so l2 takes the first pass alone."""
+    problem = prepare(gen_random_noise(3, 60, seed=1), 1)
+    config = FitConfig(penalty=penalty, lam=lam)
+    warm = fit(problem, 1, config, start=[0.0, 1e5, -1e5, 0.0])
+    cold = fit(problem, 1, config)
+    assert warm.status == cold.status == "converged"
+    assert warm.objective_trace[-1] == pytest.approx(cold.objective_trace[-1], rel=1e-12)
+    assert np.allclose(warm.parameters, cold.parameters, atol=1e-6)
 
 
 @pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.1), ("l2", 0.1), ("l2", 1.0)])
