@@ -126,13 +126,13 @@ def _real(kind: str, accept):
     return _checked(kind, float, lambda value: math.isfinite(value) and accept(value))
 
 
-def _comma_list(item, distinct: bool = False):
-    """A comma list of ``item`` values, blank entries skipped; an empty list,
-    or a repeated value when ``distinct``, is refused."""
+def _comma_list(item):
+    """A comma list of distinct ``item`` values, blank entries skipped; an
+    empty list, or a repeated value, is refused."""
     return _checked(
-        f"a non-empty comma list of {'distinct ' if distinct else ''}values, each {item.__name__}",
+        f"a non-empty comma list of distinct values, each {item.__name__}",
         lambda text: [item(token.strip()) for token in text.split(",") if token.strip()],
-        lambda values: values and (not distinct or len(set(values)) == len(values)))
+        lambda values: values and len(set(values)) == len(values))
 
 
 def _order_list(text: str) -> list[int]:
@@ -145,7 +145,6 @@ def _order_list(text: str) -> list[int]:
 
 _seed = _checked("an int >= 0", int, lambda value: value >= 0)
 _count = _checked("an int >= 1", int, lambda value: value >= 1)
-_even_count = _checked("an even int >= 2", int, lambda value: value >= 2 and value % 2 == 0)
 _penalty = _checked(f"one of {', '.join(PENALTIES)}", str, lambda value: value in PENALTIES)
 _positive = _real("a finite number > 0", lambda value: value > 0)
 _non_negative = _real("a finite number >= 0", lambda value: value >= 0)
@@ -232,13 +231,13 @@ def _load_dataset(args) -> Dataset:
     return ds
 
 
-def _check_k(k: int, n: int, flag: str = "--k") -> None:
+def _check_k(k: int, n: int) -> None:
     if not 1 <= k <= n:
-        raise UsageError(f"{flag} must be in [1, {n}] for {n} features, got {k}")
+        raise UsageError(f"--k must be in [1, {n}] for {n} features, got {k}")
     try:
         check_fit_size(n, k)
     except ValueError as exc:
-        raise UsageError(f"{flag} {k}: {exc}") from None
+        raise UsageError(f"--k {k}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,61 +323,58 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# The protocol acceptance criteria 7 and 8 certify, and the one bounds runs:
+# label flips on 10-feature, 100-row noise at k=2 over the C = 1/lambda grid,
+# and the gap on 8-feature, 1000-row noise at k = 1..8 with l2 strength 1.
+# sensitivity_to_label_flip and gap_experiment take any other sizes.
+SENS_N, SENS_SAMPLES, SENS_K = 10, 100, 2
+C_GRID = (0.01, 0.1, 0.5, 1.0, 1.5, 3.0)
+GAP_N, GAP_SAMPLES, GAP_K_RANGE, GAP_LAMBDA = 8, 1000, tuple(range(1, 9)), 1.0
+
+
 def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
-    for k in args.gap_k_range:
-        _check_k(k, args.gap_n, "--gap-k-range")
-    _check_k(args.sens_k, args.sens_n, "--sens-k")
-    if args.model is not None:
-        b_norm = float(np.abs(_load_model(args.model).indices).sum())
-    else:
-        b_norm = args.b_norm
+    # the l1 radius B of the Rademacher curve: 1, or the ||I||_1 of --model
+    b_norm = 1.0 if args.model is None else float(np.abs(_load_model(args.model).indices).sum())
 
     # label-flip sensitivity curve on the synthetic noise protocol
-    sens_ds = gen_random_noise(args.sens_n, args.sens_samples, seed=args.seed)
+    sens_ds = gen_random_noise(SENS_N, SENS_SAMPLES, seed=args.seed)
     studies = [
-        sensitivity_to_label_flip(sens_ds, args.sens_k, FitConfig(penalty="l2", lam=1.0 / c),
+        sensitivity_to_label_flip(sens_ds, SENS_K, FitConfig(penalty="l2", lam=1.0 / c),
                                   repeats=args.sens_repeats, seed=args.seed)
-        for c in args.c_grid
+        for c in C_GRID
     ]
 
-    # generalization-gap experiment; fits on small random halves can fail,
-    # so no report is written before it has run
-    exp = gap_experiment(
-        n=args.gap_n, big_n=args.gap_samples,
-        k_range=args.gap_k_range,
-        iterations=args.gap_iterations,
-        seed=args.seed,
-        lam=args.gap_lambda,
-        jobs=args.jobs,
-    )
+    # generalization-gap experiment; no report is written before it has run
+    exp = gap_experiment(n=GAP_N, big_n=GAP_SAMPLES, k_range=GAP_K_RANGE,
+                         iterations=args.gap_iterations, seed=args.seed, lam=GAP_LAMBDA,
+                         jobs=args.jobs)
     _write_csv(out / "sensitivity_curve.csv",
                ["C", "lambda", "mean_shift", "std_shift", "median_shift",
                 "max_risk_diff", "stability_ceiling"],
                [[c, 1.0 / c, study.mean_shift, study.std_shift, study.median_shift,
                  float(study.risk_diffs.max()), study.stability_ceiling]
-                for c, study in zip(args.c_grid, studies)])
+                for c, study in zip(C_GRID, studies)])
     # the CSV names the 'none' penalty 'unreg'
     gap_rows = exp.rows()
     _write_csv(out / "gap_experiment.csv",
                [name.replace("none", "unreg") for name in gap_rows[0]],
                [list(r.values()) for r in gap_rows])
 
-    # plug-in bound curves; L defaults to the max design-row norm of the
-    # sensitivity dataset at --sens-k, which every label-flip study measured
-    lipschitz = args.lipschitz if args.lipschitz is not None else studies[0].row_norm
+    # plug-in bound curves; L is the largest design-row norm of the
+    # sensitivity dataset, which every label-flip study measured
+    lipschitz = studies[0].row_norm
     report = bound_report(exp, norm_bound=b_norm, lipschitz=lipschitz)
     curve_columns = ["k", "D_k", "vc", "rademacher", "stability"]
     _write_csv(out / "bound_curves.csv", curve_columns,
                [[r[name] for name in curve_columns] for r in report])
     _write_text(out / "bound_report.json", _json_text({
-        "settings": {"n": args.gap_n, "N": args.gap_samples,
-                     "iterations": args.gap_iterations, "lambda": args.gap_lambda,
-                     "B": b_norm, "L": lipschitz, "seed": args.seed},
+        "settings": {"n": GAP_N, "N": GAP_SAMPLES, "iterations": args.gap_iterations,
+                     "lambda": GAP_LAMBDA, "B": b_norm, "L": lipschitz, "seed": args.seed},
         "rows": report,
     }))
 
-    print(f"bounds: sensitivity over C={args.c_grid}, gap over k={args.gap_k_range} -> {out}")
+    print(f"bounds: sensitivity over C={list(C_GRID)}, gap over k={list(GAP_K_RANGE)} -> {out}")
     return EXIT_OK
 
 
@@ -456,12 +452,12 @@ def build_parser() -> _Parser:
     _add_data_args(p)
     _add_model_args(p, orders=True)
     _add_common(p, jobs=True)
-    p.add_argument("--penalties", type=_comma_list(_penalty, distinct=True),
+    p.add_argument("--penalties", type=_comma_list(_penalty),
                    default="l2", help="%(type)s (default l2)")
-    p.add_argument("--lambda-grid", type=_comma_list(_positive, distinct=True),
+    p.add_argument("--lambda-grid", type=_comma_list(_positive),
                    help="lambdas to select from, %(type)s (default: cv.default_lambda_grid())")
     p.add_argument("--selection-metric", choices=SELECTION_METRICS, default="accuracy")
-    p.add_argument("--sigmas", type=_comma_list(_non_negative, distinct=True),
+    p.add_argument("--sigmas", type=_comma_list(_non_negative),
                    default="0.1,0.2,0.3",
                    help="noise levels on the normalized inputs, %(type)s (default %(default)s)")
     p.add_argument("--noise-repeats", type=_count, default=10, help="%(type)s (default 10)")
@@ -470,31 +466,15 @@ def build_parser() -> _Parser:
                    help="also write wall-clock resources.csv (not byte-reproducible)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("bounds", help="stability curve, gap experiment, bound curves")
+    p = sub.add_parser("bounds", help="stability curve, gap experiment, bound curves "
+                                      "(the sizes acceptance criteria 7 and 8 certify)")
     _add_common(p, jobs=True)
-    p.add_argument("--sens-n", type=_count, default=10, help="features, %(type)s (default 10)")
-    p.add_argument("--sens-samples", type=_count, default=100, help="rows, %(type)s (default 100)")
-    p.add_argument("--sens-k", type=_count, default=2,
-                   help="additivity order, %(type)s and <= --sens-n (default 2)")
-    p.add_argument("--sens-repeats", type=_count, default=20, help="%(type)s (default 20)")
-    p.add_argument("--c-grid", type=_comma_list(_positive, distinct=True),
-                   default="0.01,0.1,0.5,1.0,1.5,3.0",
-                   help="reciprocal l2 strengths C = 1/lambda, %(type)s (default %(default)s)")
-    p.add_argument("--gap-n", type=_count, default=8, help="features, %(type)s (default 8)")
-    p.add_argument("--gap-samples", type=_even_count, default=1000,
-                   help="rows, split in halves: %(type)s (default 1000)")
-    p.add_argument("--gap-k-range", type=_orders, default="1..8",
-                   help="%(type)s, each <= --gap-n (default 1..8)")
+    p.add_argument("--sens-repeats", type=_count, default=20,
+                   help="label flips per C, %(type)s (default 20)")
     p.add_argument("--gap-iterations", type=_count, default=10,
                    help="%(type)s, one --jobs task each (default 10)")
-    p.add_argument("--gap-lambda", type=_positive, default=1.0,
-                   help="l2 strength, %(type)s (default 1)")
-    b_source = p.add_mutually_exclusive_group()
-    b_source.add_argument("--b-norm", type=_non_negative, default=1.0,
-                          help="l1 radius B for the Rademacher curve, %(type)s (default 1)")
-    b_source.add_argument("--model", help="model file supplying B = ||I||_1 instead")
-    p.add_argument("--lipschitz", type=_non_negative,
-                   help="override L, %(type)s (default: max design-row norm at --sens-k)")
+    p.add_argument("--model",
+                   help="model file supplying the l1 radius B = ||I||_1 (default B = 1)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("interactions", help="main effects + consensus interaction matrix")

@@ -6,6 +6,7 @@ import csv
 import logging
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -199,7 +200,6 @@ def load_csv(
     positive_class: str | None = None,
     delimiter: str = ",",
     drop_missing: bool = False,
-    name: str | None = None,
 ) -> Dataset:
     """Load a headered CSV into a Dataset.
 
@@ -207,7 +207,8 @@ def load_csv(
     from ``label_column``: numeric 0/1 when ``positive_class`` is None, else 1
     where the raw token equals ``positive_class`` and 0 elsewhere.  Missing
     values abort with the offending row/column named, unless ``drop_missing``
-    removes those rows (count logged).
+    removes those rows (count logged).  The dataset is named by the file's
+    name, so reports do not depend on the directory it was read from.
     """
     feature_names, x, raw_labels, dropped = _read_table(path, delimiter, label_column, drop_missing)
     if dropped:
@@ -233,7 +234,7 @@ def load_csv(
         x=x,
         y=y,
         feature_names=feature_names,
-        name=name or str(path),
+        name=Path(path).name,
         provenance={"source": str(path), "label_column": label_column,
                     "positive_class": positive_class, "dropped_rows": dropped},
     )

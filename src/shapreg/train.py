@@ -532,7 +532,6 @@ class LabelFlipStudy:
     of the normalized samples), controls.
     """
 
-    base: FitResult
     shifts: np.ndarray
     max_index_shifts: np.ndarray
     risk_diffs: np.ndarray
@@ -598,7 +597,6 @@ def sensitivity_to_label_flip(
         risk_diffs[r] = abs(losses.mean() - base_losses.mean())
 
     return LabelFlipStudy(
-        base=base,
         shifts=shifts,
         max_index_shifts=max_index_shifts,
         risk_diffs=risk_diffs,

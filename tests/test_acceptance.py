@@ -60,7 +60,7 @@ def load_benchmark(name):
         pytest.skip(
             f"{spec['file']} not present; download instructions in data/README.md"
         )
-    ds = load_csv(path, label_column=spec["label"], name=name)
+    ds = load_csv(path, label_column=spec["label"])
     assert ds.n_samples == spec["rows"], f"{name}: unexpected row count {ds.n_samples}"
     assert ds.n_features == spec["n"], f"{name}: unexpected feature count {ds.n_features}"
     neg, pos = ds.class_counts()

@@ -34,10 +34,18 @@ from shapreg.cv import (
     nested_cv,
     noise_robustness,
 )
-from shapreg.data import gen_pure_pairwise
+from shapreg.basis import max_row_norm
+from shapreg.data import gen_pure_pairwise, gen_random_noise
 from shapreg.games import transposed_min_terms
 from shapreg.model import ShapleyModel
-from shapreg.train import FitConfig, at_order, fit, prepare, sensitivity_to_label_flip
+from shapreg.train import (
+    FitConfig,
+    LabelFlipStudy,
+    at_order,
+    fit,
+    prepare,
+    sensitivity_to_label_flip,
+)
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -190,7 +198,7 @@ def test_no_flag_parses_with_bare_int_or_float():
                 typed += 1
                 assert "%(type)s" in action.help, (name, action.option_strings)
                 assert action.type.__name__ in " ".join(parser.format_help().split())
-    assert typed == 34
+    assert typed == 24
 
 
 def test_fit_predict_round_trip(toy_csv, tmp_path):
@@ -416,9 +424,7 @@ FLAG_SURFACE = {
               "--drop-missing", "--jobs", "--k", "--label-column", "--lambda-grid",
               "--noise-repeats", "--out-dir", "--penalties", "--positive-class", "--profile",
               "--seed", "--selection-metric", "--sigmas", "--undersample-ratio"],
-    "bounds": ["--b-norm", "--c-grid", "--gap-iterations", "--gap-k-range", "--gap-lambda",
-               "--gap-n", "--gap-samples", "--jobs", "--lipschitz", "--model", "--out-dir",
-               "--seed", "--sens-k", "--sens-n", "--sens-repeats", "--sens-samples"],
+    "bounds": ["--gap-iterations", "--jobs", "--model", "--out-dir", "--seed", "--sens-repeats"],
     "interactions": ["--min-support", "--models", "--out-dir", "--top-k", "--zero-tol"],
     "synth": ["--gen-n", "--gen-pairs", "--gen-samples", "--generator", "--out-dir", "--seed"],
 }
@@ -431,7 +437,7 @@ def test_flag_surface():
                             if opt.startswith("--") and opt != "--help")
                for name, p in subparsers.choices.items()}
     assert surface == FLAG_SURFACE
-    assert sum(map(len, surface.values())) == 63
+    assert sum(map(len, surface.values())) == 53
 
 
 LIBRARY_OPTION_SURFACE = {
@@ -462,12 +468,17 @@ def test_library_option_surface():
 
 def test_protocol_constants():
     """The settings every fit and protocol run shares, one value each: the
-    solver's tolerance and budget, the nested-CV folds and the penalties the
-    gap experiment compares."""
+    solver's tolerance and budget, the nested-CV folds, the penalties the
+    gap experiment compares, and the sizes bounds runs, which are those
+    acceptance criteria 7 (label flips) and 8 (gap) certify."""
     assert (train.TOL, train.MAX_ITERS) == (1e-8, 10_000)
     assert FitConfig().max_iters == train.MAX_ITERS
     assert (cv.OUTER_FOLDS, cv.INNER_FOLDS) == (5, 3)
     assert analysis.GAP_PENALTIES == ("none", "l2")
+    assert (cli.SENS_N, cli.SENS_SAMPLES, cli.SENS_K) == (10, 100, 2)
+    assert cli.C_GRID == (0.01, 0.1, 0.5, 1.0, 1.5, 3.0)
+    assert (cli.GAP_N, cli.GAP_SAMPLES, cli.GAP_LAMBDA) == (8, 1000, 1.0)
+    assert cli.GAP_K_RANGE == tuple(range(1, 9))
 
 
 RECORD_FIELDS = {
@@ -482,6 +493,8 @@ RECORD_FIELDS = {
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
     GapCell: ["train_errors", "test_errors", "status_counts"],
     GapExperiment: ["n", "big_n", "lam", "k_values", "d_eff", "cells"],
+    LabelFlipStudy: ["shifts", "max_index_shifts", "risk_diffs", "row_norm", "stability_ceiling",
+                     "flipped_rows"],
 }
 
 
@@ -597,7 +610,7 @@ def test_undersample_ratio_reaches_fit_and_bench(toy_csv, tmp_path):
     for rerun in ("a", "b"):
         assert run("fit", *data, "--out-dir", tmp_path / f"fit_{rerun}") == EXIT_OK
         assert run(*bench, "--out-dir", tmp_path / f"bench_{rerun}") == EXIT_OK
-    name = f"{toy_csv}_undersampled"
+    name = "toy.csv_undersampled"
     assert strict_json(tmp_path / "fit_a/fit_report.json")["dataset"] == name
     report = strict_json(tmp_path / "bench_a/cv_report_l2_k1.json")
     assert report["dataset"] == name
@@ -606,6 +619,24 @@ def test_undersample_ratio_reaches_fit_and_bench(toy_csv, tmp_path):
         assert (tmp_path / "fit_a" / name).read_bytes() == (tmp_path / "fit_b" / name).read_bytes()
     for path in (tmp_path / "bench_a").iterdir():
         assert path.read_bytes() == (tmp_path / "bench_b" / path.name).read_bytes()
+
+
+def test_reports_do_not_depend_on_the_path_typed(toy_csv, tmp_path, monkeypatch):
+    """A dataset is named by its file name, not by the path given: the same
+    CSV read by a relative and by an absolute path gives byte-identical
+    reports, and none of them holds the working directory."""
+    monkeypatch.chdir(tmp_path.parent)
+    bench = ("bench", "--label-column", "y", "--k", "1", "--lambda-grid", "1",
+             "--noise-repeats", "1", "--bootstrap-resamples", "2")
+    for name, path in (("relative", Path(tmp_path.name) / toy_csv.name), ("absolute", toy_csv)):
+        assert run(*bench, "--dataset", path, "--out-dir", tmp_path / name) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "absolute").iterdir())
+    assert sorted(p.name for p in (tmp_path / "relative").iterdir()) == names
+    for name in names:
+        text = (tmp_path / "absolute" / name).read_text()
+        assert (tmp_path / "relative" / name).read_text() == text
+        assert str(tmp_path) not in text
+    assert strict_json(tmp_path / "absolute/cv_report_l2_k1.json")["dataset"] == "toy.csv"
 
 
 def test_bench_profile_fits_with_the_class_weighting(toy_csv, tmp_path, cv_fit_configs):
@@ -671,8 +702,6 @@ def test_order_lists_parse_to_the_orders_they_name(text, orders):
     parser = cli.build_parser()
     assert parser.parse_args(["bench", "--dataset", "d.csv", "--label-column", "y",
                               "--k", text, "--out-dir", "o"]).k == orders
-    bounds = parser.parse_args(["bounds", "--gap-k-range", text, "--out-dir", "o"])
-    assert bounds.gap_k_range == orders
 
 
 def test_bench_without_a_usable_bootstrap_resample_leaves_its_std_empty(tmp_path):
@@ -771,23 +800,33 @@ def test_bench_requires_single_data_source(toy_csv, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_bounds_outputs(tmp_path):
+    """One bounds run at the protocol's sizes writes the four reports, and
+    bound_report.json's settings echo the gap sizes, B = 1 and the measured
+    L, the largest design-row norm of the label-flip data."""
     out = tmp_path / "bounds"
-    code = run("bounds", "--sens-samples", "40", "--sens-repeats", "2",
-               "--c-grid", "0.1,1.0", "--gap-n", "4", "--gap-samples", "80",
-               "--gap-k-range", "1..2", "--gap-iterations", "1",
-               "--seed", "3", "--out-dir", out)
-    assert code == EXIT_OK
-    for name in ("sensitivity_curve.csv", "gap_experiment.csv", "bound_curves.csv"):
-        text = (out / name).read_text()
-        assert len(text.strip().splitlines()) >= 2
+    assert run("bounds", "--sens-repeats", "1", "--gap-iterations", "1", "--seed", "3",
+               "--out-dir", out) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bound_curves.csv", "bound_report.json", "gap_experiment.csv", "sensitivity_curve.csv"]
     validate(out / "bound_report.json", "bound_report.schema.json")
-    assert [p.name for p in out.glob("*.json")] == ["bound_report.json"]
+    sens_ds = gen_random_noise(cli.SENS_N, cli.SENS_SAMPLES, seed=3)
+    assert strict_json(out / "bound_report.json")["settings"] == {
+        "n": cli.GAP_N, "N": cli.GAP_SAMPLES, "iterations": 1, "lambda": cli.GAP_LAMBDA,
+        "B": 1.0, "L": max_row_norm(prepare(sens_ds, cli.SENS_K).design), "seed": 3}
+    with open(out / "sensitivity_curve.csv", newline="") as fh:
+        assert tuple(float(row["C"]) for row in csv.DictReader(fh)) == cli.C_GRID
+    for name in ("gap_experiment.csv", "bound_curves.csv"):
+        with open(out / name, newline="") as fh:
+            assert tuple(int(row["k"]) for row in csv.DictReader(fh)) == cli.GAP_K_RANGE
     gap_header = (out / "gap_experiment.csv").read_text().splitlines()[0]
     assert gap_header == ("k,D_k,d_eff,gap_unreg,gap_unreg_std,gap_l2,gap_l2_std,"
                           "budget_fits_unreg,no_descent_fits_unreg,separable_fits_unreg,"
                           "budget_fits_l2,no_descent_fits_l2,separable_fits_l2")
 
 
+# a bad value of a bounds flag, and every flag bounds no longer has (its
+# sizes, C grid, gap lambda, B and L are the protocol's constants), whatever
+# its value, is a usage error that names the flag
 @pytest.mark.parametrize("flag", [
     ["--gap-k-range", "3..1"],
     ["--gap-k-range", "1,2,1"],
@@ -822,9 +861,7 @@ def test_bounds_outputs(tmp_path):
 def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypatch, flag):
     monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached
     out = tmp_path / "bounds"
-    assert run("bounds", "--sens-samples", "40", "--sens-repeats", "2", "--c-grid", "1.0",
-               "--gap-n", "4", "--gap-samples", "80", "--gap-k-range", "1..2",
-               "--gap-iterations", "1", *flag, "--out-dir", out) == EXIT_USAGE
+    assert run("bounds", *flag, "--out-dir", out) == EXIT_USAGE
     assert flag[0] in capsys.readouterr().err
     assert not out.exists()
 
@@ -833,37 +870,45 @@ def test_bounds_bytes_do_not_depend_on_jobs(tmp_path):
     """The gap experiment's iterations fan out over the workers, each one
     task that climbs every order on one design; every report is still the
     same file for any --jobs."""
-    args = ("bounds", "--gap-n", "4", "--gap-samples", "60", "--gap-k-range", "1..4",
-            "--gap-iterations", "3", "--sens-repeats", "3", "--seed", "7")
-    for jobs in (1, 3):
+    args = ("bounds", "--sens-repeats", "1", "--gap-iterations", "2", "--seed", "7")
+    for jobs in (1, 2):
         assert run(*args, "--jobs", jobs, "--out-dir", tmp_path / f"j{jobs}") == EXIT_OK
     names = sorted(p.name for p in (tmp_path / "j1").iterdir())
     assert names == ["bound_curves.csv", "bound_report.json", "gap_experiment.csv",
                      "sensitivity_curve.csv"]
-    assert sorted(p.name for p in (tmp_path / "j3").iterdir()) == names
+    assert sorted(p.name for p in (tmp_path / "j2").iterdir()) == names
     for name in names:
-        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j3" / name).read_bytes()
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
 
 
 def test_bounds_leaves_no_worker_thread_running(tmp_path):
     before = threading.active_count()
-    assert run("bounds", "--sens-samples", "40", "--sens-repeats", "2", "--c-grid", "1.0",
-               "--gap-n", "4", "--gap-samples", "60", "--gap-k-range", "1..4",
-               "--gap-iterations", "2", "--jobs", "2", "--out-dir", tmp_path / "bounds") == EXIT_OK
+    assert run("bounds", "--sens-repeats", "1", "--gap-iterations", "2", "--jobs", "2",
+               "--out-dir", tmp_path / "bounds") == EXIT_OK
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("flag", [["--model", "missing.json"], ["--gap-samples", "6"]])
-def test_bounds_writes_nothing_when_a_later_step_fails(tmp_path, flag):
-    """An unreadable --model (read up front) and gap halves of 3 rows with
-    too few of one class to fit (after the label-flip studies) both fail
-    before any report is written."""
+@pytest.mark.parametrize("flag", [["--model", "missing.json"], []])
+def test_bounds_writes_nothing_when_a_later_step_fails(tmp_path, monkeypatch, flag):
+    """An unreadable --model (read up front, before any fit) and a gap
+    experiment that fails after the label-flip studies both exit 2 before
+    any report is written."""
+    studies = []
+
+    def study(*args, **kwargs):
+        studies.append(sensitivity_to_label_flip(*args, **kwargs))
+        return studies[-1]
+
+    def failing_gap(**kwargs):
+        raise ValueError("a gap half has one class only")
+
+    monkeypatch.setattr(cli, "sensitivity_to_label_flip", study)
+    monkeypatch.setattr(cli, "gap_experiment", failing_gap)
     out = tmp_path / "bounds"
-    if flag[0] == "--model":
+    if flag:
         flag = ["--model", tmp_path / flag[1]]
-    assert run("bounds", "--sens-samples", "40", "--sens-repeats", "2", "--c-grid", "1.0",
-               "--gap-n", "4", "--gap-samples", "80", "--gap-k-range", "1..2",
-               "--gap-iterations", "1", *flag, "--out-dir", out) == EXIT_DATA
+    assert run("bounds", "--sens-repeats", "1", *flag, "--out-dir", out) == EXIT_DATA
+    assert len(studies) == (0 if flag else len(cli.C_GRID))
     assert not out.exists()
 
 
@@ -1014,9 +1059,8 @@ def run_every_command(tmp_path) -> dict:
     assert run("bench", *common, "--k", "1..2", "--penalties", "l1,l2", "--lambda-grid", "0.1,1",
                "--noise-repeats", "1", "--bootstrap-resamples", "2", "--profile",
                "--out-dir", tmp_path / "bench") == EXIT_OK
-    assert run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "2",
-               "--c-grid", "1", "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3",
-               "--gap-iterations", "1", "--out-dir", tmp_path / "bounds") == EXIT_OK
+    assert run("bounds", "--sens-repeats", "1", "--gap-iterations", "1",
+               "--out-dir", tmp_path / "bounds") == EXIT_OK
     assert run("interactions", "--models", tmp_path / "l1/model.json", tmp_path / "l2/model.json",
                "--out-dir", tmp_path / "interactions") == EXIT_OK
     return {path.name: path for path in tmp_path.rglob("*.csv")}

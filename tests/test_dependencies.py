@@ -48,9 +48,8 @@ run("fit", *common, "--k", "2", "--penalty", "l1", "--lambda", "0.1", "--out-dir
 run("predict", "--model", out / "l2" / "model.json", *common, "--out-dir", out / "predict")
 run("bench", *common, "--k", "1,2", "--penalties", "l1,l2", "--lambda-grid", "0.1,1",
     "--noise-repeats", "1", "--bootstrap-resamples", "2", "--profile", "--out-dir", out / "bench")
-run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "1", "--c-grid", "1",
-    "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3", "--gap-iterations", "1",
-    "--jobs", "2", "--seed", "0", "--out-dir", out / "bounds")
+run("bounds", "--sens-repeats", "1", "--gap-iterations", "1", "--jobs", "2", "--seed", "0",
+    "--out-dir", out / "bounds")
 run("interactions", "--models", out / "l2" / "model.json", out / "l1" / "model.json",
     "--out-dir", out / "interactions")
 
@@ -117,9 +116,8 @@ run("interactions", "--models", out / "l1" / "model.json", out / "l2" / "model.j
     "--out-dir", out / "interactions")
 run("bench", *data, "--k", "1,2", "--penalties", "l1,l2", "--lambda-grid", "0.01,0.1,1",
     "--noise-repeats", "1", "--bootstrap-resamples", "3", "--out-dir", out / "bench")
-run("bounds", "--sens-n", "3", "--sens-samples", "40", "--sens-repeats", "4", "--c-grid", "1",
-    "--gap-n", "3", "--gap-samples", "40", "--gap-k-range", "1..3", "--gap-iterations", "1",
-    "--seed", "0", "--out-dir", out / "bounds")
+run("bounds", "--sens-repeats", "1", "--gap-iterations", "1", "--seed", "0",
+    "--out-dir", out / "bounds")
 print("numpy.ma" in sys.modules)
 """
 

@@ -400,7 +400,7 @@ def test_one_sigmoid_pass_per_iterate(monkeypatch, penalty, lam):
 def test_median_shift_is_np_median(size):
     shifts = np.random.default_rng(size).exponential(size=size)
     shifts[size // 3] = shifts[size // 2]  # a tie
-    study = train.LabelFlipStudy(base=None, shifts=shifts, max_index_shifts=shifts,
+    study = train.LabelFlipStudy(shifts=shifts, max_index_shifts=shifts,
                                  risk_diffs=shifts, row_norm=1.0, stability_ceiling=1.0,
                                  flipped_rows=np.arange(size))
     assert study.median_shift == np.median(shifts)
