@@ -21,6 +21,10 @@ from .train import STATUSES, FitConfig, at_order, fit, prepare, stability_bound
 # interaction aggregation
 # ---------------------------------------------------------------------------
 
+# the largest |I({i,j})| a model's pair support counts as zero
+ZERO_TOL = 1e-8
+
+
 def _check_compatible(models: list[ShapleyModel]) -> ShapleyModel:
     if not models:
         raise ValueError("need at least one model")
@@ -64,12 +68,11 @@ class InteractionMatrix:
         return np.abs(self.mean).sum(axis=1)
 
 
-def consensus_interactions(models: list[ShapleyModel], zero_tol: float = 1e-8) -> InteractionMatrix:
+def consensus_interactions(models: list[ShapleyModel]) -> InteractionMatrix:
     """Average the pair indices of several models into one symmetric matrix.
 
-    Support counts |I({i,j})| > zero_tol per model.  Dense (l2) fits rarely
-    produce exact zeros, so supports are only informative under l1 or with a
-    deliberately larger tolerance.
+    Support counts |I({i,j})| > :data:`ZERO_TOL` per model.  Dense (l2) fits
+    rarely produce exact zeros, so supports are only informative under l1.
     """
     first = _check_compatible(models)
     if first.k < 2:
@@ -81,7 +84,7 @@ def consensus_interactions(models: list[ShapleyModel], zero_tol: float = 1e-8) -
     mean = np.zeros((n, n))
     support = np.zeros((n, n))
     mean[rows, cols] = mean[cols, rows] = stacked.mean(axis=1)
-    support[rows, cols] = support[cols, rows] = (np.abs(stacked) > zero_tol).mean(axis=1)
+    support[rows, cols] = support[cols, rows] = (np.abs(stacked) > ZERO_TOL).mean(axis=1)
     return InteractionMatrix(names=list(first.feature_names), mean=mean, support=support)
 
 

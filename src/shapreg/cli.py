@@ -38,7 +38,7 @@ from .analysis import (
     main_effects,
     top_by_strength,
 )
-from .cv import SELECTION_METRICS, k_sweep_benchmark
+from .cv import k_sweep_benchmark
 from .data import (
     DataError,
     Dataset,
@@ -150,6 +150,8 @@ _positive = _real("a finite number > 0", lambda value: value > 0)
 _non_negative = _real("a finite number >= 0", lambda value: value >= 0)
 _share = _real("a number in [0, 1]", lambda value: 0 <= value <= 1)
 _ratio = _real("a number in (0, 1]", lambda value: 0 < value <= 1)
+_delimiter = _checked("one character, not a quote or a line break", str,
+                      lambda text: len(text) == 1 and text not in '"\r\n')
 _orders = _checked("distinct additivity orders >= 1: K, LO..HI or a comma list", _order_list,
                    lambda ks: ks and min(ks) >= 1 and len(set(ks)) == len(ks))
 
@@ -159,7 +161,8 @@ def _add_data_args(p: _Parser) -> None:
                    help="CSV file with a header row (shapreg synth writes synthetic ones)")
     p.add_argument("--label-column", required=True, help="name of the label column")
     p.add_argument("--positive-class", help="label token mapped to 1 (others to 0)")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",",
+                   help="field separator, %(type)s (default ,)")
     p.add_argument("--drop-missing", action="store_true",
                    help="drop rows with missing cells instead of failing")
     p.add_argument("--undersample-ratio", type=_ratio,
@@ -214,7 +217,7 @@ def _generate(args) -> Dataset:
 def _load_model(path) -> ShapleyModel:
     try:
         return ShapleyModel.load(path)
-    except (OSError, KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise DataError(f"cannot read model file {path}: {exc}") from exc
 
 
@@ -263,7 +266,7 @@ def cmd_fit(args) -> int:
         "lambda": config.lam,
         "class_weighting": config.class_weighting,
         "seed": args.seed,
-        **result.report_dict(include_trace=args.verbose_trace),
+        **result.report_dict(),
     }
     _write_text(out / "fit_report.json", _json_text(report))
     print(f"fit: {ds.name} k={args.k} {config.penalty} lam={config.lam:g} "
@@ -292,9 +295,7 @@ def cmd_bench(args) -> int:
     report = k_sweep_benchmark(
         ds, args.k, args.penalties,
         lambda_grid=args.lambda_grid,
-        selection_metric=args.selection_metric,
         class_weighting=_class_weighting(args),
-        sigmas=args.sigmas,
         noise_repeats=args.noise_repeats,
         bootstrap_resamples=args.bootstrap_resamples,
         seed=args.seed,
@@ -316,7 +317,8 @@ def cmd_bench(args) -> int:
                    ["Dataset", "Penalty", "k", "Training Time (s)", "Inference Time (s)",
                     "Model Size (MB)", "FLOPs"],
                    rows)
-    best = summary[0]
+    # the highest accuracy; a tie goes to the penalty listed first
+    best = max(summary, key=lambda row: row["Accuracy"])
     print(f"bench: {ds.name} penalties={','.join(args.penalties)} k={args.k} "
           f"best_acc={best['Accuracy']:.4f} (k={best['Best K (Acc)']}, {best['Penalty']}) "
           f"-> {out}")
@@ -393,7 +395,7 @@ def cmd_interactions(args) -> int:
                ["feature", "mean_index", "std_index"],
                [[name, mean, std] for name, mean, std in effects])
 
-    matrix = consensus_interactions(models, zero_tol=args.zero_tol)
+    matrix = consensus_interactions(models)
     matrix = filter_stable(matrix, args.min_support)
     matrix = top_by_strength(matrix, top_k)
 
@@ -436,15 +438,14 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_non_negative, metavar="LAMBDA",
                    help="regularization strength, %(type)s (default 1; not with --penalty none)")
     _add_common(p)
-    p.add_argument("--verbose-trace", action="store_true",
-                   help="include the full objective trace in fit_report.json")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="per-row probabilities from a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True, help="CSV file with a header row")
     p.add_argument("--label-column", help="column dropped without reading its values")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",",
+                   help="field separator, %(type)s (default ,)")
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_predict)
 
@@ -456,10 +457,6 @@ def build_parser() -> _Parser:
                    default="l2", help="%(type)s (default l2)")
     p.add_argument("--lambda-grid", type=_comma_list(_positive),
                    help="lambdas to select from, %(type)s (default: cv.default_lambda_grid())")
-    p.add_argument("--selection-metric", choices=SELECTION_METRICS, default="accuracy")
-    p.add_argument("--sigmas", type=_comma_list(_non_negative),
-                   default="0.1,0.2,0.3",
-                   help="noise levels on the normalized inputs, %(type)s (default %(default)s)")
     p.add_argument("--noise-repeats", type=_count, default=10, help="%(type)s (default 10)")
     p.add_argument("--bootstrap-resamples", type=_count, default=50, help="%(type)s (default 50)")
     p.add_argument("--profile", action="store_true",
@@ -483,8 +480,6 @@ def build_parser() -> _Parser:
                    help="restrict to K strongest features, %(type)s and <= n (default min(30, n))")
     p.add_argument("--min-support", type=_share, default=0.7,
                    help="share of models with a nonzero pair index, %(type)s (default 0.7)")
-    p.add_argument("--zero-tol", type=_non_negative, default=1e-8,
-                   help="largest |index| counted as zero, %(type)s (default 1e-8)")
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_interactions)
 

@@ -18,11 +18,12 @@ from .train import FitConfig, FitResult, fit, prepare
 
 logger = logging.getLogger(__name__)
 
-SELECTION_METRICS = ("accuracy", "f1")
 # the protocol's stratified folds: nested_cv's outer and inner splits; a
 # CVReport's resources() averages over the outer folds
 OUTER_FOLDS = 5
 INNER_FOLDS = 3
+# the noise levels noise_robustness perturbs the normalized inputs with
+SIGMAS = (0.1, 0.2, 0.3)
 
 
 def default_lambda_grid() -> list[float]:
@@ -96,7 +97,6 @@ class CVReport:
     dataset: str
     k: int
     penalty: str
-    selection_metric: str
     class_weighting: str
     seed: int
     lambda_grid: list[float]
@@ -149,7 +149,7 @@ class CVReport:
             "dataset": self.dataset,
             "k": self.k,
             "penalty": self.penalty,
-            "selection_metric": self.selection_metric,
+            "selection_metric": "accuracy",
             "class_weighting": self.class_weighting,
             "seed": self.seed,
             "outer_folds": OUTER_FOLDS,
@@ -179,19 +179,18 @@ def nested_cv(
     k: int,
     penalty: str,
     lambda_grid: list[float] | None = None,
-    selection_metric: str = "accuracy",
     class_weighting: str = "off",
     seed: int = 0,
     jobs: int = 1,
 ) -> CVReport:
     """Stratified nested cross-validation over :data:`OUTER_FOLDS` outer folds.
 
-    The inner loop scores every grid lambda by the mean selection metric over
+    The inner loop scores every grid lambda by its mean accuracy over
     :data:`INNER_FOLDS` stratified splits of the outer-train rows (ties prefer
     the smaller lambda).  Each inner split builds its normalization and design
     once and solves the grid as a path in descending lambda, every fit
     warm-started from the previous one's parameters; its validation rows are
-    scored for the selection metric only.  The winner is refit cold (from
+    scored for accuracy only.  The winner is refit cold (from
     zero) on the full outer-train split, whose min-max normalization never
     sees test rows; each fold records that refit's wall time and its
     prediction's (see :meth:`CVReport.resources`).  Everything else derives
@@ -208,8 +207,6 @@ def nested_cv(
             raise ValueError(f"lambda grid must hold finite positive values, got {grid}")
         if (lam := _repeated(grid)) is not None:
             raise ValueError(f"lambda grid repeats {lam}")
-    if selection_metric not in SELECTION_METRICS:
-        raise ValueError(f"selection metric must be one of {SELECTION_METRICS}")
 
     outer = stratified_folds(dataset.y, OUTER_FOLDS, np.random.SeedSequence([seed, 0]))
 
@@ -233,7 +230,7 @@ def nested_cv(
                     result = fit(problem, k, config, start=start)
                     start = result.parameters
                     rates = threshold_metrics(val_y, result.model.predict(val_x))
-                    scores[lam].append(rates[selection_metric])
+                    scores[lam].append(rates["accuracy"])
             inner_scores = {lam: float(np.mean(scores[lam])) for lam in grid}
             best_lam = max(grid, key=lambda l: (inner_scores[l], -l))
         else:
@@ -261,7 +258,6 @@ def nested_cv(
         dataset=dataset.name,
         k=k,
         penalty=penalty,
-        selection_metric=selection_metric,
         class_weighting=class_weighting,
         seed=seed,
         lambda_grid=grid,
@@ -273,17 +269,10 @@ def nested_cv(
 # robustness, stability
 # ---------------------------------------------------------------------------
 
-def _noise_settings(sigmas, repeats: int) -> list[float]:
-    """Check a noise-robustness run's sigmas and repeat count; return the
-    sigmas as floats."""
-    if repeats < 1:
-        raise ValueError(f"noise robustness needs at least 1 repeat, got {repeats}")
-    sigmas = [float(sigma) for sigma in sigmas]
-    if not sigmas:
-        raise ValueError("noise robustness needs at least 1 sigma")
-    if (sigma := _repeated(sigmas)) is not None:
-        raise ValueError(f"noise robustness sigmas repeat {sigma}")
-    return sigmas
+def _check_count(count: int, protocol: str, unit: str) -> None:
+    """Refuse a repeat or resample count below 1, whose mean would be NaN."""
+    if count < 1:
+        raise ValueError(f"{protocol} needs at least 1 {unit}, got {count}")
 
 
 def _check_sweep(k_values: list[int], penalties: list[str]) -> None:
@@ -296,32 +285,23 @@ def _check_sweep(k_values: list[int], penalties: list[str]) -> None:
         raise ValueError(f"penalties repeat '{pen}'")
 
 
-def _check_resamples(resamples: int) -> None:
-    if resamples < 1:
-        raise ValueError(f"bootstrap stability needs at least 1 resample, got {resamples}")
-
-
 def noise_robustness(
     model: ShapleyModel,
     x_test: np.ndarray,
     y_test: np.ndarray,
-    sigmas=(0.1, 0.2, 0.3),
     repeats: int = 10,
     seed: int = 0,
 ) -> dict[float, tuple[float, float]]:
     """Accuracy under i.i.d. Gaussian perturbation of the normalized test
-    inputs, clipped back into [0,1]; mean and std over ``repeats``.
-
-    sigma = 0 draws once and reproduces the clean accuracy exactly, with a
-    std of 0.  Each sigma must appear once in a non-empty ``sigmas``.
-    """
-    sigmas = _noise_settings(sigmas, repeats)
+    inputs, clipped back into [0,1]: per level of :data:`SIGMAS`, the mean
+    and std over ``repeats`` draws."""
+    _check_count(repeats, "noise robustness", "repeat")
     x_norm = model.normalize(x_test)
     y_test = np.asarray(y_test)
     out: dict[float, tuple[float, float]] = {}
-    for s_idx, sigma in enumerate(sigmas):
+    for s_idx, sigma in enumerate(SIGMAS):
         accs = []
-        for r in range(repeats if sigma else 1):
+        for r in range(repeats):
             rng = np.random.default_rng(np.random.SeedSequence([seed, s_idx, r]))
             perturbed = np.clip(x_norm + rng.normal(0.0, sigma, size=x_norm.shape), 0.0, 1.0)
             proba = expit(model.logit_normalized(perturbed))
@@ -366,7 +346,7 @@ def bootstrap_stability(
     that were never drawn.  Degenerate resamples (missing a class, or an empty
     out-of-bag set) are skipped and counted.
     """
-    _check_resamples(resamples)
+    _check_count(resamples, "bootstrap stability", "resample")
     config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
 
     def one(b: int) -> float | None:
@@ -475,21 +455,19 @@ def k_sweep_benchmark(
     k_range,
     penalties=("none", "l1", "l2"),
     lambda_grid: list[float] | None = None,
-    selection_metric: str = "accuracy",
     class_weighting: str = "off",
-    sigmas=(0.1, 0.2, 0.3),
     noise_repeats: int = 10,
     bootstrap_resamples: int = 50,
     seed: int = 0,
     jobs: int = 1,
 ) -> SweepReport:
     """Benchmark protocol: per (penalty, k), nested-CV accuracy (5 outer by
-    3 inner folds), noise robustness of the per-fold models, and bootstrap
-    stability at the modal selected lambda.  The orders, penalties, noise
-    and bootstrap settings are checked before the first fit; at least one
-    order and one penalty are needed, and each may appear once."""
-    sigmas = tuple(_noise_settings(sigmas, noise_repeats))
-    _check_resamples(bootstrap_resamples)
+    3 inner folds), noise robustness of the per-fold models at :data:`SIGMAS`,
+    and bootstrap stability at the modal selected lambda.  The orders,
+    penalties, noise and bootstrap settings are checked before the first fit;
+    at least one order and one penalty are needed, and each may appear once."""
+    _check_count(noise_repeats, "noise robustness", "repeat")
+    _check_count(bootstrap_resamples, "bootstrap stability", "resample")
     k_values = [int(k) for k in k_range]
     penalties = list(penalties)
     _check_sweep(k_values, penalties)
@@ -499,19 +477,18 @@ def k_sweep_benchmark(
             cv = nested_cv(
                 dataset, k, pen,
                 lambda_grid=lambda_grid,
-                selection_metric=selection_metric,
                 class_weighting=class_weighting,
                 seed=seed,
                 jobs=jobs,
             )
 
-            # robustness: per outer fold, mean perturbed accuracy over sigmas and repeats
+            # robustness: per outer fold, mean perturbed accuracy over SIGMAS and repeats
             fold_means = []
             for fold in cv.folds:
                 rows = np.asarray(fold.test_rows, dtype=int)
                 rob = noise_robustness(
                     fold.result.model, dataset.x[rows], dataset.y[rows],
-                    sigmas=sigmas, repeats=noise_repeats,
+                    repeats=noise_repeats,
                     seed=seed + fold.fold,
                 )
                 fold_means.append(float(np.mean([m for m, _ in rob.values()])))

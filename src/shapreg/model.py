@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,25 @@ def apply_normalization(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     out /= np.where(span > 0, span, 1.0)
     out[:, span == 0] = 0.0
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _list_of(accept):
+    return lambda value: type(value) is list and all(map(accept, value))
+
+
+def _is_number(value) -> bool:  # finite as a float64, and not a bool (JSON's true)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# the fields of a saved model, each with the kind of JSON value it holds
+_PAYLOAD_KINDS = {
+    "n": ("an int", lambda value: type(value) is int),
+    "k": ("an int", lambda value: type(value) is int),
+    "bias": ("a finite number", _is_number),
+    "feature_names": ("a list of strings", _list_of(lambda name: type(name) is str)),
+    "normalization": ("a list of finite-number lists", _list_of(_list_of(_is_number))),
+    "indices": ("a list of finite numbers", _list_of(_is_number)),
+}
 
 
 @dataclass(frozen=True)
@@ -167,15 +187,22 @@ class ShapleyModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ShapleyModel":
+        """The model ``to_json`` wrote.  Text that is not a JSON object
+        holding each of its fields, of its kind, is a ValueError."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"a model is a JSON object, got {type(payload).__name__}")
+        for name, (kind, accept) in _PAYLOAD_KINDS.items():
+            if not accept(payload.get(name)):  # a missing field reads as null
+                raise ValueError(f"model field '{name}' must be {kind}, got {payload.get(name)!r:.60}")
         model = cls(
-            feature_names=[str(s) for s in payload["feature_names"]],
-            k=int(payload["k"]),
+            feature_names=list(payload["feature_names"]),
+            k=payload["k"],
             bias=float(payload["bias"]),
             indices=np.asarray(payload["indices"], dtype=float),
             normalization=np.asarray(payload["normalization"], dtype=float),
         )
-        if model.n != int(payload["n"]):
+        if model.n != payload["n"]:
             raise ValueError("inconsistent feature count in model file")
         return model
 

@@ -98,17 +98,14 @@ class FitResult:
         """Full parameter vector [bias, indices...]."""
         return np.concatenate([[self.model.bias], self.model.indices])
 
-    def report_dict(self, include_trace: bool = False) -> dict:
-        out = {
+    def report_dict(self) -> dict:
+        return {
             "status": self.status,
             "converged": self.converged,
             "iterations": int(self.iterations),
             "grad_norm": float(self.grad_norm),
             "final_objective": float(self.objective_trace[-1]),
         }
-        if include_trace:
-            out["objective_trace"] = [float(v) for v in self.objective_trace]
-        return out
 
 
 def sample_weights(y: np.ndarray, class_weighting: str) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from shapreg import analysis
 from shapreg.analysis import (
+    ZERO_TOL,
     bound_curves,
     bound_report,
     consensus_interactions,
@@ -112,7 +113,7 @@ def test_consensus_all_zero():
     assert np.all(matrix.support == 0.0)
 
 
-def consensus_reference(models, zero_tol):
+def consensus_reference(models):
     """Mean and support matrices, one pair at a time in canonical order."""
     n = models[0].n
     mean, support = np.zeros((n, n)), np.zeros((n, n))
@@ -121,15 +122,15 @@ def consensus_reference(models, zero_tol):
         for j in range(i + 1, n):
             column = np.array([m.indices[pos] for m in models])
             mean[i, j] = mean[j, i] = column.mean()
-            support[i, j] = support[j, i] = float((np.abs(column) > zero_tol).mean())
+            support[i, j] = support[j, i] = float((np.abs(column) > ZERO_TOL).mean())
             pos += 1
     return mean, support
 
 
 def test_consensus_matches_the_per_pair_reference_bit_for_bit():
     """Random model sets (1-40 models, about 30% exact zeros of either sign,
-    magnitudes from 1e-12 to 1e3): both matrices equal the per-pair loop's
-    to the bit, signed zeros included."""
+    about 5% exactly +-ZERO_TOL, magnitudes from 1e-12 to 1e3): both
+    matrices equal the per-pair loop's to the bit, signed zeros included."""
     rng = np.random.default_rng(25)
     for _ in range(150):
         n = int(rng.integers(2, 9))
@@ -139,10 +140,10 @@ def test_consensus_matches_the_per_pair_reference_bit_for_bit():
         for _ in range(int(rng.integers(1, 41))):
             vals = rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(-12, 3, size=d)
             vals[rng.uniform(size=d) < 0.3] = rng.choice([-0.0, 0.0])
+            vals[rng.uniform(size=d) < 0.05] = rng.choice([-ZERO_TOL, ZERO_TOL])
             models.append(model_from_indices(vals, n, k=k))
-        zero_tol = float(10.0 ** rng.uniform(-12, 0))
-        matrix = consensus_interactions(models, zero_tol=zero_tol)
-        mean, support = consensus_reference(models, zero_tol)
+        matrix = consensus_interactions(models)
+        mean, support = consensus_reference(models)
         assert matrix.mean.tobytes() == mean.tobytes()
         assert matrix.support.tobytes() == support.tobytes()
 

@@ -107,13 +107,16 @@ def test_fit_writes_model_and_report(toy_csv, tmp_path):
     assert "objective_trace" not in report
 
 
-def test_fit_verbose_trace(toy_csv, tmp_path):
+def test_fit_verbose_trace(toy_csv, tmp_path, capsys):
+    """fit_report.json never holds the objective trace, which stays on the
+    library's FitResult: --verbose-trace is refused by name before any
+    work."""
     out = tmp_path / "run"
-    run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "1",
-        "--lambda", "1.0", "--out-dir", out, "--verbose-trace")
-    report = json.loads((out / "fit_report.json").read_text())
-    assert "objective_trace" in report and len(report["objective_trace"]) >= 2
-    validate(out / "fit_report.json", "fit_report.schema.json")
+    assert run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "1",
+               "--lambda", "1.0", "--out-dir", out, "--verbose-trace") == EXIT_USAGE
+    assert "unrecognized arguments: --verbose-trace" in capsys.readouterr().err
+    assert not out.exists()
+    assert "objective_trace" not in load_schema("fit_report.schema.json")["properties"]
 
 
 def test_fit_deterministic_bytes(toy_csv, tmp_path):
@@ -172,12 +175,22 @@ def test_fit_separable_exit_code(tmp_path, capsys):
     ("synth", ["--gen-samples", "0"]),
     ("synth", ["--gen-pairs", "0"]),
     ("synth", ["--seed", "-1"]),
+    ("fit", ["--delimiter", ""]),
+    ("fit", ["--delimiter", ";;"]),
+    ("fit", ["--delimiter", '"']),
+    ("fit", ["--delimiter", "\n"]),
+    ("predict", ["--delimiter", ""]),
+    ("predict", ["--delimiter", "\t\t"]),
+    ("predict", ["--delimiter", '"']),
+    ("predict", ["--delimiter", "\r"]),
 ])
 def test_fit_and_synth_check_flags_before_any_work(toy_csv, tmp_path, capsys, monkeypatch,
                                                     command, flag):
     monkeypatch.setattr(cli, "load_csv", None)  # never reached
     monkeypatch.setattr(cli, "_generate", None)
+    monkeypatch.setattr(cli, "_load_model", None)
     argv = {"fit": ["--dataset", toy_csv, "--label-column", "y"],
+            "predict": ["--model", tmp_path / "model.json", "--dataset", toy_csv],
             "synth": ["--generator", "pure-pairwise"]}[command]
     assert run(command, *argv, *flag, "--out-dir", tmp_path / "out") == EXIT_USAGE
     assert flag[0] in capsys.readouterr().err
@@ -198,7 +211,21 @@ def test_no_flag_parses_with_bare_int_or_float():
                 typed += 1
                 assert "%(type)s" in action.help, (name, action.option_strings)
                 assert action.type.__name__ in " ".join(parser.format_help().split())
-    assert typed == 24
+    assert typed == 25
+
+
+def test_a_tab_delimiter_reads_a_tsv(toy_csv, tmp_path):
+    """--delimiter takes a tab: fit and predict read the tab-separated copy
+    of toy.csv as they read the CSV."""
+    tsv = tmp_path / "toy.tsv"
+    tsv.write_text(toy_csv.read_text().replace(",", "\t"))
+    for name, path, delimiter in (("csv", toy_csv, ","), ("tsv", tsv, "\t")):
+        data = ["--dataset", path, "--label-column", "y", "--delimiter", delimiter]
+        assert run("fit", *data, "--out-dir", tmp_path / name) == EXIT_OK
+        assert run("predict", "--model", tmp_path / name / "model.json", *data,
+                   "--out-dir", tmp_path / name) == EXIT_OK
+    for name in ("model.json", "predictions.csv"):
+        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "tsv" / name).read_bytes()
 
 
 def test_fit_predict_round_trip(toy_csv, tmp_path):
@@ -286,6 +313,29 @@ def test_predict_malformed_model(toy_csv, tmp_path):
     broken.write_text("{not json")
     assert run("predict", "--model", broken, "--dataset", toy_csv,
                "--label-column", "y", "--out-dir", tmp_path) == EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["predict", "bounds", "interactions"])
+@pytest.mark.parametrize("fields", [None, {"feature_names": 5}, {"bias": None}],
+                         ids=["list", "names-int", "bias-null"])
+def test_a_malformed_model_file_is_a_data_error(toy_csv, tmp_path, capsys, monkeypatch,
+                                                command, fields):
+    """A model file of valid JSON but the wrong shape (a list, or a field of
+    the wrong kind) exits 2 naming the file, not with an exception out of
+    main (a traceback and exit 1), and writes nothing."""
+    monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached
+    model = ShapleyModel(["a", "b"], 2, 0.0, np.zeros(3), [[0.0, 1.0], [0.0, 1.0]])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps([] if fields is None else {**json.loads(model.to_json()),
+                                                          **fields}))
+    argv = {"predict": ["--model", path, "--dataset", toy_csv],
+            "bounds": ["--model", path],
+            "interactions": ["--models", path]}[command]
+    assert run(command, *argv, "--out-dir", tmp_path / "out") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: cannot read model file {path}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad_row, message", [
@@ -393,7 +443,20 @@ REMOVED_FLAGS = [
     ("interactions", ["--seed", "1"]),
     ("interactions", ["--jobs", "2"]),
     ("synth", ["--jobs", "2"]),
+    # settings the protocol fixes: bench perturbs at cv.SIGMAS and selects
+    # lambda by accuracy, and pair support counts |index| > analysis.ZERO_TOL
+    ("bench", ["--sigmas", "0.1,0.2"]),
+    ("bench", ["--selection-metric", "f1"]),
+    ("interactions", ["--zero-tol", "1e-12"]),
 ]
+
+
+def refused_by_name(err, command, flag):
+    """Whether a usage error of ``command`` names ``flag``: a bad value's
+    error names its flag, and a flag REMOVED_FLAGS lists for the command is
+    refused as unknown, whatever its value."""
+    removed = {gone for name, (gone, *_) in REMOVED_FLAGS if name == command}
+    return (f"unrecognized arguments: {flag}" if flag in removed else flag) in err
 
 
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
@@ -418,14 +481,14 @@ def test_fit_penalty_none_rejects_a_strength(toy_csv, tmp_path, capsys, flag):
 FLAG_SURFACE = {
     "fit": ["--class-weight", "--dataset", "--delimiter", "--drop-missing", "--k",
             "--label-column", "--lambda", "--out-dir", "--penalty", "--positive-class",
-            "--seed", "--undersample-ratio", "--verbose-trace"],
+            "--seed", "--undersample-ratio"],
     "predict": ["--dataset", "--delimiter", "--label-column", "--model", "--out-dir"],
     "bench": ["--bootstrap-resamples", "--class-weight", "--dataset", "--delimiter",
               "--drop-missing", "--jobs", "--k", "--label-column", "--lambda-grid",
               "--noise-repeats", "--out-dir", "--penalties", "--positive-class", "--profile",
-              "--seed", "--selection-metric", "--sigmas", "--undersample-ratio"],
+              "--seed", "--undersample-ratio"],
     "bounds": ["--gap-iterations", "--jobs", "--model", "--out-dir", "--seed", "--sens-repeats"],
-    "interactions": ["--min-support", "--models", "--out-dir", "--top-k", "--zero-tol"],
+    "interactions": ["--min-support", "--models", "--out-dir", "--top-k"],
     "synth": ["--gen-n", "--gen-pairs", "--gen-samples", "--generator", "--out-dir", "--seed"],
 }
 
@@ -437,19 +500,17 @@ def test_flag_surface():
                             if opt.startswith("--") and opt != "--help")
                for name, p in subparsers.choices.items()}
     assert surface == FLAG_SURFACE
-    assert sum(map(len, surface.values())) == 53
+    assert sum(map(len, surface.values())) == 49
 
 
 LIBRARY_OPTION_SURFACE = {
     fit: ["data", "k", "config", "start"],
     prepare: ["dataset", "k"],
     at_order: ["problem", "k"],
-    nested_cv: ["dataset", "k", "penalty", "lambda_grid", "selection_metric",
-                "class_weighting", "seed", "jobs"],
-    k_sweep_benchmark: ["dataset", "k_range", "penalties", "lambda_grid", "selection_metric",
-                        "class_weighting", "sigmas", "noise_repeats", "bootstrap_resamples",
-                        "seed", "jobs"],
-    noise_robustness: ["model", "x_test", "y_test", "sigmas", "repeats", "seed"],
+    nested_cv: ["dataset", "k", "penalty", "lambda_grid", "class_weighting", "seed", "jobs"],
+    k_sweep_benchmark: ["dataset", "k_range", "penalties", "lambda_grid", "class_weighting",
+                        "noise_repeats", "bootstrap_resamples", "seed", "jobs"],
+    noise_robustness: ["model", "x_test", "y_test", "repeats", "seed"],
     bootstrap_stability: ["dataset", "k", "penalty", "lam", "resamples", "seed",
                           "class_weighting", "jobs"],
     gap_experiment: ["n", "big_n", "k_range", "iterations", "seed", "lam", "jobs"],
@@ -468,12 +529,15 @@ def test_library_option_surface():
 
 def test_protocol_constants():
     """The settings every fit and protocol run shares, one value each: the
-    solver's tolerance and budget, the nested-CV folds, the penalties the
+    solver's tolerance and budget, the nested-CV folds, the noise levels of
+    bench's robustness, the tolerance of pair support, the penalties the
     gap experiment compares, and the sizes bounds runs, which are those
     acceptance criteria 7 (label flips) and 8 (gap) certify."""
     assert (train.TOL, train.MAX_ITERS) == (1e-8, 10_000)
     assert FitConfig().max_iters == train.MAX_ITERS
     assert (cv.OUTER_FOLDS, cv.INNER_FOLDS) == (5, 3)
+    assert cv.SIGMAS == (0.1, 0.2, 0.3)
+    assert analysis.ZERO_TOL == 1e-8
     assert analysis.GAP_PENALTIES == ("none", "l2")
     assert (cli.SENS_N, cli.SENS_SAMPLES, cli.SENS_K) == (10, 100, 2)
     assert cli.C_GRID == (0.01, 0.1, 0.5, 1.0, 1.5, 3.0)
@@ -485,8 +549,7 @@ RECORD_FIELDS = {
     FitConfig: ["penalty", "lam", "class_weighting"],
     FoldReport: ["fold", "selected_lam", "inner_scores", "metrics", "result", "test_rows",
                  "fit_s", "predict_s"],
-    CVReport: ["dataset", "k", "penalty", "selection_metric", "class_weighting", "seed",
-               "lambda_grid", "folds"],
+    CVReport: ["dataset", "k", "penalty", "class_weighting", "seed", "lambda_grid", "folds"],
     SweepCell: ["cv", "robustness", "bootstrap", "bootstrap_lam"],
     BootstrapResult: ["accuracies", "requested"],
     ResourceProfile: ["train_time_s", "infer_time_s", "model_size_mb", "flops"],
@@ -519,6 +582,18 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_names_only_flags_the_cli_has():
+    """Every ``--flag`` token of the README, prose included, is a flag of
+    some subcommand (--help too) or pip's --no-build-isolation: a removed
+    flag cannot linger in the docs."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for p in subparsers.choices.values() for action in p._actions
+             for opt in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text()))
+    assert named - flags - {"--no-build-isolation"} == set()
 
 
 def test_missing_file_is_data_error(tmp_path):
@@ -597,6 +672,24 @@ def test_bench_summary_follows_from_its_cells(toy_csv, tmp_path, monkeypatch):
         assert len(cell.robustness) == len(cell.cv.folds) == 5
         assert float(c["robustness_mean"]) == float(np.mean(cell.robustness))
         assert float(c["robustness_std"]) == float(np.std(cell.robustness))
+
+
+def test_bench_names_the_best_cell_in_any_penalty_order(toy_csv, tmp_path, capsys):
+    """bench's stdout names the bench_summary.csv row of the highest
+    accuracy, whichever penalty --penalties lists first: on toy.csv, l2 at
+    0.8172 beats l1 at 0.8089."""
+    printed = []
+    for order in ("l1,l2", "l2,l1"):
+        out = tmp_path / order
+        assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1",
+                   "--penalties", order, "--lambda-grid", "0.01,1", "--noise-repeats", "1",
+                   "--bootstrap-resamples", "1", "--out-dir", out) == EXIT_OK
+        with open(out / "bench_summary.csv", newline="") as fh:
+            best = max(csv.DictReader(fh), key=lambda row: float(row["Accuracy"]))
+        printed.append(capsys.readouterr().out.split("best_acc=")[1].split(" -> ")[0])
+        assert printed[-1] == (f"{float(best['Accuracy']):.4f} "
+                               f"(k={best['Best K (Acc)']}, {best['Penalty']})")
+    assert printed == ["0.8172 (k=1, l2)"] * 2
 
 
 def test_undersample_ratio_reaches_fit_and_bench(toy_csv, tmp_path):
@@ -736,7 +829,7 @@ def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, mo
     monkeypatch.setattr(cli, "k_sweep_benchmark", None)  # never reached
     assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flags,
                "--out-dir", tmp_path / "b") == EXIT_USAGE
-    assert flags[0] in capsys.readouterr().err
+    assert refused_by_name(capsys.readouterr().err, "bench", flags[0])
     assert not (tmp_path / "b").exists()
 
 
@@ -754,16 +847,21 @@ def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, mo
     ["--jobs", "0"],
     ["--seed", "-1"],
     ["--undersample-ratio", "0"],
+    ["--delimiter", ""],
+    ["--delimiter", ";;"],
+    ["--delimiter", '"'],
+    ["--delimiter", "\n"],
 ])
 def test_bench_rejects_repeated_or_empty_work_before_any_work(toy_csv, tmp_path, capsys,
                                                               monkeypatch, flags):
     """A repeated order or penalty would run (and write) the same cell twice,
-    a repeated sigma or lambda would be pooled with its twin; zero repeats
-    would average an empty list into NaN columns."""
+    a repeated lambda would be pooled with its twin; zero repeats would
+    average an empty list into NaN columns.  The --sigmas cases are refused
+    because bench perturbs at cv.SIGMAS, whatever the value."""
     monkeypatch.setattr(cli, "k_sweep_benchmark", None)  # never reached
     assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flags,
                "--out-dir", tmp_path / "b") == EXIT_USAGE
-    assert flags[0] in capsys.readouterr().err
+    assert refused_by_name(capsys.readouterr().err, "bench", flags[0])
     assert not (tmp_path / "b").exists()
 
 
@@ -944,7 +1042,7 @@ def test_interactions_identical_models_full_support(toy_csv, tmp_path):
     model = make_models(toy_csv, tmp_path, count=1)[0]
     out = tmp_path / "inter"
     run("interactions", "--models", model, model, model, model, model,
-        "--min-support", "0.0", "--zero-tol", "1e-12", "--out-dir", out)
+        "--min-support", "0.0", "--out-dir", out)
     support_rows = (out / "interactions_support.csv").read_text().strip().splitlines()[1:]
     values = [float(v) for row in support_rows for v in row.split(",")[1:]]
     assert set(values) <= {0.0, 1.0}
@@ -959,7 +1057,7 @@ def test_interactions_checks_flags_before_writing(toy_csv, tmp_path, capsys, fla
     capsys.readouterr()
     assert run("interactions", "--models", *models, *flag,
                "--out-dir", tmp_path / "out") == EXIT_USAGE
-    assert flag[0] in capsys.readouterr().err
+    assert refused_by_name(capsys.readouterr().err, "interactions", flag[0])
     assert not (tmp_path / "out").exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from shapreg.cv import (
     INNER_FOLDS,
     OUTER_FOLDS,
+    SIGMAS,
     BootstrapResult,
     SweepReport,
     bootstrap_stability,
@@ -91,16 +92,17 @@ def test_nested_cv_fit_count(cv_fit_configs, grid):
     assert len(cv_fit_configs) == 5 * (len(grid) * 3 + 1)
 
 
-@pytest.mark.parametrize("penalty, selection_metric", [("l1", "accuracy"), ("l2", "f1")])
-def test_warm_started_inner_scores_equal_cold_fits(penalty, selection_metric):
-    """Fold 0's inner scores, recomputed from cold fits on freshly built
-    inner-train datasets and the full metric set, equal the report's
-    warm-started path exactly, and its outer refit is the cold fit."""
+@pytest.mark.parametrize("penalty", ["l1", "l2"])
+def test_warm_started_inner_scores_equal_cold_fits(penalty):
+    """Fold 0's inner scores, the mean accuracies recomputed from cold fits
+    on freshly built inner-train datasets and the full metric set, equal
+    the report's warm-started path exactly, and its outer refit is the cold
+    fit."""
     ds = gen_pure_pairwise(4, 120, pairs=2, seed=3)
     grid = [1e-3, 1e-2, 0.1, 1.0, 10.0]
     seed = 2
-    report = nested_cv(ds, 2, penalty, lambda_grid=grid, selection_metric=selection_metric,
-                       seed=seed)
+    report = nested_cv(ds, 2, penalty, lambda_grid=grid, seed=seed)
+    assert report.to_dict()["selection_metric"] == "accuracy"
 
     test_rows = stratified_folds(ds.y, OUTER_FOLDS, np.random.SeedSequence([seed, 0]))[0]
     train = ds.subset(np.setdiff1d(np.arange(ds.n_samples), test_rows))
@@ -113,7 +115,7 @@ def test_warm_started_inner_scores_equal_cold_fits(penalty, selection_metric):
             model = fit(train.subset(fit_rows), 2, FitConfig(penalty=penalty, lam=lam)).model
             proba = model.predict_proba(train.x[val_rows])
             full = metrics(train.y[val_rows], (proba >= 0.5).astype(int), proba)
-            scores.append(getattr(full, selection_metric))
+            scores.append(full.accuracy)
         expected[lam] = float(np.mean(scores))
     assert report.folds[0].inner_scores == expected
     # the outer refit starts cold, so its coefficients are the plain fit's
@@ -201,25 +203,25 @@ def test_nested_cv_aggregate_consistency():
     assert agg["accuracy"][1] == pytest.approx(np.std(accs))
 
 
-def test_selection_metric_f1():
-    ds = signal_dataset(seed=8, imbalance=0.25)
-    report = nested_cv(ds, 1, "l2", lambda_grid=[0.1, 1.0], selection_metric="f1", seed=0)
-    assert report.selection_metric == "f1"
-
-
 # ---------------------------------------------------------------------------
 # noise robustness
 # ---------------------------------------------------------------------------
 
-def test_noise_sigma_zero_is_clean_accuracy():
+def test_noise_sigma_zero_is_clean_accuracy(monkeypatch):
+    """With every normal draw patched to zero, each level of SIGMAS scores
+    the unperturbed inputs: the clean accuracy exactly, with a std of 0."""
     ds = signal_dataset(seed=9)
     result = fit(ds, 1, FitConfig(penalty="l2", lam=1.0))
-    clean = (result.model.predict(ds.x) == ds.y).mean()
-    rob = noise_robustness(result.model, ds.x, ds.y, sigmas=(0.0, 0.2), repeats=3, seed=0)
-    assert rob[0.0] == (clean, 0.0)
+    clean = float((result.model.predict(ds.x) == ds.y).mean())
+
+    class ZeroDraws:
+        def normal(self, loc, scale, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDraws())
     for repeats in (1, 3, 10):
-        again = noise_robustness(result.model, ds.x, ds.y, sigmas=(0.0,), repeats=repeats)
-        assert again[0.0] == rob[0.0]
+        rob = noise_robustness(result.model, ds.x, ds.y, repeats=repeats, seed=0)
+        assert rob == {sigma: (clean, 0.0) for sigma in SIGMAS}
 
 
 def test_noise_deterministic():
@@ -228,6 +230,7 @@ def test_noise_deterministic():
     a = noise_robustness(result.model, ds.x, ds.y, repeats=4, seed=5)
     b = noise_robustness(result.model, ds.x, ds.y, repeats=4, seed=5)
     assert a == b
+    assert tuple(a) == SIGMAS == (0.1, 0.2, 0.3)
 
 
 @pytest.mark.parametrize("repeats", [0, -2])
@@ -241,29 +244,18 @@ def test_robustness_and_bootstrap_need_a_repeat(repeats):
         bootstrap_stability(ds, 1, "l2", 1.0, resamples=repeats)
 
 
-def test_robustness_needs_a_sigma():
-    """No sigma means an empty mean: a ValueError, not a NaN robustness."""
-    ds = signal_dataset(seed=10)
-    model = fit(ds, 1, FitConfig(penalty="l2", lam=1.0)).model
-    with pytest.raises(ValueError, match="at least 1 sigma"):
-        noise_robustness(model, ds.x, ds.y, sigmas=())
-    with pytest.raises(ValueError, match="at least 1 sigma"):
-        k_sweep_benchmark(ds, [1], penalties=("l2",), lambda_grid=[1.0], sigmas=(),
-                          noise_repeats=1, bootstrap_resamples=1)
-
-
 @pytest.mark.parametrize("settings, message", [
-    (dict(sigmas=()), "at least 1 sigma"),
-    (dict(sigmas=(0.1, 0.1)), "repeat 0.1"),
+    (dict(k_range=[]), "at least 1 order and 1 penalty"),
+    (dict(penalties=()), "at least 1 order and 1 penalty"),
     (dict(noise_repeats=0), "at least 1 repeat"),
     (dict(bootstrap_resamples=0), "at least 1 resample"),
     (dict(k_range=[1, 2, 1]), "orders repeat k=1"),
     (dict(penalties=("l2", "none", "l2")), "penalties repeat 'l2'"),
 ])
 def test_k_sweep_checks_its_settings_before_any_fit(cv_fit_configs, settings, message):
-    """A library caller learns of a bad noise or bootstrap setting, or a
-    repeated order or penalty, before the first cell's nested CV, not after
-    it."""
+    """A library caller learns of a bad noise or bootstrap setting, or an
+    empty or repeated list of orders or penalties, before the first cell's
+    nested CV, not after it."""
     with pytest.raises(ValueError, match=message):
         k_sweep_benchmark(signal_dataset(seed=10),
                           **{"k_range": [1], "penalties": ("l2",), "noise_repeats": 1,
@@ -271,23 +263,14 @@ def test_k_sweep_checks_its_settings_before_any_fit(cv_fit_configs, settings, me
     assert cv_fit_configs == []
 
 
-@pytest.mark.parametrize("sigmas, repeated", [((0.1, 0.1, 0.3), "0.1"), ((0, 0.2, 0.0), "0.0")])
-def test_robustness_refuses_a_repeated_sigma(sigmas, repeated):
-    """A repeated sigma would overwrite its twin's entry, so the sweep's
-    mean would run over fewer noise levels than it was given."""
-    ds = signal_dataset(seed=10)
-    model = fit(ds, 1, FitConfig(penalty="l2", lam=1.0)).model
-    with pytest.raises(ValueError, match=f"repeat {repeated}$"):
-        noise_robustness(model, ds.x, ds.y, sigmas=sigmas, repeats=1)
-
-
 def test_noise_degrades_separable_accuracy():
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(0, 0.35, size=(60, 1)), rng.uniform(0.65, 1, size=(60, 1))])
     ds = Dataset(x=x, y=np.repeat([0, 1], 60), feature_names=["a"], name="sep")
     result = fit(ds, 1, FitConfig(penalty="l2", lam=0.1))
-    rob = noise_robustness(result.model, ds.x, ds.y, sigmas=(0.0, 0.3), repeats=10, seed=1)
-    assert rob[0.3][0] <= rob[0.0][0] + 0.02
+    clean = float((result.model.predict(ds.x) == ds.y).mean())
+    rob = noise_robustness(result.model, ds.x, ds.y, repeats=10, seed=1)
+    assert rob[0.3][0] <= clean + 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Library refusals: each call below breaks one documented precondition and
 raises the error its message names, before any work."""
 
+import json
+
 import numpy as np
 import pytest
 
 from shapreg.analysis import bound_curves, gap_experiment, main_effects
 from shapreg.basis import phi
-from shapreg.cv import k_sweep_benchmark, nested_cv, stratified_folds
+from shapreg.cv import k_sweep_benchmark, stratified_folds
 from shapreg.data import DataError, Dataset, gen_random_noise, load_csv
 from shapreg.games import Basis, SetFunction, choquet_mobius, transposed_min_terms
 from shapreg.metrics import threshold_metrics
@@ -15,6 +17,12 @@ from shapreg.train import FitConfig, loss_and_gradient, sample_weights, sensitiv
 
 NOISE = gen_random_noise(3, 20, seed=0)
 MODEL_JSON = ShapleyModel(["a", "b"], 1, 0.0, np.zeros(2), [[0.0, 1.0], [0.0, 1.0]]).to_json()
+
+
+def model_json(**fields):
+    """MODEL_JSON with ``fields`` replaced; a field given as ... is left out."""
+    payload = {**json.loads(MODEL_JSON), **fields}
+    return json.dumps({name: value for name, value in payload.items() if value is not ...})
 
 
 def csv_file(tmp_path, text):
@@ -35,9 +43,6 @@ REFUSALS = {
     "one fold": (
         lambda tmp: stratified_folds(np.array([0, 1]), 1, 0), ValueError,
         "need at least 2 folds"),
-    "selection by auc": (
-        lambda tmp: nested_cv(NOISE, 1, "l2", selection_metric="auc"), ValueError,
-        "selection metric must be one of"),
     "1-D x": (
         lambda tmp: Dataset(x=np.zeros(3), y=np.zeros(3), feature_names=["a"], name="d"),
         DataError, "feature matrix must be 2-D, got shape (3,)"),
@@ -75,6 +80,30 @@ REFUSALS = {
     "model file n": (
         lambda tmp: ShapleyModel.from_json(MODEL_JSON.replace('"n": 2', '"n": 3')),
         ValueError, "inconsistent feature count in model file"),
+    "model file of a list": (
+        lambda tmp: ShapleyModel.from_json("[]"), ValueError,
+        "a model is a JSON object, got list"),
+    "model names of a number": (
+        lambda tmp: ShapleyModel.from_json(model_json(feature_names=5)), ValueError,
+        "model field 'feature_names' must be a list of strings, got 5"),
+    "model bias null": (
+        lambda tmp: ShapleyModel.from_json(model_json(bias=None)), ValueError,
+        "model field 'bias' must be a finite number, got None"),
+    "model bias NaN": (
+        lambda tmp: ShapleyModel.from_json(model_json(bias=float("nan"))), ValueError,
+        "model field 'bias' must be a finite number, got nan"),
+    "model index past float64": (
+        lambda tmp: ShapleyModel.from_json(model_json(indices=[0.0, 10 ** 400])), ValueError,
+        "model field 'indices' must be a list of finite numbers, got [0.0, 1000"),
+    "model k of a bool": (
+        lambda tmp: ShapleyModel.from_json(model_json(k=True)), ValueError,
+        "model field 'k' must be an int, got True"),
+    "model normalization of a null": (
+        lambda tmp: ShapleyModel.from_json(model_json(normalization=[[None, 1.0], [0.0, 1.0]])),
+        ValueError, "model field 'normalization' must be a list of finite-number lists"),
+    "model without indices": (
+        lambda tmp: ShapleyModel.from_json(model_json(indices=...)), ValueError,
+        "model field 'indices' must be a list of finite numbers, got None"),
     "penalty l3": (
         lambda tmp: FitConfig(penalty="l3"), ValueError, "penalty must be one of"),
     "balanced weighting": (
