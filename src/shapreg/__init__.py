@@ -7,6 +7,7 @@ stability, and capacity-analysis protocols built around it.
 
 from .analysis import (
     InteractionMatrix,
+    LabelFlipStudy,
     bound_curves,
     bound_report,
     consensus_interactions,
@@ -14,6 +15,7 @@ from .analysis import (
     filter_stable,
     gap_experiment,
     main_effects,
+    sensitivity_to_label_flip,
     top_by_strength,
 )
 from .basis import DesignMatrix, design_matrix, phi
@@ -47,13 +49,11 @@ from .train import (
     STATUSES,
     FitConfig,
     FitResult,
-    LabelFlipStudy,
     Problem,
     at_order,
     fit,
     loss_and_gradient,
     prepare,
-    sensitivity_to_label_flip,
 )
 
 __version__ = "0.1.0"

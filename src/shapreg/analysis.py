@@ -1,20 +1,21 @@
-"""Interaction-matrix aggregation across fitted models, and capacity measures
+"""Interaction-matrix aggregation across fitted models, capacity measures
 (combinatorial vs effective dimension, plug-in generalization-bound curves,
-noise-label gap experiments)."""
+noise-label gap experiments) and label-flip stability studies under the
+ridge ceiling 2 L^2 / (lam N), L the largest row norm of the study's design."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, log, sqrt
 
 import numpy as np
 
 from .cv import _check_sweep
-from .data import gen_random_noise
+from .data import Dataset, gen_random_noise
 from .games import num_coalitions
 from .model import ShapleyModel
 from .parallel import map_ordered
-from .train import STATUSES, FitConfig, at_order, fit, prepare, stability_bound
+from .train import STATUSES, FitConfig, at_order, fit, prepare
 
 
 # ---------------------------------------------------------------------------
@@ -25,13 +26,23 @@ from .train import STATUSES, FitConfig, at_order, fit, prepare, stability_bound
 ZERO_TOL = 1e-8
 
 
+def disagreements(a: ShapleyModel, b: ShapleyModel) -> str:
+    """Which of n, k and feature_names, the fields that models aggregated
+    together share, differ between two models, each with its value in ``a``
+    and then in ``b``; empty when they agree."""
+    return "; ".join(f"{name}: {getattr(a, name)!r} vs {getattr(b, name)!r}"
+                     for name in ("n", "k", "feature_names")
+                     if getattr(a, name) != getattr(b, name))
+
+
 def _check_compatible(models: list[ShapleyModel]) -> ShapleyModel:
     if not models:
         raise ValueError("need at least one model")
     first = models[0]
-    for m in models[1:]:
-        if (m.n, m.k, tuple(m.feature_names)) != (first.n, first.k, tuple(first.feature_names)):
-            raise ValueError("models disagree on (n, k, feature_names)")
+    for i, m in enumerate(models[1:], 1):
+        differences = disagreements(first, m)
+        if differences:
+            raise ValueError(f"models 0 and {i} disagree on {differences}")
     return first
 
 
@@ -175,6 +186,108 @@ def bound_curves(n: int, big_n: int, k_range, lam: float, norm_bound: float,
             "stability": stability_bound(lipschitz, lam, big_n),
         })
     return rows
+
+
+def stability_bound(lipschitz: float, lam: float, big_n: int) -> float:
+    """2 L^2 / (lam N): the stability ceiling of an l2 fit on N rows of norm <= L."""
+    return 2.0 * lipschitz ** 2 / (lam * big_n)
+
+
+# ---------------------------------------------------------------------------
+# label-flip stability
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LabelFlipStudy:
+    """Refit sensitivity under single-label flips.
+
+    ``shifts`` holds the Euclidean distance between the full parameter vectors
+    (bias + indices) of the base fit and each flipped refit;
+    ``max_index_shifts`` the largest per-coalition coefficient change, which
+    can never exceed the corresponding entry of ``shifts``;
+    ``risk_diffs`` the change of the empirical mean cross-entropy over the
+    original samples, the quantity that ``stability_ceiling``, the
+    :func:`stability_bound` at L = ``row_norm`` (the largest design-row norm
+    of the normalized samples), controls.
+    """
+
+    shifts: np.ndarray
+    max_index_shifts: np.ndarray
+    risk_diffs: np.ndarray
+    row_norm: float
+    stability_ceiling: float
+    flipped_rows: np.ndarray
+
+    @property
+    def mean_shift(self) -> float:
+        return float(self.shifts.mean())
+
+    @property
+    def std_shift(self) -> float:
+        return float(self.shifts.std())
+
+    @property
+    def median_shift(self) -> float:
+        """np.median of ``shifts``, by a sort: np.median's first call loads numpy.ma."""
+        ordered = np.sort(self.shifts)
+        mid = ordered.size // 2
+        return float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
+def _mean_risk(model: ShapleyModel, x_raw: np.ndarray, y: np.ndarray) -> float:
+    """Mean unweighted cross-entropy of a fitted model over the samples."""
+    z = model.logit(x_raw)
+    return float((np.logaddexp(0.0, z) - np.asarray(y, dtype=float) * z).mean())
+
+
+def sensitivity_to_label_flip(
+    dataset: Dataset, k: int, config: FitConfig, repeats: int = 20, seed: int = 0
+) -> LabelFlipStudy:
+    """Flip one uniformly chosen label per repeat, refit, and measure shifts.
+
+    The flipped row of each repeat derives from (seed, repeat), so the study
+    is reproducible and repeats are independent of execution order.  A flip
+    changes neither the rows nor their normalization, so the base fit and
+    every cold refit share one prepared design.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    problem = prepare(dataset, k)
+    base = fit(problem, k, config)
+    base_params = base.parameters
+
+    row_norm = float(np.sqrt((problem.design ** 2).sum(axis=1).max()))
+    ceiling = (stability_bound(row_norm, config.lam, dataset.n_samples)
+               if config.lam > 0 else np.inf)
+
+    base_risk = _mean_risk(base.model, dataset.x, dataset.y)
+
+    shifts = np.empty(repeats)
+    max_index_shifts = np.empty(repeats)
+    risk_diffs = np.empty(repeats)
+    flipped = np.empty(repeats, dtype=int)
+    children = np.random.SeedSequence(seed).spawn(repeats)
+    for r in range(repeats):
+        rng = np.random.default_rng(children[r])
+        row = int(rng.integers(dataset.n_samples))
+        flipped[r] = row
+        y_flipped = dataset.y.copy()
+        y_flipped[row] = 1 - y_flipped[row]
+        flipped_ds = replace(dataset, y=y_flipped, name=dataset.name + f"_flip{row}")
+        refit = fit(replace(problem, dataset=flipped_ds), k, config)
+        delta = refit.parameters - base_params
+        shifts[r] = np.linalg.norm(delta)
+        max_index_shifts[r] = np.abs(delta[1:]).max()
+        risk_diffs[r] = abs(_mean_risk(refit.model, dataset.x, dataset.y) - base_risk)
+
+    return LabelFlipStudy(
+        shifts=shifts,
+        max_index_shifts=max_index_shifts,
+        risk_diffs=risk_diffs,
+        row_norm=row_norm,
+        stability_ceiling=ceiling,
+        flipped_rows=flipped,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Up to pairs the basis has the familiar closed forms:
 * phi_{ij}(x)  = min(x_i, x_j) - (x_i + x_j) / 2
 
 so singleton columns are the raw features and pair columns live in [-1/2, 0],
-vanishing on the diagonal x_i = x_j.
+vanishing on the diagonal x_i = x_j.  The largest row norm of a design, the
+L of the stability ceiling, is measured by the label-flip study in analysis.
 """
 
 from __future__ import annotations
@@ -67,9 +68,3 @@ def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:
     # rejects anything but a 2-D sample matrix in [0,1]
     terms_t = transposed_min_terms(x, k)
     return DesignMatrix(values=k_additive_maps(np.shape(x)[1], k).design(terms_t))
-
-
-def max_row_norm(design: np.ndarray) -> float:
-    """Largest Euclidean row norm of a design array; the Lipschitz scale of
-    the per-sample logistic loss in these features."""
-    return float(np.sqrt((design ** 2).sum(axis=1).max()))

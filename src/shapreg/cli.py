@@ -33,9 +33,11 @@ import numpy as np
 from .analysis import (
     bound_report,
     consensus_interactions,
+    disagreements,
     filter_stable,
     gap_experiment,
     main_effects,
+    sensitivity_to_label_flip,
     top_by_strength,
 )
 from .cv import k_sweep_benchmark
@@ -49,7 +51,7 @@ from .data import (
     undersample,
 )
 from .model import ShapleyModel
-from .train import PENALTIES, FitConfig, check_fit_size, fit, sensitivity_to_label_flip
+from .train import PENALTIES, FitConfig, check_fit_size, fit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -288,6 +290,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.lambda_grid is not None and set(args.penalties) == {"none"}:
+        raise UsageError("--lambda-grid does not apply with --penalties none")
     ds = _load_dataset(args)
     for k in args.k:
         _check_k(k, ds.n_features)
@@ -382,6 +386,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_interactions(args) -> int:
     models = [_load_model(path) for path in args.models]
+    for path, model in zip(args.models[1:], models[1:]):
+        differences = disagreements(models[0], model)
+        if differences:
+            raise DataError(f"models {args.models[0]} and {path} disagree on {differences}")
     if models[0].k < 2:
         raise UsageError("interaction matrices need models with k >= 2")
     n = models[0].n

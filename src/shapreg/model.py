@@ -1,4 +1,5 @@
-"""Fitted Shapley regression models: normalization, prediction, serialization."""
+"""Fitted Shapley regression models: min-max normalization (learned from
+training rows and applied to any rows), prediction, serialization."""
 
 from __future__ import annotations
 
@@ -31,6 +32,12 @@ def expit(z) -> np.ndarray:
     about -709.78); it rounds to exactly 1 for z above about 37.
     """
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+
+
+def learn_normalization(x: np.ndarray) -> np.ndarray:
+    """Per-feature (min, max) pairs from training data."""
+    x = np.asarray(x, dtype=float)
+    return np.column_stack([x.min(axis=0), x.max(axis=0)])
 
 
 def apply_normalization(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import DesignMatrix, design_matrix, max_row_norm
+from .basis import DesignMatrix, design_matrix
 from .data import Dataset
 from .games import check_allocation, num_coalitions
-from .model import ShapleyModel, apply_normalization, expit
+from .model import ShapleyModel, apply_normalization, expit, learn_normalization
 
 logger = logging.getLogger(__name__)
 
@@ -151,13 +151,6 @@ def loss_and_gradient(
     theta = np.concatenate([[bias], np.asarray(indices, dtype=float)])
     z = obj.logits(theta)
     return obj.value(theta, z), obj.gradient(theta, expit(z))
-
-
-def per_sample_losses(model: ShapleyModel, x_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unweighted cross-entropy of each sample under a fitted model."""
-    z = model.logit(x_raw)
-    y = np.asarray(y, dtype=float)
-    return np.logaddexp(0.0, z) - y * z
 
 
 class _Objective:
@@ -409,12 +402,6 @@ def _newton(obj: _Objective, start: np.ndarray | None = None):
     return theta, np.asarray(trace), status, it, residual
 
 
-def learn_normalization(x: np.ndarray) -> np.ndarray:
-    """Per-feature (min, max) pairs from training data."""
-    x = np.asarray(x, dtype=float)
-    return np.column_stack([x.min(axis=0), x.max(axis=0)])
-
-
 @dataclass(frozen=True)
 class Problem:
     """A dataset made ready for the solver at order k: the min-max
@@ -507,97 +494,4 @@ def fit(data: Dataset | Problem, k: int, config: FitConfig,
         status=status,
         iterations=iterations,
         grad_norm=residual,
-    )
-
-
-def stability_bound(lipschitz: float, lam: float, big_n: int) -> float:
-    """2 L^2 / (lam N): the stability ceiling of an l2 fit on N rows of norm <= L."""
-    return 2.0 * lipschitz ** 2 / (lam * big_n)
-
-
-@dataclass(frozen=True)
-class LabelFlipStudy:
-    """Refit sensitivity under single-label flips.
-
-    ``shifts`` holds the Euclidean distance between the full parameter vectors
-    (bias + indices) of the base fit and each flipped refit;
-    ``max_index_shifts`` the largest per-coalition coefficient change, which
-    can never exceed the corresponding entry of ``shifts``;
-    ``risk_diffs`` the change of the empirical mean cross-entropy over the
-    original samples, the quantity that ``stability_ceiling``, the
-    :func:`stability_bound` at L = ``row_norm`` (the largest design-row norm
-    of the normalized samples), controls.
-    """
-
-    shifts: np.ndarray
-    max_index_shifts: np.ndarray
-    risk_diffs: np.ndarray
-    row_norm: float
-    stability_ceiling: float
-    flipped_rows: np.ndarray
-
-    @property
-    def mean_shift(self) -> float:
-        return float(self.shifts.mean())
-
-    @property
-    def std_shift(self) -> float:
-        return float(self.shifts.std())
-
-    @property
-    def median_shift(self) -> float:
-        """np.median of ``shifts``, by a sort: np.median's first call loads numpy.ma."""
-        ordered = np.sort(self.shifts)
-        mid = ordered.size // 2
-        return float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
-
-
-def sensitivity_to_label_flip(
-    dataset: Dataset, k: int, config: FitConfig, repeats: int = 20, seed: int = 0
-) -> LabelFlipStudy:
-    """Flip one uniformly chosen label per repeat, refit, and measure shifts.
-
-    The flipped row of each repeat derives from (seed, repeat), so the study
-    is reproducible and repeats are independent of execution order.  A flip
-    changes neither the rows nor their normalization, so the base fit and
-    every cold refit share one prepared design.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    problem = prepare(dataset, k)
-    base = fit(problem, k, config)
-    base_params = base.parameters
-
-    row_norm = max_row_norm(problem.design)
-    ceiling = (stability_bound(row_norm, config.lam, dataset.n_samples)
-               if config.lam > 0 else np.inf)
-
-    base_losses = per_sample_losses(base.model, dataset.x, dataset.y)
-
-    shifts = np.empty(repeats)
-    max_index_shifts = np.empty(repeats)
-    risk_diffs = np.empty(repeats)
-    flipped = np.empty(repeats, dtype=int)
-    children = np.random.SeedSequence(seed).spawn(repeats)
-    for r in range(repeats):
-        rng = np.random.default_rng(children[r])
-        row = int(rng.integers(dataset.n_samples))
-        flipped[r] = row
-        y_flipped = dataset.y.copy()
-        y_flipped[row] = 1 - y_flipped[row]
-        flipped_ds = replace(dataset, y=y_flipped, name=dataset.name + f"_flip{row}")
-        refit = fit(replace(problem, dataset=flipped_ds), k, config)
-        delta = refit.parameters - base_params
-        shifts[r] = np.linalg.norm(delta)
-        max_index_shifts[r] = np.abs(delta[1:]).max()
-        losses = per_sample_losses(refit.model, dataset.x, dataset.y)
-        risk_diffs[r] = abs(losses.mean() - base_losses.mean())
-
-    return LabelFlipStudy(
-        shifts=shifts,
-        max_index_shifts=max_index_shifts,
-        risk_diffs=risk_diffs,
-        row_norm=row_norm,
-        stability_ceiling=ceiling,
-        flipped_rows=flipped,
     )

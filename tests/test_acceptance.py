@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from shapreg import train
-from shapreg.analysis import consensus_interactions, gap_experiment
+from shapreg.analysis import consensus_interactions, gap_experiment, sensitivity_to_label_flip
 from shapreg.basis import design_matrix
 from shapreg.cv import k_sweep_benchmark, nested_cv
 from shapreg.data import Dataset, gen_pure_pairwise, gen_random_noise, load_csv
@@ -33,7 +33,6 @@ from shapreg.train import (
     fit,
     loss_and_gradient,
     sample_weights,
-    sensitivity_to_label_flip,
 )
 
 from choquet_reference import capacity_lattice, choquet_sorted

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from shapreg.basis import design_matrix, max_row_norm, phi
+from shapreg.analysis import sensitivity_to_label_flip
+from shapreg.basis import design_matrix, phi
+from shapreg.data import Dataset
 from shapreg.games import (
     Basis,
     SetFunction,
@@ -14,6 +16,7 @@ from shapreg.games import (
     transposed_min_terms,
 )
 from shapreg.model import ShapleyModel
+from shapreg.train import FitConfig
 
 from choquet_reference import capacity_lattice, choquet_sorted
 
@@ -97,9 +100,12 @@ def test_basis_equivalence_against_mobius_path():
 
 
 def test_max_row_norm():
-    x = np.array([[1.0, 0.0], [1.0, 1.0]])
-    d = design_matrix(x, 1)
-    assert max_row_norm(d.values) == pytest.approx(np.sqrt(2.0))
+    """A label-flip study's L is the largest row norm of its design: at k=1
+    the design is the normalized rows, and (1, 1) outweighs (1, 0)."""
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+    ds = Dataset(x=x, y=np.array([0, 1, 0, 1, 0, 1]), feature_names=["a", "b"])
+    study = sensitivity_to_label_flip(ds, 1, FitConfig(), repeats=1)
+    assert study.row_norm == pytest.approx(np.sqrt(2.0))
 
 
 def test_gradient_consistency_of_the_fitted_game():

@@ -20,7 +20,13 @@ from shapreg.cli import (
     EXIT_USAGE,
     main,
 )
-from shapreg.analysis import GapCell, GapExperiment, gap_experiment
+from shapreg.analysis import (
+    GapCell,
+    GapExperiment,
+    LabelFlipStudy,
+    gap_experiment,
+    sensitivity_to_label_flip,
+)
 from shapreg.cv import (
     BootstrapResult,
     CVReport,
@@ -34,18 +40,10 @@ from shapreg.cv import (
     nested_cv,
     noise_robustness,
 )
-from shapreg.basis import max_row_norm
 from shapreg.data import gen_pure_pairwise, gen_random_noise
 from shapreg.games import transposed_min_terms
 from shapreg.model import ShapleyModel
-from shapreg.train import (
-    FitConfig,
-    LabelFlipStudy,
-    at_order,
-    fit,
-    prepare,
-    sensitivity_to_label_flip,
-)
+from shapreg.train import FitConfig, at_order, fit, prepare
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -616,6 +614,9 @@ def test_bench_outputs_and_determinism(toy_csv, tmp_path):
                  "cv_report_l2_k1.json", "cv_report_none_k2.json"):
         assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
     validate(tmp_path / "b1/cv_report_l2_k1.json", "cv_report.schema.json")
+    # the grid is l2's; an unpenalized cell reports lambda 0 alone
+    assert strict_json(tmp_path / "b1/cv_report_l2_k1.json")["lambda_grid"] == [0.1, 1.0]
+    assert strict_json(tmp_path / "b1/cv_report_none_k2.json")["lambda_grid"] == [0.0]
     reports = sorted((tmp_path / "b1").glob("*.json"))
     assert len(reports) == 4  # none and l2, each at k = 1 and 2
     for path in reports:
@@ -823,10 +824,12 @@ def test_bench_without_a_usable_bootstrap_resample_leaves_its_std_empty(tmp_path
     ["--lambda-grid", ","],
     ["--sigmas", ""],
     ["--lambda-grid", "0.1,abc"],
+    ["--lambda-grid", "0.1,1", "--penalties", "none"],  # no penalized cell selects lambda
 ])
 def test_bench_checks_number_lists_before_any_work(toy_csv, tmp_path, capsys, monkeypatch,
                                                    flags):
-    monkeypatch.setattr(cli, "k_sweep_benchmark", None)  # never reached
+    monkeypatch.setattr(cli, "load_csv", None)  # never reached
+    monkeypatch.setattr(cli, "k_sweep_benchmark", None)
     assert run("bench", "--dataset", toy_csv, "--label-column", "y", "--k", "1", *flags,
                "--out-dir", tmp_path / "b") == EXIT_USAGE
     assert refused_by_name(capsys.readouterr().err, "bench", flags[0])
@@ -908,9 +911,10 @@ def test_bounds_outputs(tmp_path):
         "bound_curves.csv", "bound_report.json", "gap_experiment.csv", "sensitivity_curve.csv"]
     validate(out / "bound_report.json", "bound_report.schema.json")
     sens_ds = gen_random_noise(cli.SENS_N, cli.SENS_SAMPLES, seed=3)
+    sens_design = prepare(sens_ds, cli.SENS_K).design
     assert strict_json(out / "bound_report.json")["settings"] == {
         "n": cli.GAP_N, "N": cli.GAP_SAMPLES, "iterations": 1, "lambda": cli.GAP_LAMBDA,
-        "B": 1.0, "L": max_row_norm(prepare(sens_ds, cli.SENS_K).design), "seed": 3}
+        "B": 1.0, "L": float(np.sqrt((sens_design ** 2).sum(axis=1).max())), "seed": 3}
     with open(out / "sensitivity_curve.csv", newline="") as fh:
         assert tuple(float(row["C"]) for row in csv.DictReader(fh)) == cli.C_GRID
     for name in ("gap_experiment.csv", "bound_curves.csv"):
@@ -1070,6 +1074,31 @@ def test_interactions_usage_errors(toy_csv, tmp_path):
         "--lambda", "1.0", "--out-dir", out1)
     assert run("interactions", "--models", out1 / "model.json",
                "--out-dir", tmp_path) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("field", ["k", "feature_names"])
+def test_interactions_names_the_models_that_disagree(toy_csv, tmp_path, capsys, field):
+    """Models whose indices cannot be aggregated are a data error before any
+    report, naming both files and each field that differs, with its value
+    in each."""
+    first = make_models(toy_csv, tmp_path, count=1)[0]
+    other = tmp_path / "other" / "model.json"
+    if field == "k":
+        run("fit", "--dataset", toy_csv, "--label-column", "y", "--k", "3",
+            "--out-dir", other.parent)
+        differences = "k: 2 vs 3"
+    else:
+        payload = json.loads(first.read_text())
+        payload["feature_names"][0] = "g0"
+        other.parent.mkdir()
+        other.write_text(json.dumps(payload))
+        differences = "feature_names: ['f0', 'f1', 'f2', 'f3'] vs ['g0', 'f1', 'f2', 'f3']"
+    capsys.readouterr()
+    assert run("interactions", "--models", first, other,
+               "--out-dir", tmp_path / "out") == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: models {first} and {other} disagree on {differences}\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency: every code path runs
 without scipy, the imports in src/ match pyproject.toml, and the bench and
-bounds protocols never load numpy.ma."""
+bounds protocols never load numpy.ma.  Each piece of knowledge has one
+owning module, and the README's Layout block lists every module."""
 
 import ast
 import json
@@ -161,3 +162,40 @@ def test_a_design_is_an_array_past_design_matrix():
     naming = sorted(path.name for path in (ROOT / "src" / "shapreg").glob("*.py")
                     if "DesignMatrix" in _names(path))
     assert naming == ["__init__.py", "basis.py", "train.py"]
+
+
+def _defined(path: Path) -> set[str]:
+    """The functions and classes a module defines at its top level."""
+    return {node.name for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_train_is_the_solver():
+    """train.py defines the solver and its inputs, nothing else public.  The
+    label-flip study and its 2 L^2 / (lam N) ceiling are defined beside the
+    bound curves (analysis.py), min-max normalization is learned where it is
+    applied (model.py), and the single-caller helpers the study used are
+    gone: no module defines the largest row norm or per-sample losses."""
+    sources = sorted((ROOT / "src" / "shapreg").glob("*.py"))
+    owners = {name: [path.name for path in sources if name in _defined(path)]
+              for name in ("stability_bound", "LabelFlipStudy", "sensitivity_to_label_flip",
+                           "learn_normalization", "max_row_norm", "per_sample_losses")}
+    assert owners == {"stability_bound": ["analysis.py"], "LabelFlipStudy": ["analysis.py"],
+                      "sensitivity_to_label_flip": ["analysis.py"],
+                      "learn_normalization": ["model.py"],
+                      "max_row_norm": [], "per_sample_losses": []}
+    public = sorted(name for name in _defined(ROOT / "src" / "shapreg" / "train.py")
+                    if not name.startswith("_"))
+    assert public == ["FitConfig", "FitResult", "Problem", "at_order", "check_fit_size", "fit",
+                      "loss_and_gradient", "prepare", "sample_weights"]
+
+
+def test_readme_layout_lists_every_module():
+    """The README's Layout block names each module of src/shapreg/ but
+    __init__.py, once: a module added, renamed or removed updates it."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Layout\n\n```\n(.*?)```", readme, re.S | re.M).group(1)
+    listed = sorted(re.findall(r"^  (\w+\.py) ", block, re.M))
+    modules = sorted(path.name for path in (ROOT / "src" / "shapreg").glob("*.py")
+                     if path.name != "__init__.py")
+    assert listed == modules

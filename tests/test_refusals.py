@@ -6,14 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from shapreg.analysis import bound_curves, gap_experiment, main_effects
+from shapreg.analysis import bound_curves, gap_experiment, main_effects, sensitivity_to_label_flip
 from shapreg.basis import phi
 from shapreg.cv import k_sweep_benchmark, stratified_folds
 from shapreg.data import DataError, Dataset, gen_random_noise, load_csv
 from shapreg.games import Basis, SetFunction, choquet_mobius, transposed_min_terms
 from shapreg.metrics import threshold_metrics
 from shapreg.model import ShapleyModel
-from shapreg.train import FitConfig, loss_and_gradient, sample_weights, sensitivity_to_label_flip
+from shapreg.train import FitConfig, loss_and_gradient, sample_weights
 
 NOISE = gen_random_noise(3, 20, seed=0)
 MODEL_JSON = ShapleyModel(["a", "b"], 1, 0.0, np.zeros(2), [[0.0, 1.0], [0.0, 1.0]]).to_json()

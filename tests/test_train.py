@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shapreg import train
+from shapreg import analysis, train
+from shapreg.analysis import sensitivity_to_label_flip
 from shapreg.basis import design_matrix
 from shapreg.data import Dataset, gen_random_noise
 from shapreg.games import num_coalitions
@@ -17,7 +18,6 @@ from shapreg.train import (
     loss_and_gradient,
     prepare,
     sample_weights,
-    sensitivity_to_label_flip,
 )
 
 from lbfgsb_reference import lbfgsb_reference
@@ -400,9 +400,9 @@ def test_one_sigmoid_pass_per_iterate(monkeypatch, penalty, lam):
 def test_median_shift_is_np_median(size):
     shifts = np.random.default_rng(size).exponential(size=size)
     shifts[size // 3] = shifts[size // 2]  # a tie
-    study = train.LabelFlipStudy(shifts=shifts, max_index_shifts=shifts,
-                                 risk_diffs=shifts, row_norm=1.0, stability_ceiling=1.0,
-                                 flipped_rows=np.arange(size))
+    study = analysis.LabelFlipStudy(shifts=shifts, max_index_shifts=shifts,
+                                    risk_diffs=shifts, row_norm=1.0, stability_ceiling=1.0,
+                                    flipped_rows=np.arange(size))
     assert study.median_shift == np.median(shifts)
 
 
@@ -697,7 +697,7 @@ def test_flipped_refits_are_the_cold_fits(monkeypatch, penalty, lam):
         calls.append((data, result))
         return result
 
-    monkeypatch.setattr(train, "fit", recorded)
+    monkeypatch.setattr(analysis, "fit", recorded)
     ds = toy_dataset(seed=26)
     config = FitConfig(penalty=penalty, lam=lam, class_weighting="inverse_frequency")
     study = sensitivity_to_label_flip(ds, 2, config, repeats=4, seed=5)
