@@ -8,7 +8,6 @@ stability, and capacity-analysis protocols built around it.
 from .analysis import (
     InteractionMatrix,
     LabelFlipStudy,
-    bound_curves,
     bound_report,
     consensus_interactions,
     effective_dimension,
@@ -75,7 +74,6 @@ __all__ = [
     "ShapleyModel",
     "at_order",
     "bootstrap_stability",
-    "bound_curves",
     "bound_report",
     "capacity_from_mobius",
     "choquet_mobius",

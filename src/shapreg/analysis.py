@@ -10,7 +10,6 @@ from math import comb, log, sqrt
 
 import numpy as np
 
-from .cv import _check_sweep
 from .data import Dataset, gen_random_noise
 from .games import num_coalitions
 from .model import ShapleyModel
@@ -149,42 +148,38 @@ def effective_dimension(design: np.ndarray) -> float:
 
 
 def bound_report(exp: "GapExperiment", norm_bound: float, lipschitz: float) -> list[dict]:
-    """Per-k table joining capacity measures, plug-in bound values, the
-    measured generalization gaps of a gap experiment and, per penalty, its
-    count of fits with each status but ``converged``."""
-    curves = bound_curves(exp.n, exp.big_n, exp.k_values, exp.lam, norm_bound, lipschitz)
-    rows = []
-    for curve in curves:
-        k = curve["k"]
-        row = dict(curve)
-        row["d_eff"] = exp.d_eff[k]
-        for pen in GAP_PENALTIES:
-            row[f"empirical_gap_{pen}"] = exp.cells[(k, pen)].mean_gap
-        row.update(exp.fit_counts(k))
-        rows.append(row)
-    return rows
-
-
-def bound_curves(n: int, big_n: int, k_range, lam: float, norm_bound: float,
-                 lipschitz: float) -> list[dict]:
-    """Plug-in generalization-bound curves per additivity order.
+    """Per-order table of the gap protocol: its capacity measures, plug-in
+    bound values, the measured generalization gaps of ``exp`` and, per
+    penalty, its count of fits with each status but ``converged``.
 
     vc         ~ sqrt(D_k / N)                      (parameter counting)
     rademacher = 2 B sqrt(2 ln(2 D_k) / N)          (l1 ball of radius B)
     stability  = 2 L^2 / (lam N)                    (l2, independent of k)
+
+    with lam = :data:`GAP_LAMBDA` and N = :data:`GAP_SAMPLES` / 2, the rows
+    each gap fit trains on.
     """
-    if big_n < 1 or lam <= 0 or norm_bound < 0 or lipschitz < 0:
-        raise ValueError("arguments must be positive (norm bound and Lipschitz >= 0)")
+    # written so that NaN fails the check
+    if not (0 <= norm_bound < np.inf and 0 <= lipschitz < np.inf):
+        raise ValueError(f"norm bound B and Lipschitz constant L must be finite and >= 0, "
+                         f"got B={norm_bound}, L={lipschitz}")
+    train_rows = GAP_SAMPLES // 2
+    stability = stability_bound(lipschitz, GAP_LAMBDA, train_rows)
     rows = []
-    for k in k_range:
-        d_k = num_coalitions(n, k)
-        rows.append({
-            "k": int(k),
+    for k in GAP_K_RANGE:
+        d_k = num_coalitions(GAP_N, k)
+        row = {
+            "k": k,
             "D_k": d_k,
-            "vc": sqrt(d_k / big_n),
-            "rademacher": 2.0 * norm_bound * sqrt(2.0 * log(2.0 * d_k) / big_n),
-            "stability": stability_bound(lipschitz, lam, big_n),
-        })
+            "vc": sqrt(d_k / train_rows),
+            "rademacher": 2.0 * norm_bound * sqrt(2.0 * log(2.0 * d_k) / train_rows),
+            "stability": stability,
+            "d_eff": exp.d_eff[k],
+        }
+        for pen in GAP_PENALTIES:
+            row[f"empirical_gap_{pen}"] = exp.cells[(k, pen)].mean_gap
+        row.update(exp.fit_counts(k))
+        rows.append(row)
     return rows
 
 
@@ -294,7 +289,10 @@ def sensitivity_to_label_flip(
 # generalization-gap experiment on pure noise
 # ---------------------------------------------------------------------------
 
-# the penalties whose gaps the experiment compares: none against ridge
+# The protocol acceptance criterion 8 certifies, and the one bounds runs:
+# 8-feature, 1000-row noise split into halves, orders k = 1..8, and the gaps
+# of unregularized fits against ridge fits at strength 1.
+GAP_N, GAP_SAMPLES, GAP_K_RANGE, GAP_LAMBDA = 8, 1000, tuple(range(1, 9)), 1.0
 GAP_PENALTIES = ("none", "l2")
 # the statuses counted in the reports: every fit that did not converge
 UNCONVERGED = tuple(status for status in STATUSES if status != "converged")
@@ -322,10 +320,6 @@ class GapCell:
 
 @dataclass(frozen=True)
 class GapExperiment:
-    n: int
-    big_n: int
-    lam: float
-    k_values: list[int]
     d_eff: dict[int, float]       # mean over iterations, from the train design
     cells: dict[tuple[int, str], GapCell]
 
@@ -335,8 +329,8 @@ class GapExperiment:
         penalty the count of fits that stopped with each status but
         ``converged``."""
         out = []
-        for k in self.k_values:
-            row = {"k": k, "D_k": num_coalitions(self.n, k), "d_eff": self.d_eff[k]}
+        for k in GAP_K_RANGE:
+            row = {"k": k, "D_k": num_coalitions(GAP_N, k), "d_eff": self.d_eff[k]}
             for pen in GAP_PENALTIES:
                 cell = self.cells[(k, pen)]
                 row[f"gap_{pen}"] = cell.mean_gap
@@ -352,24 +346,17 @@ class GapExperiment:
                 for pen in GAP_PENALTIES for status in UNCONVERGED}
 
 
-def gap_experiment(
-    n: int,
-    big_n: int,
-    k_range,
-    iterations: int = 10,
-    seed: int = 0,
-    lam: float = 1.0,
-    jobs: int = 1,
-) -> GapExperiment:
-    """Train/test 0-1 error gaps on pure-noise data, per order k and penalty
-    of :data:`GAP_PENALTIES`: unregularized against ridge at strength ``lam``.
+def gap_experiment(iterations: int = 10, seed: int = 0, jobs: int = 1) -> GapExperiment:
+    """Train/test 0-1 error gaps on pure-noise data, per order k of
+    :data:`GAP_K_RANGE` and penalty of :data:`GAP_PENALTIES`: unregularized
+    against ridge at strength :data:`GAP_LAMBDA`.
 
-    Each iteration draws X ~ U[0,1]^n with fair-coin labels, splits into equal
-    halves, fits every configuration on the first half, and scores both
-    halves.  Per-iteration seeds derive from the root seed and every split is
-    drawn before the fan-out; each iteration is then one task for ``jobs``
-    workers, and results are reassembled by cell, so they are independent of
-    scheduling.  At least one order is needed, and each may appear once.
+    Each iteration draws :data:`GAP_SAMPLES` rows of :data:`GAP_N` uniform
+    features with fair-coin labels, splits them into equal halves, fits every
+    configuration on the first half, and scores both halves.  Per-iteration
+    seeds derive from the root seed and every split is drawn before the
+    fan-out; each iteration is then one task for ``jobs`` workers, and
+    results are reassembled by cell, so they are independent of scheduling.
 
     A task prepares one design of the first half at the largest order; every
     lower order reads a column-prefix view of it (:func:`train.at_order`),
@@ -383,29 +370,24 @@ def gap_experiment(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if big_n % 2 != 0:
-        raise ValueError("N must be even to split into equal halves")
-    k_values = [int(k) for k in k_range]
-    _check_sweep(k_values, GAP_PENALTIES)
-    orders = sorted(k_values)
-    half = big_n // 2
+    half = GAP_SAMPLES // 2
     splits = []
     for child in np.random.SeedSequence(seed).spawn(iterations):
-        ds = gen_random_noise(n, big_n, seed=child)
-        splits.append((ds.subset(np.arange(half)), ds.subset(np.arange(half, big_n))))
+        ds = gen_random_noise(GAP_N, GAP_SAMPLES, seed=child)
+        splits.append((ds.subset(np.arange(half)), ds.subset(np.arange(half, GAP_SAMPLES))))
 
     def one_iteration(it):
         train, test = splits[it]
-        top = prepare(train, orders[-1])
+        top = prepare(train, GAP_K_RANGE[-1])
         d_eff, out = {}, {}
         start = dict.fromkeys(GAP_PENALTIES)
-        for k in orders:
+        for k in GAP_K_RANGE:
             problem = at_order(top, k)
             d_eff[k] = effective_dimension(problem.design)
             dim = problem.design.shape[1] + 1
             for pen in GAP_PENALTIES:
                 prev = start[pen]
-                result = fit(problem, k, FitConfig(penalty=pen, lam=lam),
+                result = fit(problem, k, FitConfig(penalty=pen, lam=GAP_LAMBDA),
                              start=None if prev is None else np.pad(prev, (0, dim - prev.size)))
                 start[pen] = result.parameters
                 train_err = float((result.model.predict(train.x) != train.y).mean())
@@ -416,7 +398,7 @@ def gap_experiment(
     results = map_ordered(one_iteration, range(iterations), jobs=jobs)
 
     cells = {}
-    for k in k_values:
+    for k in GAP_K_RANGE:
         for pen in GAP_PENALTIES:
             per_it = [res[1][(k, pen)] for res in results]
             train_errs = np.array([train_err for train_err, _, _ in per_it])
@@ -427,10 +409,5 @@ def gap_experiment(
                 test_errors=test_errs,
                 status_counts={status: statuses.count(status) for status in STATUSES},
             )
-    d_eff = {k: float(np.mean([res[0][k] for res in results])) for k in k_values}
-    return GapExperiment(
-        n=n, big_n=big_n, lam=lam,
-        k_values=k_values,
-        d_eff=d_eff,
-        cells=cells,
-    )
+    d_eff = {k: float(np.mean([res[0][k] for res in results])) for k in GAP_K_RANGE}
+    return GapExperiment(d_eff=d_eff, cells=cells)

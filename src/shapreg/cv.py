@@ -298,6 +298,9 @@ def noise_robustness(
     _check_count(repeats, "noise robustness", "repeat")
     x_norm = model.normalize(x_test)
     y_test = np.asarray(y_test)
+    if y_test.shape != (x_norm.shape[0],):
+        raise ValueError(f"y_test has shape {y_test.shape}, expected ({x_norm.shape[0]},): "
+                         f"one label per x_test row")
     out: dict[float, tuple[float, float]] = {}
     for s_idx, sigma in enumerate(SIGMAS):
         accs = []

@@ -322,8 +322,7 @@ def test_criterion_9_per_index_ceiling():
 
 def test_criterion_8_gap_protocol():
     with timer() as t:
-        exp = gap_experiment(n=8, big_n=1000, k_range=range(1, 9), iterations=10,
-                             seed=42, lam=1.0, jobs=JOBS)
+        exp = gap_experiment(iterations=10, seed=42, jobs=JOBS)
     for k in range(2, 9):
         assert exp.d_eff[k] < num_coalitions(8, k), f"d_eff !< D_k at k={k}"
     unreg_1 = exp.cells[(1, "none")].mean_gap

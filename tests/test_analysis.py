@@ -1,12 +1,19 @@
+import functools
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from shapreg import analysis
 from shapreg.analysis import (
+    GAP_K_RANGE,
+    GAP_LAMBDA,
+    GAP_N,
+    GAP_PENALTIES,
+    GAP_SAMPLES,
     ZERO_TOL,
-    bound_curves,
+    GapExperiment,
     bound_report,
     consensus_interactions,
     effective_dimension,
@@ -260,17 +267,51 @@ def test_effective_dimension_rejects_degenerate():
         effective_dimension(np.ones((1, 3)))
 
 
+@functools.lru_cache(maxsize=None)
+def counted_noise_gap() -> tuple[GapExperiment, tuple[int, ...]]:
+    """The gap protocol as the bounds workload runs it (2 iterations, the
+    fewest that start the pool; seed 11; two workers), run once for the
+    tests that read it, with the Newton iterations of every fit it made."""
+    library_fit = analysis.fit
+    lock = threading.Lock()
+    iterations = []
+
+    def counted(*args, **kwargs):
+        result = library_fit(*args, **kwargs)
+        with lock:
+            iterations.append(result.iterations)
+        return result
+
+    with mock.patch.object(analysis, "fit", counted):
+        exp = gap_experiment(iterations=2, seed=11, jobs=2)
+    return exp, tuple(iterations)
+
+
+def noise_gap() -> GapExperiment:
+    return counted_noise_gap()[0]
+
+
 def test_bound_curve_plug_in_values():
-    rows = bound_curves(8, 100, [2], lam=1.0, norm_bound=1.0, lipschitz=1.0)
-    (row,) = rows
-    assert row["stability"] == pytest.approx(0.02)
-    assert row["vc"] == pytest.approx(0.6)
-    assert row["rademacher"] == pytest.approx(2 * np.sqrt(2 * np.log(72) / 100))
-    assert row["rademacher"] == pytest.approx(0.5851, abs=2e-4)
+    """Each curve at the rows a gap fit trains on, half of GAP_SAMPLES."""
+    rows = bound_report(noise_gap(), norm_bound=1.0, lipschitz=1.0)
+    row = rows[1]
+    assert row["k"] == 2 and row["D_k"] == 36
+    assert row["stability"] == pytest.approx(2 / (GAP_LAMBDA * 500))
+    assert row["vc"] == pytest.approx(np.sqrt(36 / 500))
+    assert row["rademacher"] == pytest.approx(2 * np.sqrt(2 * np.log(72) / 500))
+    assert row["rademacher"] == pytest.approx(0.2616, abs=2e-4)
+
+
+def test_stability_curve_uses_the_training_half():
+    """2 L^2 / (lam N) at N = 500, the first half each gap fit trains on,
+    not the 1000 rows drawn."""
+    (row, *_) = bound_report(noise_gap(), norm_bound=1.0, lipschitz=2.5)
+    assert row["k"] == 1
+    assert row["stability"] == 2 * 2.5 ** 2 / (GAP_LAMBDA * 500)
 
 
 def test_bound_curves_monotone_in_k():
-    rows = bound_curves(8, 100, range(1, 9), lam=2.0, norm_bound=1.5, lipschitz=2.0)
+    rows = bound_report(noise_gap(), norm_bound=1.5, lipschitz=2.0)
     vcs = [r["vc"] for r in rows]
     rads = [r["rademacher"] for r in rows]
     stabs = [r["stability"] for r in rows]
@@ -284,33 +325,23 @@ def test_bound_curves_monotone_in_k():
 # ---------------------------------------------------------------------------
 
 def test_gap_experiment_shapes_and_dimension_bounds():
-    exp = gap_experiment(n=5, big_n=120, k_range=[1, 3], iterations=2, seed=1, jobs=2)
-    assert set(exp.cells) == {(1, "none"), (1, "l2"), (3, "none"), (3, "l2")}
-    for k in (1, 3):
-        assert 1.0 <= exp.d_eff[k] <= num_coalitions(5, k)
+    exp = noise_gap()
+    assert set(exp.cells) == {(k, pen) for k in GAP_K_RANGE for pen in GAP_PENALTIES}
+    for k in GAP_K_RANGE:
+        assert 1.0 <= exp.d_eff[k] <= num_coalitions(GAP_N, k)
     rows = exp.rows()
-    assert [r["k"] for r in rows] == [1, 3]
-    assert [r["D_k"] for r in rows] == [num_coalitions(5, 1), num_coalitions(5, 3)]
+    assert [r["k"] for r in rows] == list(GAP_K_RANGE)
+    assert [r["D_k"] for r in rows] == [num_coalitions(GAP_N, k) for k in GAP_K_RANGE]
     assert all("gap_none" in r and "gap_l2" in r for r in rows)
-
-
-def test_gap_experiment_deterministic_across_jobs():
-    a = gap_experiment(n=4, big_n=60, k_range=[2], iterations=3, seed=2, jobs=1)
-    b = gap_experiment(n=4, big_n=60, k_range=[2], iterations=3, seed=2, jobs=3)
-    assert np.array_equal(a.cells[(2, "l2")].gaps, b.cells[(2, "l2")].gaps)
-    assert a.d_eff == b.d_eff
 
 
 def test_gap_fan_out_identical_for_any_job_count():
     """One task per iteration, which walks the orders upward on one design,
     reassembled by cell: every field and report row is the same for any
-    number of workers, and the orders stay in the caller's order."""
-    runs = [gap_experiment(n=4, big_n=60, k_range=[3, 1, 2], iterations=3, seed=5, jobs=jobs)
-            for jobs in (1, 2, 3)]
-    first = runs[0]
-    for exp in runs:
-        assert exp.k_values == [3, 1, 2]
-        assert [row["k"] for row in exp.rows()] == [3, 1, 2]
+    number of workers."""
+    first = noise_gap()
+    for jobs in (1, 3):
+        exp = gap_experiment(iterations=2, seed=11, jobs=jobs)
         assert exp.cells.keys() == first.cells.keys()
         for key, cell in first.cells.items():
             other = exp.cells[key]
@@ -323,36 +354,26 @@ def test_gap_fan_out_identical_for_any_job_count():
 
 def test_gap_cells_are_the_direct_fits_of_each_iteration():
     """Reference loop: iteration i draws its data from the i-th child of the
-    root seed, fits the first half and scores both halves."""
-    exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], iterations=2, seed=4, lam=0.5, jobs=2)
-    for it, child in enumerate(np.random.SeedSequence(4).spawn(2)):
-        ds = gen_random_noise(4, 60, seed=child)
-        train, test = ds.subset(np.arange(30)), ds.subset(np.arange(30, 60))
-        for k in (1, 2):
-            model = fit(train, k, FitConfig(penalty="l2", lam=0.5)).model
+    root seed, fits the first half cold at each order and scores both
+    halves."""
+    exp = noise_gap()
+    half = GAP_SAMPLES // 2
+    for it, child in enumerate(np.random.SeedSequence(11).spawn(2)):
+        ds = gen_random_noise(GAP_N, GAP_SAMPLES, seed=child)
+        train, test = ds.subset(np.arange(half)), ds.subset(np.arange(half, GAP_SAMPLES))
+        for k in GAP_K_RANGE:
+            model = fit(train, k, FitConfig(penalty="l2", lam=GAP_LAMBDA)).model
             cell = exp.cells[(k, "l2")]
             assert cell.train_errors[it] == (model.predict(train.x) != train.y).mean()
             assert cell.test_errors[it] == (model.predict(test.x) != test.y).mean()
 
 
-def test_gap_protocol_solver_work_is_pinned(monkeypatch):
-    """The bounds workload's gap protocol (n=8, 2 iterations, k = 1..8):
-    one fit per (iteration, k, penalty), the orders warm-started upward, and
-    unpenalized fits stopped at their first separating iterate.  The total
-    Newton iterations and the fits per status are counts, so a change in the
-    solver's work shows here without timing anything."""
-    library_fit = analysis.fit
-    lock = threading.Lock()
-    iterations = []
-
-    def counted(*args, **kwargs):
-        result = library_fit(*args, **kwargs)
-        with lock:
-            iterations.append(result.iterations)
-        return result
-
-    monkeypatch.setattr(analysis, "fit", counted)
-    exp = gap_experiment(n=8, big_n=1000, k_range=range(1, 9), iterations=2, seed=11, jobs=2)
+def test_gap_protocol_solver_work_is_pinned():
+    """One fit per (iteration, k, penalty), the orders warm-started upward,
+    and unpenalized fits stopped at their first separating iterate.  The
+    total Newton iterations and the fits per status are counts, so a change
+    in the solver's work shows here without timing anything."""
+    exp, iterations = counted_noise_gap()
     assert len(iterations) == 32 and sum(iterations) == 219
     totals = {status: sum(cell.status_counts[status] for cell in exp.cells.values())
               for status in STATUSES}
@@ -361,26 +382,14 @@ def test_gap_protocol_solver_work_is_pinned(monkeypatch):
             if cell.status_counts["separable"]} == {(7, "none"): 2, (8, "none"): 2}
 
 
-def test_gap_experiment_rejects_odd_split():
-    with pytest.raises(ValueError):
-        gap_experiment(n=3, big_n=91, k_range=[1], iterations=1)
-
-
 def test_gap_experiment_rejects_no_iterations():
     with pytest.raises(ValueError, match="iterations"):
-        gap_experiment(n=3, big_n=90, k_range=[1], iterations=0)
-
-
-def test_gap_experiment_refuses_a_repeated_order(monkeypatch):
-    monkeypatch.setattr(analysis, "fit", None)  # any fit would raise a TypeError
-    with pytest.raises(ValueError, match="orders repeat k=1"):
-        gap_experiment(n=3, big_n=40, k_range=[1, 1], iterations=1)
+        gap_experiment(iterations=0)
 
 
 def test_bound_report_joins_measurements():
-    exp = gap_experiment(n=4, big_n=60, k_range=[1, 2], iterations=2, seed=3)
-    rows = bound_report(exp, norm_bound=1.0, lipschitz=2.0)
-    assert [r["k"] for r in rows] == [1, 2]
+    rows = bound_report(noise_gap(), norm_bound=1.0, lipschitz=2.0)
+    assert [r["k"] for r in rows] == list(GAP_K_RANGE)
     for row in rows:
         assert row["d_eff"] <= row["D_k"]
         assert {"vc", "rademacher", "stability", "empirical_gap_none",

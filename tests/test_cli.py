@@ -511,7 +511,7 @@ LIBRARY_OPTION_SURFACE = {
     noise_robustness: ["model", "x_test", "y_test", "repeats", "seed"],
     bootstrap_stability: ["dataset", "k", "penalty", "lam", "resamples", "seed",
                           "class_weighting", "jobs"],
-    gap_experiment: ["n", "big_n", "k_range", "iterations", "seed", "lam", "jobs"],
+    gap_experiment: ["iterations", "seed", "jobs"],
     sensitivity_to_label_flip: ["dataset", "k", "config", "repeats", "seed"],
     transposed_min_terms: ["x", "k"],
     default_lambda_grid: [],
@@ -528,9 +528,9 @@ def test_library_option_surface():
 def test_protocol_constants():
     """The settings every fit and protocol run shares, one value each: the
     solver's tolerance and budget, the nested-CV folds, the noise levels of
-    bench's robustness, the tolerance of pair support, the penalties the
-    gap experiment compares, and the sizes bounds runs, which are those
-    acceptance criteria 7 (label flips) and 8 (gap) certify."""
+    bench's robustness, the tolerance of pair support, the label-flip sizes
+    bounds runs, which acceptance criterion 7 certifies, and the penalties
+    and sizes of the one gap protocol, which criterion 8 certifies."""
     assert (train.TOL, train.MAX_ITERS) == (1e-8, 10_000)
     assert FitConfig().max_iters == train.MAX_ITERS
     assert (cv.OUTER_FOLDS, cv.INNER_FOLDS) == (5, 3)
@@ -539,8 +539,8 @@ def test_protocol_constants():
     assert analysis.GAP_PENALTIES == ("none", "l2")
     assert (cli.SENS_N, cli.SENS_SAMPLES, cli.SENS_K) == (10, 100, 2)
     assert cli.C_GRID == (0.01, 0.1, 0.5, 1.0, 1.5, 3.0)
-    assert (cli.GAP_N, cli.GAP_SAMPLES, cli.GAP_LAMBDA) == (8, 1000, 1.0)
-    assert cli.GAP_K_RANGE == tuple(range(1, 9))
+    assert (analysis.GAP_N, analysis.GAP_SAMPLES, analysis.GAP_LAMBDA) == (8, 1000, 1.0)
+    assert analysis.GAP_K_RANGE == tuple(range(1, 9))
 
 
 RECORD_FIELDS = {
@@ -553,7 +553,7 @@ RECORD_FIELDS = {
     ResourceProfile: ["train_time_s", "infer_time_s", "model_size_mb", "flops"],
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
     GapCell: ["train_errors", "test_errors", "status_counts"],
-    GapExperiment: ["n", "big_n", "lam", "k_values", "d_eff", "cells"],
+    GapExperiment: ["d_eff", "cells"],
     LabelFlipStudy: ["shifts", "max_index_shifts", "risk_diffs", "row_norm", "stability_ceiling",
                      "flipped_rows"],
 }
@@ -913,13 +913,14 @@ def test_bounds_outputs(tmp_path):
     sens_ds = gen_random_noise(cli.SENS_N, cli.SENS_SAMPLES, seed=3)
     sens_design = prepare(sens_ds, cli.SENS_K).design
     assert strict_json(out / "bound_report.json")["settings"] == {
-        "n": cli.GAP_N, "N": cli.GAP_SAMPLES, "iterations": 1, "lambda": cli.GAP_LAMBDA,
+        "n": analysis.GAP_N, "N": analysis.GAP_SAMPLES, "iterations": 1,
+        "lambda": analysis.GAP_LAMBDA,
         "B": 1.0, "L": float(np.sqrt((sens_design ** 2).sum(axis=1).max())), "seed": 3}
     with open(out / "sensitivity_curve.csv", newline="") as fh:
         assert tuple(float(row["C"]) for row in csv.DictReader(fh)) == cli.C_GRID
     for name in ("gap_experiment.csv", "bound_curves.csv"):
         with open(out / name, newline="") as fh:
-            assert tuple(int(row["k"]) for row in csv.DictReader(fh)) == cli.GAP_K_RANGE
+            assert tuple(int(row["k"]) for row in csv.DictReader(fh)) == analysis.GAP_K_RANGE
     gap_header = (out / "gap_experiment.csv").read_text().splitlines()[0]
     assert gap_header == ("k,D_k,d_eff,gap_unreg,gap_unreg_std,gap_l2,gap_l2_std,"
                           "budget_fits_unreg,no_descent_fits_unreg,separable_fits_unreg,"

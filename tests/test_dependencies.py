@@ -190,6 +190,19 @@ def test_train_is_the_solver():
                       "loss_and_gradient", "prepare", "sample_weights"]
 
 
+def test_the_gap_protocol_sizes_live_in_analysis():
+    """The gap experiment's sizes are analysis constants, defined nowhere
+    else; the bound curves are computed inside bound_report, and analysis.py
+    imports nothing from cv."""
+    sources = sorted((ROOT / "src" / "shapreg").glob("*.py"))
+    assigning = [path.name for path in sources
+                 if re.search(r"^GAP_\w+(, GAP_\w+)* =", path.read_text(), re.M)]
+    assert assigning == ["analysis.py"]
+    assert [path.name for path in sources if "bound_curves" in _defined(path)] == []
+    tree = ast.parse((ROOT / "src" / "shapreg" / "analysis.py").read_text())
+    assert "cv" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
 def test_readme_layout_lists_every_module():
     """The README's Layout block names each module of src/shapreg/ but
     __init__.py, once: a module added, renamed or removed updates it."""

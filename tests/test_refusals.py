@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from shapreg.analysis import bound_curves, gap_experiment, main_effects, sensitivity_to_label_flip
+from shapreg.analysis import GapExperiment, bound_report, main_effects, sensitivity_to_label_flip
 from shapreg.basis import phi
-from shapreg.cv import k_sweep_benchmark, stratified_folds
+from shapreg.cv import k_sweep_benchmark, noise_robustness, stratified_folds
 from shapreg.data import DataError, Dataset, gen_random_noise, load_csv
 from shapreg.games import Basis, SetFunction, choquet_mobius, transposed_min_terms
 from shapreg.metrics import threshold_metrics
@@ -16,7 +16,10 @@ from shapreg.model import ShapleyModel
 from shapreg.train import FitConfig, loss_and_gradient, sample_weights
 
 NOISE = gen_random_noise(3, 20, seed=0)
-MODEL_JSON = ShapleyModel(["a", "b"], 1, 0.0, np.zeros(2), [[0.0, 1.0], [0.0, 1.0]]).to_json()
+MODEL = ShapleyModel(["a", "b"], 1, 0.0, np.zeros(2), [[0.0, 1.0], [0.0, 1.0]])
+MODEL_JSON = MODEL.to_json()
+# an experiment of no cells: each bound_report refusal comes before it is read
+NO_GAPS = GapExperiment(d_eff={}, cells={})
 
 
 def model_json(**fields):
@@ -34,9 +37,21 @@ def csv_file(tmp_path, text):
 REFUSALS = {
     "main_effects of no models": (
         lambda tmp: main_effects([]), ValueError, "need at least one model"),
-    "bound_curves at lam 0": (
-        lambda tmp: bound_curves(3, 10, [1], 0, 1.0, 1.0), ValueError,
-        "arguments must be positive"),
+    "bound_report of a negative B": (
+        lambda tmp: bound_report(NO_GAPS, -1.0, 1.0), ValueError,
+        "B and Lipschitz constant L must be finite and >= 0, got B=-1.0, L=1.0"),
+    "bound_report of a NaN B": (
+        lambda tmp: bound_report(NO_GAPS, float("nan"), 1.0), ValueError,
+        "must be finite and >= 0, got B=nan"),
+    "bound_report of a NaN L": (
+        lambda tmp: bound_report(NO_GAPS, 1.0, float("nan")), ValueError,
+        "must be finite and >= 0, got B=1.0, L=nan"),
+    "bound_report of an infinite L": (
+        lambda tmp: bound_report(NO_GAPS, 1.0, float("inf")), ValueError,
+        "must be finite and >= 0, got B=1.0, L=inf"),
+    "bound_report of an infinite B": (
+        lambda tmp: bound_report(NO_GAPS, float("inf"), 1.0), ValueError,
+        "must be finite and >= 0, got B=inf"),
     "phi past the point": (
         lambda tmp: phi([0, 5], np.zeros(3)), ValueError,
         "coalition (0, 5) exceeds point dimension 3"),
@@ -122,9 +137,9 @@ REFUSALS = {
     "sweep of no penalties": (
         lambda tmp: k_sweep_benchmark(NOISE, [1], penalties=[]), ValueError,
         "a sweep needs at least 1 order and 1 penalty"),
-    "gap experiment of no orders": (
-        lambda tmp: gap_experiment(3, 20, []), ValueError,
-        "a sweep needs at least 1 order and 1 penalty"),
+    "robustness labels": (
+        lambda tmp: noise_robustness(MODEL, np.zeros((10, 2)), np.zeros(1)), ValueError,
+        "y_test has shape (1,), expected (10,): one label per x_test row"),
     "no flips": (
         lambda tmp: sensitivity_to_label_flip(NOISE, 1, FitConfig(), repeats=0), ValueError,
         "repeats must be >= 1"),
