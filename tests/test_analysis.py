@@ -335,6 +335,13 @@ def test_gap_experiment_shapes_and_dimension_bounds():
     assert all("gap_none" in r and "gap_l2" in r for r in rows)
 
 
+def test_gap_experiment_deterministic_across_jobs():
+    a = gap_experiment(iterations=2, seed=2, jobs=1)
+    b = gap_experiment(iterations=2, seed=2, jobs=3)
+    assert np.array_equal(a.cells[(2, "l2")].gaps, b.cells[(2, "l2")].gaps)
+    assert a.d_eff == b.d_eff
+
+
 def test_gap_fan_out_identical_for_any_job_count():
     """One task per iteration, which walks the orders upward on one design,
     reassembled by cell: every field and report row is the same for any
