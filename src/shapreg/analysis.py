@@ -147,24 +147,19 @@ def effective_dimension(design: np.ndarray) -> float:
     return trace ** 2 / frob_sq
 
 
-def bound_report(exp: "GapExperiment", norm_bound: float, lipschitz: float) -> list[dict]:
+def bound_report(exp: "GapExperiment") -> list[dict]:
     """Per-order table of the gap protocol: its capacity measures, plug-in
     bound values, the measured generalization gaps of ``exp`` and, per
     penalty, its count of fits with each status but ``converged``.
 
     vc         ~ sqrt(D_k / N)                      (parameter counting)
-    rademacher = 2 B sqrt(2 ln(2 D_k) / N)          (l1 ball of radius B)
-    stability  = 2 L^2 / (lam N)                    (l2, independent of k)
+    rademacher = 2 B sqrt(2 ln(2 D_k) / N)          (l1 ball of radius B = 1)
+    stability  = 2 L_k^2 / (lam N)                  (l2, L_k = ``exp.row_norm[k]``)
 
     with lam = :data:`GAP_LAMBDA` and N = :data:`GAP_SAMPLES` / 2, the rows
-    each gap fit trains on.
+    each gap fit trains on; each row also carries its order's L.
     """
-    # written so that NaN fails the check
-    if not (0 <= norm_bound < np.inf and 0 <= lipschitz < np.inf):
-        raise ValueError(f"norm bound B and Lipschitz constant L must be finite and >= 0, "
-                         f"got B={norm_bound}, L={lipschitz}")
     train_rows = GAP_SAMPLES // 2
-    stability = stability_bound(lipschitz, GAP_LAMBDA, train_rows)
     rows = []
     for k in GAP_K_RANGE:
         d_k = num_coalitions(GAP_N, k)
@@ -172,8 +167,9 @@ def bound_report(exp: "GapExperiment", norm_bound: float, lipschitz: float) -> l
             "k": k,
             "D_k": d_k,
             "vc": sqrt(d_k / train_rows),
-            "rademacher": 2.0 * norm_bound * sqrt(2.0 * log(2.0 * d_k) / train_rows),
-            "stability": stability,
+            "rademacher": 2.0 * RADEMACHER_B * sqrt(2.0 * log(2.0 * d_k) / train_rows),
+            "L": exp.row_norm[k],
+            "stability": stability_bound(exp.row_norm[k], GAP_LAMBDA, train_rows),
             "d_eff": exp.d_eff[k],
         }
         for pen in GAP_PENALTIES:
@@ -294,6 +290,7 @@ def sensitivity_to_label_flip(
 # of unregularized fits against ridge fits at strength 1.
 GAP_N, GAP_SAMPLES, GAP_K_RANGE, GAP_LAMBDA = 8, 1000, tuple(range(1, 9)), 1.0
 GAP_PENALTIES = ("none", "l2")
+RADEMACHER_B = 1.0  # the l1 radius B of the Rademacher curve: the unit ball
 # the statuses counted in the reports: every fit that did not converge
 UNCONVERGED = tuple(status for status in STATUSES if status != "converged")
 
@@ -321,6 +318,7 @@ class GapCell:
 @dataclass(frozen=True)
 class GapExperiment:
     d_eff: dict[int, float]       # mean over iterations, from the train design
+    row_norm: dict[int, float]    # its largest row norm, the max over iterations
     cells: dict[tuple[int, str], GapCell]
 
     def rows(self) -> list[dict]:
@@ -379,11 +377,12 @@ def gap_experiment(iterations: int = 10, seed: int = 0, jobs: int = 1) -> GapExp
     def one_iteration(it):
         train, test = splits[it]
         top = prepare(train, GAP_K_RANGE[-1])
-        d_eff, out = {}, {}
+        d_eff, row_norm, out = {}, {}, {}
         start = dict.fromkeys(GAP_PENALTIES)
         for k in GAP_K_RANGE:
             problem = at_order(top, k)
             d_eff[k] = effective_dimension(problem.design)
+            row_norm[k] = float(np.sqrt((problem.design ** 2).sum(axis=1).max()))
             dim = problem.design.shape[1] + 1
             for pen in GAP_PENALTIES:
                 prev = start[pen]
@@ -393,14 +392,14 @@ def gap_experiment(iterations: int = 10, seed: int = 0, jobs: int = 1) -> GapExp
                 train_err = float((result.model.predict(train.x) != train.y).mean())
                 test_err = float((result.model.predict(test.x) != test.y).mean())
                 out[(k, pen)] = (train_err, test_err, result.status)
-        return d_eff, out
+        return d_eff, row_norm, out
 
     results = map_ordered(one_iteration, range(iterations), jobs=jobs)
 
     cells = {}
     for k in GAP_K_RANGE:
         for pen in GAP_PENALTIES:
-            per_it = [res[1][(k, pen)] for res in results]
+            per_it = [res[2][(k, pen)] for res in results]
             train_errs = np.array([train_err for train_err, _, _ in per_it])
             test_errs = np.array([test_err for _, test_err, _ in per_it])
             statuses = [status for _, _, status in per_it]
@@ -410,4 +409,5 @@ def gap_experiment(iterations: int = 10, seed: int = 0, jobs: int = 1) -> GapExp
                 status_counts={status: statuses.count(status) for status in STATUSES},
             )
     d_eff = {k: float(np.mean([res[0][k] for res in results])) for k in GAP_K_RANGE}
-    return GapExperiment(d_eff=d_eff, cells=cells)
+    row_norm = {k: max(res[1][k] for res in results) for k in GAP_K_RANGE}
+    return GapExperiment(d_eff=d_eff, row_norm=row_norm, cells=cells)

@@ -28,13 +28,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     GAP_K_RANGE,
     GAP_LAMBDA,
     GAP_N,
     GAP_SAMPLES,
+    RADEMACHER_B,
     bound_report,
     consensus_interactions,
     disagreements,
@@ -343,9 +342,6 @@ C_GRID = (0.01, 0.1, 0.5, 1.0, 1.5, 3.0)
 
 def cmd_bounds(args) -> int:
     out = Path(args.out_dir)
-    # the l1 radius B of the Rademacher curve: 1, or the ||I||_1 of --model
-    b_norm = 1.0 if args.model is None else float(np.abs(_load_model(args.model).indices).sum())
-
     # label-flip sensitivity curve on the synthetic noise protocol
     sens_ds = gen_random_noise(SENS_N, SENS_SAMPLES, seed=args.seed)
     studies = [
@@ -368,16 +364,14 @@ def cmd_bounds(args) -> int:
                [name.replace("none", "unreg") for name in gap_rows[0]],
                [list(r.values()) for r in gap_rows])
 
-    # plug-in bound curves; L is the largest design-row norm of the
-    # sensitivity dataset, which every label-flip study measured
-    lipschitz = studies[0].row_norm
-    report = bound_report(exp, norm_bound=b_norm, lipschitz=lipschitz)
+    # plug-in bound curves, each order's L the largest row norm of its designs
+    report = bound_report(exp)
     curve_columns = ["k", "D_k", "vc", "rademacher", "stability"]
     _write_csv(out / "bound_curves.csv", curve_columns,
                [[r[name] for name in curve_columns] for r in report])
     _write_text(out / "bound_report.json", _json_text({
         "settings": {"n": GAP_N, "N": GAP_SAMPLES, "iterations": args.gap_iterations,
-                     "lambda": GAP_LAMBDA, "B": b_norm, "L": lipschitz, "seed": args.seed},
+                     "lambda": GAP_LAMBDA, "B": RADEMACHER_B, "seed": args.seed},
         "rows": report,
     }))
 
@@ -479,8 +473,6 @@ def build_parser() -> _Parser:
                    help="label flips per C, %(type)s (default 20)")
     p.add_argument("--gap-iterations", type=_count, default=10,
                    help="%(type)s, one --jobs task each (default 10)")
-    p.add_argument("--model",
-                   help="model file supplying the l1 radius B = ||I||_1 (default B = 1)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("interactions", help="main effects + consensus interaction matrix")

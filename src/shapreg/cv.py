@@ -163,7 +163,7 @@ class CVReport:
                 {
                     "fold": f.fold,
                     "selected_lam": f.selected_lam,
-                    "inner_scores": {f"{lam:.12g}": s for lam, s in f.inner_scores.items()},
+                    "inner_scores": {repr(lam): s for lam, s in f.inner_scores.items()},
                     "metrics": f.metrics.to_dict(),
                     "coefficients": [float(v) for v in f.result.parameters],
                     **f.result.report_dict(),

@@ -319,6 +319,7 @@ def undersample(dataset: Dataset, ratio: float, seed: int = 0) -> Dataset:
 
     The minority class is untouched.  If the dataset already satisfies the
     ratio the input is returned unchanged (logged).  Row order is preserved.
+    A dataset missing either class has no ratio to reach and is refused.
     """
     if not 0 < ratio <= 1:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
@@ -326,7 +327,10 @@ def undersample(dataset: Dataset, ratio: float, seed: int = 0) -> Dataset:
     minority_label = 1 if pos <= neg else 0
     n_min = min(pos, neg)
     n_maj = max(pos, neg)
-    if n_maj == 0 or n_min / n_maj >= ratio:
+    if n_min == 0:
+        raise ValueError(f"cannot undersample {dataset.name}: it has {neg} negative and "
+                         f"{pos} positive rows, and both classes are needed")
+    if n_min / n_maj >= ratio:
         logger.info("%s: already at ratio %.3f, undersample is a no-op", dataset.name, ratio)
         return dataset
     target_majority = int(n_min / ratio)

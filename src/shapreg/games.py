@@ -138,7 +138,7 @@ class SetFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy: the caller's stays writeable
         if vals.ndim != 1 or vals.shape[0] != num_coalitions(self.n, self.k):
             raise ValueError(
                 f"expected {num_coalitions(self.n, self.k)} values for "

@@ -93,8 +93,9 @@ class ShapleyModel:
     mobius: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=float)
-        norm = np.asarray(self.normalization, dtype=float)
+        # copies: the stored arrays are frozen, the caller's are left writeable
+        idx = np.array(self.indices, dtype=float)
+        norm = np.array(self.normalization, dtype=float)
         n = len(self.feature_names)
         if idx.shape != (num_coalitions(n, self.k),):
             raise ValueError(

@@ -20,13 +20,14 @@ from shapreg.analysis import (
     filter_stable,
     gap_experiment,
     main_effects,
+    stability_bound,
     top_by_strength,
 )
 from shapreg.basis import design_matrix
 from shapreg.data import gen_random_noise
 from shapreg.games import num_coalitions
 from shapreg.model import ShapleyModel
-from shapreg.train import STATUSES, FitConfig, fit
+from shapreg.train import STATUSES, FitConfig, fit, prepare
 
 
 def model_from_indices(indices, n, k=2, names=None):
@@ -292,32 +293,43 @@ def noise_gap() -> GapExperiment:
 
 
 def test_bound_curve_plug_in_values():
-    """Each curve at the rows a gap fit trains on, half of GAP_SAMPLES."""
-    rows = bound_report(noise_gap(), norm_bound=1.0, lipschitz=1.0)
-    row = rows[1]
+    """Each curve at the rows a gap fit trains on, half of GAP_SAMPLES, with
+    B = 1 and the order's own L."""
+    exp = noise_gap()
+    row = bound_report(exp)[1]
     assert row["k"] == 2 and row["D_k"] == 36
-    assert row["stability"] == pytest.approx(2 / (GAP_LAMBDA * 500))
+    assert row["L"] == exp.row_norm[2]
+    assert row["stability"] == pytest.approx(2 * exp.row_norm[2] ** 2 / (GAP_LAMBDA * 500))
     assert row["vc"] == pytest.approx(np.sqrt(36 / 500))
     assert row["rademacher"] == pytest.approx(2 * np.sqrt(2 * np.log(72) / 500))
     assert row["rademacher"] == pytest.approx(0.2616, abs=2e-4)
 
 
 def test_stability_curve_uses_the_training_half():
-    """2 L^2 / (lam N) at N = 500, the first half each gap fit trains on,
-    not the 1000 rows drawn."""
-    (row, *_) = bound_report(noise_gap(), norm_bound=1.0, lipschitz=2.5)
-    assert row["k"] == 1
-    assert row["stability"] == 2 * 2.5 ** 2 / (GAP_LAMBDA * 500)
+    """2 L_k^2 / (lam N) at N = 500, the first half each gap fit trains on,
+    not the 1000 rows drawn, with L_k the largest row norm of order k's
+    design of that half, the max over iterations: recomputed here from a
+    fresh design of each iteration's split."""
+    half = GAP_SAMPLES // 2
+    trains = [gen_random_noise(GAP_N, GAP_SAMPLES, seed=child).subset(np.arange(half))
+              for child in np.random.SeedSequence(11).spawn(2)]
+    rows = bound_report(noise_gap())
+    assert [row["k"] for row in rows] == list(GAP_K_RANGE)
+    for row in rows:
+        norms = [float(np.sqrt((prepare(train, row["k"]).design ** 2).sum(axis=1).max()))
+                 for train in trains]
+        assert row["L"] == max(norms)
+        assert row["stability"] == stability_bound(max(norms), 1.0, 500)
 
 
 def test_bound_curves_monotone_in_k():
-    rows = bound_report(noise_gap(), norm_bound=1.5, lipschitz=2.0)
-    vcs = [r["vc"] for r in rows]
-    rads = [r["rademacher"] for r in rows]
-    stabs = [r["stability"] for r in rows]
-    assert vcs == sorted(vcs)
-    assert rads == sorted(rads)
-    assert len(set(stabs)) == 1  # independent of k
+    """vc and rademacher grow with D_k; stability grows with L_k, because a
+    higher order's design extends every row of the lower one's."""
+    rows = bound_report(noise_gap())
+    for name in ("vc", "rademacher", "L", "stability"):
+        values = [r[name] for r in rows]
+        assert values == sorted(values)
+    assert rows[0]["stability"] < rows[-1]["stability"]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +352,7 @@ def test_gap_experiment_deterministic_across_jobs():
     b = gap_experiment(iterations=2, seed=2, jobs=3)
     assert np.array_equal(a.cells[(2, "l2")].gaps, b.cells[(2, "l2")].gaps)
     assert a.d_eff == b.d_eff
+    assert a.row_norm == b.row_norm
 
 
 def test_gap_fan_out_identical_for_any_job_count():
@@ -356,6 +369,7 @@ def test_gap_fan_out_identical_for_any_job_count():
                 assert np.array_equal(getattr(other, name), getattr(cell, name))
             assert other.status_counts == cell.status_counts
         assert exp.d_eff == first.d_eff
+        assert exp.row_norm == first.row_norm
         assert exp.rows() == first.rows()
 
 
@@ -395,9 +409,11 @@ def test_gap_experiment_rejects_no_iterations():
 
 
 def test_bound_report_joins_measurements():
-    rows = bound_report(noise_gap(), norm_bound=1.0, lipschitz=2.0)
+    exp = noise_gap()
+    rows = bound_report(exp)
     assert [r["k"] for r in rows] == list(GAP_K_RANGE)
     for row in rows:
-        assert row["d_eff"] <= row["D_k"]
+        assert row["d_eff"] == exp.d_eff[row["k"]] <= row["D_k"]
+        assert row["L"] == exp.row_norm[row["k"]]
         assert {"vc", "rademacher", "stability", "empirical_gap_none",
                 "empirical_gap_l2"} <= set(row)

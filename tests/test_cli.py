@@ -24,8 +24,10 @@ from shapreg.analysis import (
     GapCell,
     GapExperiment,
     LabelFlipStudy,
+    bound_report,
     gap_experiment,
     sensitivity_to_label_flip,
+    stability_bound,
 )
 from shapreg.cv import (
     BootstrapResult,
@@ -313,21 +315,18 @@ def test_predict_malformed_model(toy_csv, tmp_path):
                "--label-column", "y", "--out-dir", tmp_path) == EXIT_DATA
 
 
-@pytest.mark.parametrize("command", ["predict", "bounds", "interactions"])
+@pytest.mark.parametrize("command", ["predict", "interactions"])
 @pytest.mark.parametrize("fields", [None, {"feature_names": 5}, {"bias": None}],
                          ids=["list", "names-int", "bias-null"])
-def test_a_malformed_model_file_is_a_data_error(toy_csv, tmp_path, capsys, monkeypatch,
-                                                command, fields):
+def test_a_malformed_model_file_is_a_data_error(toy_csv, tmp_path, capsys, command, fields):
     """A model file of valid JSON but the wrong shape (a list, or a field of
     the wrong kind) exits 2 naming the file, not with an exception out of
     main (a traceback and exit 1), and writes nothing."""
-    monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached
     model = ShapleyModel(["a", "b"], 2, 0.0, np.zeros(3), [[0.0, 1.0], [0.0, 1.0]])
     path = tmp_path / "model.json"
     path.write_text(json.dumps([] if fields is None else {**json.loads(model.to_json()),
                                                           **fields}))
     argv = {"predict": ["--model", path, "--dataset", toy_csv],
-            "bounds": ["--model", path],
             "interactions": ["--models", path]}[command]
     assert run(command, *argv, "--out-dir", tmp_path / "out") == EXIT_DATA
     err = capsys.readouterr().err
@@ -485,7 +484,7 @@ FLAG_SURFACE = {
               "--drop-missing", "--jobs", "--k", "--label-column", "--lambda-grid",
               "--noise-repeats", "--out-dir", "--penalties", "--positive-class", "--profile",
               "--seed", "--undersample-ratio"],
-    "bounds": ["--gap-iterations", "--jobs", "--model", "--out-dir", "--seed", "--sens-repeats"],
+    "bounds": ["--gap-iterations", "--jobs", "--out-dir", "--seed", "--sens-repeats"],
     "interactions": ["--min-support", "--models", "--out-dir", "--top-k"],
     "synth": ["--gen-n", "--gen-pairs", "--gen-samples", "--generator", "--out-dir", "--seed"],
 }
@@ -498,7 +497,7 @@ def test_flag_surface():
                             if opt.startswith("--") and opt != "--help")
                for name, p in subparsers.choices.items()}
     assert surface == FLAG_SURFACE
-    assert sum(map(len, surface.values())) == 49
+    assert sum(map(len, surface.values())) == 48
 
 
 LIBRARY_OPTION_SURFACE = {
@@ -512,6 +511,7 @@ LIBRARY_OPTION_SURFACE = {
     bootstrap_stability: ["dataset", "k", "penalty", "lam", "resamples", "seed",
                           "class_weighting", "jobs"],
     gap_experiment: ["iterations", "seed", "jobs"],
+    bound_report: ["exp"],
     sensitivity_to_label_flip: ["dataset", "k", "config", "repeats", "seed"],
     transposed_min_terms: ["x", "k"],
     default_lambda_grid: [],
@@ -530,7 +530,8 @@ def test_protocol_constants():
     solver's tolerance and budget, the nested-CV folds, the noise levels of
     bench's robustness, the tolerance of pair support, the label-flip sizes
     bounds runs, which acceptance criterion 7 certifies, and the penalties
-    and sizes of the one gap protocol, which criterion 8 certifies."""
+    and sizes of the one gap protocol, which criterion 8 certifies, and the
+    l1 radius of its Rademacher curve."""
     assert (train.TOL, train.MAX_ITERS) == (1e-8, 10_000)
     assert FitConfig().max_iters == train.MAX_ITERS
     assert (cv.OUTER_FOLDS, cv.INNER_FOLDS) == (5, 3)
@@ -541,6 +542,7 @@ def test_protocol_constants():
     assert cli.C_GRID == (0.01, 0.1, 0.5, 1.0, 1.5, 3.0)
     assert (analysis.GAP_N, analysis.GAP_SAMPLES, analysis.GAP_LAMBDA) == (8, 1000, 1.0)
     assert analysis.GAP_K_RANGE == tuple(range(1, 9))
+    assert analysis.RADEMACHER_B == 1.0
 
 
 RECORD_FIELDS = {
@@ -553,7 +555,7 @@ RECORD_FIELDS = {
     ResourceProfile: ["train_time_s", "infer_time_s", "model_size_mb", "flops"],
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
     GapCell: ["train_errors", "test_errors", "status_counts"],
-    GapExperiment: ["d_eff", "cells"],
+    GapExperiment: ["d_eff", "row_norm", "cells"],
     LabelFlipStudy: ["shifts", "max_index_shifts", "risk_diffs", "row_norm", "stability_ceiling",
                      "flipped_rows"],
 }
@@ -901,21 +903,30 @@ def test_bench_requires_single_data_source(toy_csv, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_bounds_outputs(tmp_path):
-    """One bounds run at the protocol's sizes writes the four reports, and
-    bound_report.json's settings echo the gap sizes, B = 1 and the measured
-    L, the largest design-row norm of the label-flip data."""
+    """One bounds run at the protocol's sizes writes the four reports;
+    bound_report.json's settings echo the gap sizes and B = 1, and its rows
+    and bound_curves.csv carry each order's L, the largest row norm of the
+    gap's training design at that order, and its 2 L^2 / (lam N/2)."""
     out = tmp_path / "bounds"
     assert run("bounds", "--sens-repeats", "1", "--gap-iterations", "1", "--seed", "3",
                "--out-dir", out) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == [
         "bound_curves.csv", "bound_report.json", "gap_experiment.csv", "sensitivity_curve.csv"]
     validate(out / "bound_report.json", "bound_report.schema.json")
-    sens_ds = gen_random_noise(cli.SENS_N, cli.SENS_SAMPLES, seed=3)
-    sens_design = prepare(sens_ds, cli.SENS_K).design
-    assert strict_json(out / "bound_report.json")["settings"] == {
+    report = strict_json(out / "bound_report.json")
+    assert report["settings"] == {
         "n": analysis.GAP_N, "N": analysis.GAP_SAMPLES, "iterations": 1,
-        "lambda": analysis.GAP_LAMBDA,
-        "B": 1.0, "L": float(np.sqrt((sens_design ** 2).sum(axis=1).max())), "seed": 3}
+        "lambda": analysis.GAP_LAMBDA, "B": 1.0, "seed": 3}
+    (child,) = np.random.SeedSequence(3).spawn(1)
+    train_half = gen_random_noise(analysis.GAP_N, analysis.GAP_SAMPLES, seed=child).subset(
+        np.arange(analysis.GAP_SAMPLES // 2))
+    with open(out / "bound_curves.csv", newline="") as fh:
+        curves = list(csv.DictReader(fh))
+    for row, curve in zip(report["rows"], curves, strict=True):
+        design = prepare(train_half, row["k"]).design
+        assert row["L"] == float(np.sqrt((design ** 2).sum(axis=1).max()))
+        assert row["stability"] == stability_bound(row["L"], analysis.GAP_LAMBDA, 500)
+        assert float(curve["stability"]) == row["stability"]
     with open(out / "sensitivity_curve.csv", newline="") as fh:
         assert tuple(float(row["C"]) for row in csv.DictReader(fh)) == cli.C_GRID
     for name in ("gap_experiment.csv", "bound_curves.csv"):
@@ -928,8 +939,9 @@ def test_bounds_outputs(tmp_path):
 
 
 # a bad value of a bounds flag, and every flag bounds no longer has (its
-# sizes, C grid, gap lambda, B and L are the protocol's constants), whatever
-# its value, is a usage error that names the flag
+# sizes, C grid, gap lambda and B are the protocol's constants, L is measured
+# by the gap experiment, and no model file supplies B), whatever its value,
+# is a usage error that names the flag
 @pytest.mark.parametrize("flag", [
     ["--gap-k-range", "3..1"],
     ["--gap-k-range", "1,2,1"],
@@ -960,6 +972,7 @@ def test_bounds_outputs(tmp_path):
     ["--seed", "-1"],
     ["--c-grid", ""],
     ["--c-grid", "1,1"],
+    ["--model", "m.json"],
 ])
 def test_bounds_rejects_bad_arguments_before_any_work(tmp_path, capsys, monkeypatch, flag):
     monkeypatch.setattr(cli, "sensitivity_to_label_flip", None)  # never reached
@@ -991,11 +1004,9 @@ def test_bounds_leaves_no_worker_thread_running(tmp_path):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("flag", [["--model", "missing.json"], []])
-def test_bounds_writes_nothing_when_a_later_step_fails(tmp_path, monkeypatch, flag):
-    """An unreadable --model (read up front, before any fit) and a gap
-    experiment that fails after the label-flip studies both exit 2 before
-    any report is written."""
+def test_bounds_writes_nothing_when_a_later_step_fails(tmp_path, monkeypatch):
+    """A gap experiment that fails after the label-flip studies exits 2
+    before any report is written."""
     studies = []
 
     def study(*args, **kwargs):
@@ -1008,10 +1019,8 @@ def test_bounds_writes_nothing_when_a_later_step_fails(tmp_path, monkeypatch, fl
     monkeypatch.setattr(cli, "sensitivity_to_label_flip", study)
     monkeypatch.setattr(cli, "gap_experiment", failing_gap)
     out = tmp_path / "bounds"
-    if flag:
-        flag = ["--model", tmp_path / flag[1]]
-    assert run("bounds", "--sens-repeats", "1", *flag, "--out-dir", out) == EXIT_DATA
-    assert len(studies) == (0 if flag else len(cli.C_GRID))
+    assert run("bounds", "--sens-repeats", "1", "--out-dir", out) == EXIT_DATA
+    assert len(studies) == len(cli.C_GRID)
     assert not out.exists()
 
 

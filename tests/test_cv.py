@@ -74,6 +74,17 @@ def test_nested_cv_without_a_grid_selects_from_the_default_grid():
 # nested CV
 # ---------------------------------------------------------------------------
 
+def test_cv_report_keys_each_inner_score_by_the_grid_value_it_holds():
+    """Two grid values equal to 12 significant digits keep a score each:
+    every fold's inner_scores key is the repr of its value, the text the
+    report's lambda_grid holds."""
+    grid = [0.1, 0.1000000000001, 1.0]
+    payload = nested_cv(signal_dataset(), 1, "l2", lambda_grid=grid).to_dict()
+    texts = [json.dumps(lam) for lam in payload["lambda_grid"]]
+    assert texts == ["0.1", "0.1000000000001", "1.0"]
+    for fold in payload["folds"]:
+        assert list(fold["inner_scores"]) == texts
+
 def test_nested_cv_deterministic_bytes():
     ds = signal_dataset()
     for penalty, k, grid in (("l2", 1, [0.1, 1.0, 10.0]), ("l1", 2, [0.01, 0.1, 1.0, 10.0])):

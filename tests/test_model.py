@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shapreg
-from shapreg.games import mobius_from_shapley, num_coalitions
+from shapreg.games import Basis, SetFunction, mobius_from_shapley, num_coalitions
 from shapreg.model import LOGIT_BLOCK, ShapleyModel, apply_normalization, expit
 
 from choquet_reference import capacity_lattice, choquet_sorted
@@ -168,6 +168,19 @@ def test_normalization_and_expit_never_write_their_inputs():
     assert normalized.tobytes() == np.clip(reference, 0.0, 1.0).tobytes()
     with np.errstate(over="ignore"):
         assert expit(z).tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
+
+
+def test_construction_freezes_copies_not_the_callers_arrays():
+    """A model and a set function store read-only copies of the arrays they
+    are given; the caller's arrays stay writeable and unshared."""
+    indices, bounds = np.zeros(num_coalitions(3, 2)), np.column_stack([np.zeros(3), np.ones(3)])
+    model = make_model(indices=indices, bounds=bounds)
+    values = np.zeros(num_coalitions(3, 2))
+    game = SetFunction(3, 2, Basis.MOBIUS, values)
+    for given, stored in ((indices, model.indices), (bounds, model.normalization),
+                          (values, game.values)):
+        assert given.flags.writeable and not stored.flags.writeable
+        assert not np.shares_memory(given, stored)
 
 
 def test_expit_of_a_scalar_is_a_numpy_float():

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from shapreg.analysis import GapExperiment, bound_report, main_effects, sensitivity_to_label_flip
+from shapreg.analysis import main_effects, sensitivity_to_label_flip
 from shapreg.basis import phi
 from shapreg.cv import k_sweep_benchmark, noise_robustness, stratified_folds
-from shapreg.data import DataError, Dataset, gen_random_noise, load_csv
+from shapreg.data import DataError, Dataset, gen_random_noise, load_csv, undersample
 from shapreg.games import Basis, SetFunction, choquet_mobius, transposed_min_terms
 from shapreg.metrics import threshold_metrics
 from shapreg.model import ShapleyModel
@@ -18,8 +18,6 @@ from shapreg.train import FitConfig, loss_and_gradient, sample_weights
 NOISE = gen_random_noise(3, 20, seed=0)
 MODEL = ShapleyModel(["a", "b"], 1, 0.0, np.zeros(2), [[0.0, 1.0], [0.0, 1.0]])
 MODEL_JSON = MODEL.to_json()
-# an experiment of no cells: each bound_report refusal comes before it is read
-NO_GAPS = GapExperiment(d_eff={}, cells={})
 
 
 def model_json(**fields):
@@ -37,21 +35,6 @@ def csv_file(tmp_path, text):
 REFUSALS = {
     "main_effects of no models": (
         lambda tmp: main_effects([]), ValueError, "need at least one model"),
-    "bound_report of a negative B": (
-        lambda tmp: bound_report(NO_GAPS, -1.0, 1.0), ValueError,
-        "B and Lipschitz constant L must be finite and >= 0, got B=-1.0, L=1.0"),
-    "bound_report of a NaN B": (
-        lambda tmp: bound_report(NO_GAPS, float("nan"), 1.0), ValueError,
-        "must be finite and >= 0, got B=nan"),
-    "bound_report of a NaN L": (
-        lambda tmp: bound_report(NO_GAPS, 1.0, float("nan")), ValueError,
-        "must be finite and >= 0, got B=1.0, L=nan"),
-    "bound_report of an infinite L": (
-        lambda tmp: bound_report(NO_GAPS, 1.0, float("inf")), ValueError,
-        "must be finite and >= 0, got B=1.0, L=inf"),
-    "bound_report of an infinite B": (
-        lambda tmp: bound_report(NO_GAPS, float("inf"), 1.0), ValueError,
-        "must be finite and >= 0, got B=inf"),
     "phi past the point": (
         lambda tmp: phi([0, 5], np.zeros(3)), ValueError,
         "coalition (0, 5) exceeds point dimension 3"),
@@ -69,6 +52,10 @@ REFUSALS = {
     "every row dropped": (
         lambda tmp: load_csv(csv_file(tmp, "a,label\n,1\nx,0\n"), "label", drop_missing=True),
         DataError, "no usable data rows"),
+    "undersample of one class": (
+        lambda tmp: undersample(Dataset(x=np.zeros((10, 1)), y=np.ones(10, dtype=int),
+                                        feature_names=["a"], name="d"), 0.5),
+        ValueError, "cannot undersample d: it has 0 negative and 10 positive rows"),
     "no features": (
         lambda tmp: gen_random_noise(0, 10), ValueError, "n and N must be >= 1"),
     "set function length": (
