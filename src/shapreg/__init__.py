@@ -8,7 +8,6 @@ stability, and capacity-analysis protocols built around it.
 from .analysis import (
     InteractionMatrix,
     LabelFlipStudy,
-    bound_report,
     consensus_interactions,
     effective_dimension,
     filter_stable,
@@ -74,7 +73,6 @@ __all__ = [
     "ShapleyModel",
     "at_order",
     "bootstrap_stability",
-    "bound_report",
     "capacity_from_mobius",
     "choquet_mobius",
     "coalition_index",

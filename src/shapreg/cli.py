@@ -30,11 +30,6 @@ from pathlib import Path
 
 from .analysis import (
     GAP_K_RANGE,
-    GAP_LAMBDA,
-    GAP_N,
-    GAP_SAMPLES,
-    RADEMACHER_B,
-    bound_report,
     consensus_interactions,
     disagreements,
     filter_stable,
@@ -364,17 +359,6 @@ def cmd_bounds(args) -> int:
                [name.replace("none", "unreg") for name in gap_rows[0]],
                [list(r.values()) for r in gap_rows])
 
-    # plug-in bound curves, each order's L the largest row norm of its designs
-    report = bound_report(exp)
-    curve_columns = ["k", "D_k", "vc", "rademacher", "stability"]
-    _write_csv(out / "bound_curves.csv", curve_columns,
-               [[r[name] for name in curve_columns] for r in report])
-    _write_text(out / "bound_report.json", _json_text({
-        "settings": {"n": GAP_N, "N": GAP_SAMPLES, "iterations": args.gap_iterations,
-                     "lambda": GAP_LAMBDA, "B": RADEMACHER_B, "seed": args.seed},
-        "rows": report,
-    }))
-
     print(f"bounds: sensitivity over C={list(C_GRID)}, gap over k={list(GAP_K_RANGE)} -> {out}")
     return EXIT_OK
 
@@ -466,7 +450,7 @@ def build_parser() -> _Parser:
                    help="also write wall-clock resources.csv (not byte-reproducible)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("bounds", help="stability curve, gap experiment, bound curves "
+    p = sub.add_parser("bounds", help="label-flip stability curve and gap experiment "
                                       "(the sizes acceptance criteria 7 and 8 certify)")
     _add_common(p, jobs=True)
     p.add_argument("--sens-repeats", type=_count, default=20,

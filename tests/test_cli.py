@@ -24,10 +24,8 @@ from shapreg.analysis import (
     GapCell,
     GapExperiment,
     LabelFlipStudy,
-    bound_report,
     gap_experiment,
     sensitivity_to_label_flip,
-    stability_bound,
 )
 from shapreg.cv import (
     BootstrapResult,
@@ -42,7 +40,7 @@ from shapreg.cv import (
     nested_cv,
     noise_robustness,
 )
-from shapreg.data import gen_pure_pairwise, gen_random_noise
+from shapreg.data import gen_pure_pairwise
 from shapreg.games import transposed_min_terms
 from shapreg.model import ShapleyModel
 from shapreg.train import FitConfig, at_order, fit, prepare
@@ -511,7 +509,6 @@ LIBRARY_OPTION_SURFACE = {
     bootstrap_stability: ["dataset", "k", "penalty", "lam", "resamples", "seed",
                           "class_weighting", "jobs"],
     gap_experiment: ["iterations", "seed", "jobs"],
-    bound_report: ["exp"],
     sensitivity_to_label_flip: ["dataset", "k", "config", "repeats", "seed"],
     transposed_min_terms: ["x", "k"],
     default_lambda_grid: [],
@@ -530,8 +527,7 @@ def test_protocol_constants():
     solver's tolerance and budget, the nested-CV folds, the noise levels of
     bench's robustness, the tolerance of pair support, the label-flip sizes
     bounds runs, which acceptance criterion 7 certifies, and the penalties
-    and sizes of the one gap protocol, which criterion 8 certifies, and the
-    l1 radius of its Rademacher curve."""
+    and sizes of the one gap protocol, which criterion 8 certifies."""
     assert (train.TOL, train.MAX_ITERS) == (1e-8, 10_000)
     assert FitConfig().max_iters == train.MAX_ITERS
     assert (cv.OUTER_FOLDS, cv.INNER_FOLDS) == (5, 3)
@@ -542,7 +538,6 @@ def test_protocol_constants():
     assert cli.C_GRID == (0.01, 0.1, 0.5, 1.0, 1.5, 3.0)
     assert (analysis.GAP_N, analysis.GAP_SAMPLES, analysis.GAP_LAMBDA) == (8, 1000, 1.0)
     assert analysis.GAP_K_RANGE == tuple(range(1, 9))
-    assert analysis.RADEMACHER_B == 1.0
 
 
 RECORD_FIELDS = {
@@ -555,7 +550,7 @@ RECORD_FIELDS = {
     ResourceProfile: ["train_time_s", "infer_time_s", "model_size_mb", "flops"],
     SweepReport: ["dataset", "k_values", "penalties", "cells"],
     GapCell: ["train_errors", "test_errors", "status_counts"],
-    GapExperiment: ["d_eff", "row_norm", "cells"],
+    GapExperiment: ["d_eff", "cells"],
     LabelFlipStudy: ["shifts", "max_index_shifts", "risk_diffs", "row_norm", "stability_ceiling",
                      "flipped_rows"],
 }
@@ -903,35 +898,17 @@ def test_bench_requires_single_data_source(toy_csv, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_bounds_outputs(tmp_path):
-    """One bounds run at the protocol's sizes writes the four reports;
-    bound_report.json's settings echo the gap sizes and B = 1, and its rows
-    and bound_curves.csv carry each order's L, the largest row norm of the
-    gap's training design at that order, and its 2 L^2 / (lam N/2)."""
+    """One bounds run at the protocol's sizes writes its two measurements:
+    the label-flip curve, a row per C, and the gap table, a row per order."""
     out = tmp_path / "bounds"
     assert run("bounds", "--sens-repeats", "1", "--gap-iterations", "1", "--seed", "3",
                "--out-dir", out) == EXIT_OK
-    assert sorted(p.name for p in out.iterdir()) == [
-        "bound_curves.csv", "bound_report.json", "gap_experiment.csv", "sensitivity_curve.csv"]
-    validate(out / "bound_report.json", "bound_report.schema.json")
-    report = strict_json(out / "bound_report.json")
-    assert report["settings"] == {
-        "n": analysis.GAP_N, "N": analysis.GAP_SAMPLES, "iterations": 1,
-        "lambda": analysis.GAP_LAMBDA, "B": 1.0, "seed": 3}
-    (child,) = np.random.SeedSequence(3).spawn(1)
-    train_half = gen_random_noise(analysis.GAP_N, analysis.GAP_SAMPLES, seed=child).subset(
-        np.arange(analysis.GAP_SAMPLES // 2))
-    with open(out / "bound_curves.csv", newline="") as fh:
-        curves = list(csv.DictReader(fh))
-    for row, curve in zip(report["rows"], curves, strict=True):
-        design = prepare(train_half, row["k"]).design
-        assert row["L"] == float(np.sqrt((design ** 2).sum(axis=1).max()))
-        assert row["stability"] == stability_bound(row["L"], analysis.GAP_LAMBDA, 500)
-        assert float(curve["stability"]) == row["stability"]
+    assert sorted(p.name for p in out.iterdir()) == ["gap_experiment.csv",
+                                                     "sensitivity_curve.csv"]
     with open(out / "sensitivity_curve.csv", newline="") as fh:
         assert tuple(float(row["C"]) for row in csv.DictReader(fh)) == cli.C_GRID
-    for name in ("gap_experiment.csv", "bound_curves.csv"):
-        with open(out / name, newline="") as fh:
-            assert tuple(int(row["k"]) for row in csv.DictReader(fh)) == analysis.GAP_K_RANGE
+    with open(out / "gap_experiment.csv", newline="") as fh:
+        assert tuple(int(row["k"]) for row in csv.DictReader(fh)) == analysis.GAP_K_RANGE
     gap_header = (out / "gap_experiment.csv").read_text().splitlines()[0]
     assert gap_header == ("k,D_k,d_eff,gap_unreg,gap_unreg_std,gap_l2,gap_l2_std,"
                           "budget_fits_unreg,no_descent_fits_unreg,separable_fits_unreg,"
@@ -939,9 +916,9 @@ def test_bounds_outputs(tmp_path):
 
 
 # a bad value of a bounds flag, and every flag bounds no longer has (its
-# sizes, C grid, gap lambda and B are the protocol's constants, L is measured
-# by the gap experiment, and no model file supplies B), whatever its value,
-# is a usage error that names the flag
+# sizes, C grid and gap lambda are the protocol's constants, and no plug-in
+# curve takes B, L or a model file), whatever its value, is a usage error
+# that names the flag
 @pytest.mark.parametrize("flag", [
     ["--gap-k-range", "3..1"],
     ["--gap-k-range", "1,2,1"],
@@ -990,8 +967,7 @@ def test_bounds_bytes_do_not_depend_on_jobs(tmp_path):
     for jobs in (1, 2):
         assert run(*args, "--jobs", jobs, "--out-dir", tmp_path / f"j{jobs}") == EXIT_OK
     names = sorted(p.name for p in (tmp_path / "j1").iterdir())
-    assert names == ["bound_curves.csv", "bound_report.json", "gap_experiment.csv",
-                     "sensitivity_curve.csv"]
+    assert names == ["gap_experiment.csv", "sensitivity_curve.csv"]
     assert sorted(p.name for p in (tmp_path / "j2").iterdir()) == names
     for name in names:
         assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
@@ -1226,8 +1202,8 @@ def test_every_report_cell_is_a_python_str_int_or_float(tmp_path, monkeypatch):
     run_every_command(tmp_path)
     assert sorted(written) == sorted([
         "pure_pairwise.csv", "predictions.csv", "bench_cells.csv", "bench_summary.csv",
-        "resources.csv", "sensitivity_curve.csv", "gap_experiment.csv", "bound_curves.csv",
-        "main_effects.csv", "interactions_mean.csv", "interactions_support.csv"])
+        "resources.csv", "sensitivity_curve.csv", "gap_experiment.csv", "main_effects.csv",
+        "interactions_mean.csv", "interactions_support.csv"])
     for name, rows in written.items():
         assert rows, name
         types = {type(cell) for row in rows for cell in row}
@@ -1242,8 +1218,27 @@ def test_csv_headers_match_the_documented_contract(tmp_path):
                   for name, header in re.findall(r"^- `(\w+\.csv)`: `([^`]+)`", text, re.M)}
     assert sorted(documented) == sorted([
         "predictions.csv", "bench_cells.csv", "bench_summary.csv", "resources.csv",
-        "sensitivity_curve.csv", "gap_experiment.csv", "bound_curves.csv", "main_effects.csv"])
+        "sensitivity_curve.csv", "gap_experiment.csv", "main_effects.csv"])
     files = run_every_command(tmp_path)
     for name, header in documented.items():
         with open(files[name], newline="") as fh:
             assert next(csv.reader(fh)) == header, name
+
+
+# each JSON schema of docs/schemas/ and a file that run_every_command writes
+# under it, by its path below tmp_path
+SCHEMA_FILES = {
+    "model.schema.json": "l2/model.json",
+    "fit_report.schema.json": "l2/fit_report.json",
+    "cv_report.schema.json": "bench/cv_report_l2_k1.json",
+    "provenance.schema.json": "data/pure_pairwise_provenance.json",
+}
+
+
+def test_every_json_schema_validates_a_written_report(tmp_path):
+    """Each docs/schemas/*.schema.json validates a file the commands write:
+    a report that is no longer written takes its schema with it."""
+    assert sorted(p.name for p in SCHEMA_DIR.glob("*.schema.json")) == sorted(SCHEMA_FILES)
+    run_every_command(tmp_path)
+    for schema, path in SCHEMA_FILES.items():
+        validate(tmp_path / path, schema)

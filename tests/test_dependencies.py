@@ -173,7 +173,7 @@ def _defined(path: Path) -> set[str]:
 def test_train_is_the_solver():
     """train.py defines the solver and its inputs, nothing else public.  The
     label-flip study and its 2 L^2 / (lam N) ceiling are defined beside the
-    bound curves (analysis.py), min-max normalization is learned where it is
+    gap experiment (analysis.py), min-max normalization is learned where it is
     applied (model.py), and the single-caller helpers the study used are
     gone: no module defines the largest row norm or per-sample losses."""
     sources = sorted((ROOT / "src" / "shapreg").glob("*.py"))
@@ -192,13 +192,14 @@ def test_train_is_the_solver():
 
 def test_the_gap_protocol_sizes_live_in_analysis():
     """The gap experiment's sizes are analysis constants, defined nowhere
-    else; the bound curves are computed inside bound_report, and analysis.py
-    imports nothing from cv."""
+    else; no module defines the plug-in bound curves that bounded none of its
+    fits, and analysis.py imports nothing from cv."""
     sources = sorted((ROOT / "src" / "shapreg").glob("*.py"))
     assigning = [path.name for path in sources
                  if re.search(r"^GAP_\w+(, GAP_\w+)* =", path.read_text(), re.M)]
     assert assigning == ["analysis.py"]
-    assert [path.name for path in sources if "bound_curves" in _defined(path)] == []
+    for name in ("bound_curves", "bound_report", "RADEMACHER_B"):
+        assert [path.name for path in sources if name in _names(path)] == [], name
     tree = ast.parse((ROOT / "src" / "shapreg" / "analysis.py").read_text())
     assert "cv" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
 

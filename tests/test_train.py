@@ -671,6 +671,18 @@ def test_risk_diff_within_stability_ceiling_at_lam_ge_1():
         assert study.risk_diffs.max() <= study.stability_ceiling
 
 
+def test_only_a_ridge_study_has_a_ceiling():
+    """2 L^2 / (lam N) is a ridge rate: on criterion 7's data an l2 study at
+    lam = 1 reports it, while an l1 study at the same strength and an
+    unpenalized one report inf."""
+    ds = gen_random_noise(10, 100, seed=123)
+    ridge = sensitivity_to_label_flip(ds, 2, FitConfig(penalty="l2", lam=1.0), repeats=1)
+    assert ridge.stability_ceiling == analysis.stability_bound(ridge.row_norm, 1.0, 100)
+    for penalty, lam in (("l1", 1.0), ("none", 0.0)):
+        study = sensitivity_to_label_flip(ds, 2, FitConfig(penalty=penalty, lam=lam), repeats=1)
+        assert study.stability_ceiling == np.inf, penalty
+
+
 def test_flip_study_builds_one_design(monkeypatch):
     builds = []
     library_design = train.design_matrix
