@@ -146,7 +146,8 @@ def effective_dimension(design: np.ndarray) -> float:
     phi = np.asarray(design, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < 2:
         raise ValueError("effective_dimension needs a 2-D design with at least 2 rows")
-    second_moment = phi.T @ phi / phi.shape[0]
+    second_moment = phi.T @ phi
+    second_moment /= phi.shape[0]
     trace = float(np.trace(second_moment))
     if trace <= 0.0:
         raise ValueError("zero design matrix has no effective dimension")

@@ -199,7 +199,7 @@ class _Objective:
         hess = np.empty((dim, dim))
         hess[0, 0] = s.sum()
         hess[0, 1:] = hess[1:, 0] = self.phi.T @ s
-        hess[1:, 1:] = scaled.T @ scaled
+        np.matmul(scaled.T, scaled, out=hess[1:, 1:])
         hess.flat[dim + 1::dim + 1] += 2.0 * self.l2
         return hess
 
@@ -383,17 +383,18 @@ def _newton(obj: _Objective, start: np.ndarray | None = None):
         hess = obj.hessian(z, p)
         scale = float(np.trace(hess)) / dim
         units = (scale,) if scale >= 1.0 else (scale, 1.0)
+        diagonal = hess.diagonal().copy()
         step = None
         for shift in (s * unit for unit in units for s in _SHIFTS):
-            shifted = hess.copy()
-            shifted.flat[::dim + 1] += shift
+            hess.flat[::dim + 1] = diagonal + shift  # shifted in place, never accumulated
             try:
-                direction = _newton_step(shifted, grad, theta, obj.l1)
+                direction = _newton_step(hess, grad, theta, obj.l1)
             except np.linalg.LinAlgError:
                 continue
             step = _line_search(obj, theta, value, grad, direction)
             if step is not None:
                 break
+        del hess  # the next iteration's Hessian is formed without this one
         if step is None:
             status = "no_descent"
             break
@@ -419,7 +420,12 @@ class Problem:
 def check_fit_size(n: int, k: int) -> None:
     """Raise ValueError, before anything is allocated, if an order-k fit on n
     features needs more than games.MAX_ALLOCATION_BYTES for its dense
-    (D + 1) x (D + 1) Newton system (never smaller than its subset table)."""
+    (D + 1) x (D + 1) Newton system (never smaller than its subset table).
+
+    The budget charges that one system.  A smooth iteration also holds
+    LAPACK's copy of it while it is solved and, while it is formed, the
+    N x D design scaled by the curvature weights, so a fit just under the
+    limit needs about twice the budget plus the design."""
     check_allocation(n, k, "dense Newton system", 8 * (num_coalitions(n, k) + 1) ** 2)
 
 

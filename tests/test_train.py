@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -242,14 +243,26 @@ def test_newton_step_solves_the_l1_subproblem(problem):
     assert np.array_equal(train._newton_step(hess, grad, theta, 0.0), -np.linalg.solve(hess, grad))
 
 
-def test_hessian_reuses_no_returned_array():
+def noise_problem():
+    """The largest system of a `bounds` gap fit: N=500 rows, D=255 columns,
+    read through `at_order`'s view of the design."""
+    return train.at_order(prepare(gen_random_noise(8, 500, seed=3), 8), 8)
+
+
+@pytest.mark.parametrize("bounds_sized", [False, True], ids=["50x6", "bounds_D255"])
+def test_hessian_reuses_no_returned_array(bounds_sized):
     """A Hessian already returned keeps its values when the next one is
     formed, and they are the direct formula's."""
     rng = np.random.default_rng(4)
-    phi = rng.uniform(-0.5, 0.5, size=(50, 6))
-    y = (rng.uniform(size=50) < 0.5).astype(float)
-    obj = train._Objective(phi, y, np.ones(50), "l2", 0.3)
-    z1, z2 = rng.normal(size=50), rng.normal(size=50)
+    if bounds_sized:
+        problem = noise_problem()
+        phi, y = problem.design, problem.dataset.y
+    else:
+        phi = rng.uniform(-0.5, 0.5, size=(50, 6))
+        y = (rng.uniform(size=50) < 0.5).astype(float)
+    big_n, d = phi.shape
+    obj = train._Objective(phi, y, np.ones(big_n), "l2", 0.3)
+    z1, z2 = rng.normal(size=big_n), rng.normal(size=big_n)
     first = obj.hessian(z1, train.expit(z1))
     kept = first.copy()
     second = obj.hessian(z2, train.expit(z2))
@@ -257,11 +270,37 @@ def test_hessian_reuses_no_returned_array():
     s = train.expit(z1) * train.expit(-z1)
     scaled = phi * np.sqrt(s)[:, None]
     block = scaled.T @ scaled
-    inner = ~np.eye(6, dtype=bool)
+    inner = ~np.eye(d, dtype=bool)
     assert first[0, 0] == s.sum() and np.array_equal(first[0, 1:], phi.T @ s)
     assert np.array_equal(first[1:, 0], phi.T @ s)
     assert np.array_equal(first[1:, 1:][inner], block[inner])
     assert np.array_equal(np.diag(first)[1:], np.diag(block) + 2.0 * 0.3)
+
+
+@pytest.mark.parametrize("whole_fit", [False, True], ids=["hessian", "newton"])
+def test_hessian_allocates_one_newton_system(whole_fit):
+    """Forming the Hessian allocates the N x D scaled design and the
+    (D + 1)^2 system it returns, and no D^2 temporary besides; a whole
+    smooth fit peaks there too: no shift copies the system, and no
+    iteration forms its Hessian while the previous one is still held."""
+    problem = noise_problem()
+    phi = problem.design
+    big_n, d = phi.shape
+    obj = train._Objective(phi, problem.dataset.y, np.ones(big_n), "l2", 0.3)
+    z = np.random.default_rng(5).normal(size=big_n)
+    p = train.expit(z)
+
+    def run():
+        return train._newton(obj) if whole_fit else obj.hessian(z, p)
+
+    run()  # warm-up: first-call allocations are not the system's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * big_n * d + 8 * (d + 1) ** 2 + 64 * 1024
 
 
 @pytest.mark.parametrize("penalty, lam, smooth", [
@@ -333,6 +372,45 @@ def test_hessian_shift_escalates_when_the_step_fails(monkeypatch, penalty, lam):
     first = np.array([h for h in shifted if h < 1e4])
     assert len(first) >= 2 and len(shifted) == iterations + len(first) - 1
     assert first / first[0] * train._SHIFTS[0] == pytest.approx(train._SHIFTS[:len(first)], rel=1e-9)
+
+
+@pytest.mark.parametrize("penalty, lam", [("none", 0.0), ("l1", 0.1), ("l2", 0.1)])
+def test_every_shift_try_sees_its_iterations_hessian_plus_one_shift(monkeypatch, penalty, lam):
+    """With the line search refusing the first two steps, the first
+    iteration's three subproblems are its Hessian with the diagonal shifted
+    by _SHIFTS[j] times the mean diagonal, bit for bit: a try never carries
+    an earlier try's shift."""
+    rng = np.random.default_rng(2)
+    phi = rng.uniform(-0.5, 0.5, size=(60, 5))
+    y = (rng.uniform(size=60) < 0.5).astype(float)
+    hessians, solved = [], []  # copies: the solver may reuse the arrays
+
+    class Recorded(train._Objective):
+        def hessian(self, z, p):
+            hess = super().hessian(z, p)
+            hessians.append(hess.copy())
+            return hess
+
+    newton_step, line_search = train._newton_step, train._line_search
+
+    def recording_step(hess, grad, theta, lam):
+        solved.append(hess.copy())
+        return newton_step(hess, grad, theta, lam)
+
+    def refusing_search(*args):
+        return None if len(solved) <= 2 else line_search(*args)
+
+    monkeypatch.setattr(train, "_newton_step", recording_step)
+    monkeypatch.setattr(train, "_line_search", refusing_search)
+    train._newton(Recorded(phi, y, np.ones(60), penalty, lam))
+    hess = hessians[0]
+    dim = hess.shape[0]
+    scale = float(np.trace(hess)) / dim
+    assert len(hessians) > 1 and len(solved) > 3
+    for j, tried in enumerate(solved[:3]):
+        expected = hess.copy()
+        expected.flat[::dim + 1] += train._SHIFTS[j] * scale
+        assert np.array_equal(tried, expected)
 
 
 class _FlatHessian(train._Objective):
