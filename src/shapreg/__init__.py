@@ -16,7 +16,7 @@ from .analysis import (
     sensitivity_to_label_flip,
     top_by_strength,
 )
-from .basis import DesignMatrix, design_matrix, phi
+from .basis import design_matrix
 from .cv import (
     BootstrapResult,
     CVReport,
@@ -33,7 +33,6 @@ from .games import (
     SetFunction,
     capacity_from_mobius,
     choquet_mobius,
-    coalition_index,
     enumerate_coalitions,
     mobius_from_capacity,
     mobius_from_shapley,
@@ -61,7 +60,6 @@ __all__ = [
     "BootstrapResult",
     "CVReport",
     "Dataset",
-    "DesignMatrix",
     "FitConfig",
     "FitResult",
     "InteractionMatrix",
@@ -75,7 +73,6 @@ __all__ = [
     "bootstrap_stability",
     "capacity_from_mobius",
     "choquet_mobius",
-    "coalition_index",
     "consensus_interactions",
     "default_lambda_grid",
     "design_matrix",
@@ -96,7 +93,6 @@ __all__ = [
     "nested_cv",
     "noise_robustness",
     "num_coalitions",
-    "phi",
     "prepare",
     "sensitivity_to_label_flip",
     "shapley_from_mobius",

@@ -27,24 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import indices_of, k_additive_maps, mask_of, transposed_min_terms
-
-
-def phi(coalition, x) -> float:
-    """Basis function phi_A at a single point x in [0,1]^n.
-
-    Weighted sum of min-terms over the subcoalitions of A, with min over the
-    empty coalition taken as 0 (the constant is the bias's job): the last
-    design column of the point restricted to the members of A.
-    """
-    x = np.asarray(x, dtype=float)
-    mask = coalition if isinstance(coalition, int) else mask_of(coalition)
-    if mask == 0:
-        raise ValueError("phi is undefined for the empty coalition")
-    members = list(indices_of(mask))
-    if members[-1] >= x.shape[0]:
-        raise ValueError(f"coalition {tuple(members)} exceeds point dimension {x.shape[0]}")
-    return float(design_matrix(x[None, members], len(members)).values[0, -1])
+from .games import k_additive_maps, transposed_min_terms
 
 
 @dataclass(frozen=True)
@@ -53,10 +36,6 @@ class DesignMatrix:
     canonical order."""
 
     values: np.ndarray = field(repr=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def design_matrix(x: np.ndarray, k: int) -> DesignMatrix:

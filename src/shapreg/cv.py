@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .metrics import MetricSet, metrics, threshold_metrics
+from .metrics import MetricSet, metrics
 from .model import ShapleyModel, expit
 from .parallel import map_ordered
 from .train import FitConfig, FitResult, fit, prepare
@@ -42,11 +42,14 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
 
     Rows of each class are shuffled with the seeded generator and dealt
     round-robin, so per-fold class counts differ from perfect proportionality
-    by at most one row.
+    by at most one row.  Labels must be 0 or 1: any other row would land in
+    no fold.
     """
     y = np.asarray(y)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("stratified folds need binary 0/1 labels")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(n_folds)]
     for label in (0, 1):
@@ -229,8 +232,8 @@ def nested_cv(
                     config = FitConfig(penalty=penalty, lam=lam, class_weighting=class_weighting)
                     result = fit(problem, k, config, start=start)
                     start = result.parameters
-                    rates = threshold_metrics(val_y, result.model.predict(val_x))
-                    scores[lam].append(rates["accuracy"])
+                    pred = result.model.predict(val_x)
+                    scores[lam].append(float((pred == val_y).mean()))
             inner_scores = {lam: float(np.mean(scores[lam])) for lam in grid}
             best_lam = max(grid, key=lambda l: (inner_scores[l], -l))
         else:

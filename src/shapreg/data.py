@@ -29,7 +29,7 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=int)
+        y = np.asarray(self.y)
         if x.ndim != 2:
             raise DataError(f"feature matrix must be 2-D, got shape {x.shape}")
         if y.shape != (x.shape[0],):
@@ -38,10 +38,10 @@ class Dataset:
             raise DataError("feature_names length does not match the matrix width")
         if not np.all(np.isfinite(x)):
             raise DataError("feature matrix contains NaN or infinite entries")
-        if not np.all((y == 0) | (y == 1)):
+        if not np.all((y == 0) | (y == 1)):  # the raw values: a cast would truncate 0.7
             raise DataError("labels must be binary 0/1")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", y.astype(int, copy=False))
 
     @property
     def n_samples(self) -> int:

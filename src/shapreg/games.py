@@ -67,10 +67,6 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def coalition_size(mask: int) -> int:
-    return int(mask).bit_count()
-
-
 def num_coalitions(n: int, k: int) -> int:
     """Number of non-empty coalitions of size <= k, sum_{j=1..k} C(n, j);
     raises ValueError for a universe this module cannot hold."""
@@ -81,8 +77,8 @@ def num_coalitions(n: int, k: int) -> int:
     if k > n:
         raise ValueError(f"additivity order k={k} exceeds universe size n={n}")
     d = sum(comb(n, j) for j in range(1, k + 1))
-    # enumerate_coalitions and coalition_index hold a Python int with a list
-    # and a dict slot per coalition: 120 bytes at peak on 64-bit CPython
+    # enumerate_coalitions and _coalition_positions hold a Python int with a
+    # list and a dict slot per coalition: 120 bytes at peak on 64-bit CPython
     check_allocation(n, k, "coalition list", 120 * d)
     return d
 
@@ -110,16 +106,10 @@ def enumerate_coalitions(n: int, k: int) -> list[int]:
     return masks
 
 
-def coalition_index(n: int, k: int) -> dict[int, int]:
-    """Mapping mask -> position in the canonical order of enumerate_coalitions,
-    a new dict that the caller may change."""
-    return dict(_coalition_positions(n, k))
-
-
 @lru_cache(maxsize=32)
 def _coalition_positions(n: int, k: int) -> dict[int, int]:
-    """The cached mask -> position map behind :func:`coalition_index`; shared
-    by every caller, so read it and never change it."""
+    """Mapping mask -> position in the canonical order of enumerate_coalitions,
+    cached and shared by every caller, so read it and never change it."""
     return {m: i for i, m in enumerate(enumerate_coalitions(n, k))}
 
 

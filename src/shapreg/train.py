@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import DesignMatrix, design_matrix
+from .basis import design_matrix
 from .data import Dataset
 from .games import check_allocation, num_coalitions
 from .model import ShapleyModel, apply_normalization, expit, learn_normalization
@@ -134,18 +134,19 @@ def _validate_labels(design_values: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def loss_and_gradient(
     params: tuple[float, np.ndarray],
-    design: DesignMatrix | np.ndarray,
+    design: np.ndarray,
     y: np.ndarray,
     config: FitConfig,
 ) -> tuple[float, np.ndarray]:
-    """Objective value and gradient at (bias, indices), as the solver sees them.
+    """Objective value and gradient at (bias, indices), as the solver sees them,
+    on an N x D design array such as ``design_matrix(x, k).values``.
 
     The value includes the penalty.  The gradient covers the smooth part only:
     exact for 'none' and 'l2', and for 'l1' the non-smooth term is left out.
     Layout is [d/d_bias, d/d_indices...].
     """
     bias, indices = params
-    phi = design.values if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+    phi = np.asarray(design, dtype=float)
     y = _validate_labels(phi, y)
     obj = _Objective(phi, y, sample_weights(y, config.class_weighting), config.penalty, config.lam)
     theta = np.concatenate([[bias], np.asarray(indices, dtype=float)])
@@ -424,8 +425,10 @@ def check_fit_size(n: int, k: int) -> None:
 
     The budget charges that one system.  A smooth iteration also holds
     LAPACK's copy of it while it is solved and, while it is formed, the
-    N x D design scaled by the curvature weights, so a fit just under the
-    limit needs about twice the budget plus the design."""
+    N x D design scaled by the curvature weights, so a smooth fit just under
+    the limit needs about twice the budget plus the design.  An l1 iteration
+    holds about three such systems (its feature-sign rounds copy the free
+    rows, then their block) plus LAPACK's copy: about 4x the budget."""
     check_allocation(n, k, "dense Newton system", 8 * (num_coalitions(n, k) + 1) ** 2)
 
 

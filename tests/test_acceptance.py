@@ -144,7 +144,7 @@ def test_criterion_3_gradient_check():
         for trial in range(20):
             n = int(rng.integers(2, 7))
             big_n = int(rng.integers(10, 51))
-            design = design_matrix(rng.uniform(size=(big_n, n)), 2)
+            design = design_matrix(rng.uniform(size=(big_n, n)), 2).values
             y = rng.integers(0, 2, size=big_n)
             theta = rng.normal(size=design.shape[1] + 1) * 0.6
             _, grad = loss_and_gradient((theta[0], theta[1:]), design, y, config)

@@ -1,14 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from shapreg.analysis import sensitivity_to_label_flip
-from shapreg.basis import design_matrix, phi
+from shapreg.basis import design_matrix
 from shapreg.data import Dataset
 from shapreg.games import (
     Basis,
     SetFunction,
-    coalition_index,
-    coalition_size,
+    enumerate_coalitions,
     k_additive_maps,
     mobius_from_shapley,
     num_coalitions,
@@ -21,26 +22,43 @@ from shapreg.train import FitConfig
 from choquet_reference import capacity_lattice, choquet_sorted
 
 
+def unit_rows(rng, big_n, n):
+    """Uniform rows of [0,1]^n with some entries pinned to 0 and to 1."""
+    x = rng.uniform(size=(big_n, n))
+    x[rng.uniform(size=x.shape) < 0.1] = 0.0
+    x[rng.uniform(size=x.shape) < 0.1] = 1.0
+    return x
+
+
 def test_phi_singleton_is_identity():
-    x = np.array([0.3, 0.7, 0.1])
-    for i in range(3):
-        assert phi([i], x) == pytest.approx(x[i])
+    """phi_{i}(x) = x_i: at every order the singleton columns of a design are
+    its rows, bit for bit."""
+    x = unit_rows(np.random.default_rng(0), 40, 5)
+    for k in range(1, 6):
+        assert np.array_equal(design_matrix(x, k).values[:, :5], x)
 
 
 def test_phi_pair_vanishes_on_diagonal():
-    for t in (0.0, 0.25, 1.0):
-        assert phi([0, 1], [t, t]) == pytest.approx(0.0, abs=1e-15)
+    t = np.array([0.0, 0.25, 1.0, 1 / 3])
+    design = design_matrix(np.column_stack([t, t, t]), 3).values
+    assert np.array_equal(design[:, 3:6], np.zeros((4, 3)))
 
 
 def test_phi_pair_hand_value():
-    assert phi([0, 1], [0.4, 0.8]) == pytest.approx(-0.2)
+    design = design_matrix(np.array([[0.4, 0.8], [0.8, 0.4], [0.0, 1.0]]), 2).values
+    assert design[:, 2] == pytest.approx([-0.2, -0.2, -0.5])
 
 
-def test_phi_rejects_empty_and_out_of_range():
-    with pytest.raises(ValueError):
-        phi([], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        phi([0], [1.5, 0.0])
+@pytest.mark.parametrize("n,k", [(2, 2), (5, 2), (6, 3), (9, 4)])
+def test_pair_columns_are_the_closed_form_to_the_bit(n, k):
+    """phi_{ij}(x) = (-x_i / 2 - x_j / 2) + min(x_i, x_j), summed in the
+    design's own order (ascending subset position), for each pair column at
+    every order that holds pairs."""
+    x = unit_rows(np.random.default_rng([n, k]), 60, n)
+    pairs = design_matrix(x, k).values[:, n:n + n * (n - 1) // 2]
+    for col, (i, j) in enumerate(combinations(range(n), 2)):
+        expected = (-0.5 * x[:, i] - 0.5 * x[:, j]) + np.minimum(x[:, i], x[:, j])
+        assert pairs[:, col].tobytes() == expected.tobytes(), (i, j)
 
 
 def test_design_matrix_k1_is_the_input():
@@ -58,7 +76,7 @@ def test_design_matrix_hand_row():
 def test_design_matrix_column_count():
     rng = np.random.default_rng(1)
     d = design_matrix(rng.uniform(size=(3, 8)), 2)
-    assert d.shape == (3, 36)
+    assert d.values.shape == (3, 36)
     assert num_coalitions(8, 2) == 36
 
 
@@ -145,12 +163,12 @@ def superset_csr(n, k, weights):
     """The superset map W[C, B] = weights[|B| - |C|] over non-empty C <= B as
     a scipy CSR matrix, built from bit-masks; zero weights are not stored."""
     sparse = pytest.importorskip("scipy.sparse")
-    index = coalition_index(n, k)
+    index = {m: i for i, m in enumerate(enumerate_coalitions(n, k))}
     rows, cols, data = [], [], []
     for sup_mask, sup in index.items():
         sub_mask = sup_mask
         while sub_mask:
-            w = weights[coalition_size(sup_mask) - coalition_size(sub_mask)]
+            w = weights[sup_mask.bit_count() - sub_mask.bit_count()]
             if w != 0.0:
                 rows.append(index[sub_mask])
                 cols.append(sup)

@@ -51,6 +51,12 @@ def test_stratified_folds_rejects_small_class():
         stratified_folds(y, 5, seed=0)
 
 
+@pytest.mark.parametrize("y", [[0, 0, 1, 1, 2, 2], [0, 0, 1, 1, -1, 1], [0.0, 0.5, 1.0, 1.0]])
+def test_stratified_folds_refuses_rows_no_fold_would_hold(y):
+    with pytest.raises(ValueError, match="binary 0/1 labels"):
+        stratified_folds(np.array(y), 2, 0)
+
+
 def test_default_lambda_grid_shape():
     grid = default_lambda_grid()
     assert len(grid) == 13

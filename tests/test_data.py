@@ -238,6 +238,21 @@ def test_dataset_rejects_nan_and_bad_labels():
         Dataset(x=np.ones((2, 2)), y=np.array([0, 1]), feature_names=["a"])
 
 
+@pytest.mark.parametrize("y", [[0.7, 1.0, 0.2], [0.0, 1.0, 1.5], [0.0, np.nan, 1.0],
+                               [-0.5, 0.0, 1.0]])
+def test_dataset_refuses_labels_a_cast_would_truncate(y):
+    """Labels are checked as given: a fraction is not truncated to 0 or 1,
+    and a NaN is refused without a cast warning."""
+    with pytest.raises(DataError, match="labels must be binary 0/1"):
+        Dataset(x=np.zeros((3, 1)), y=y, feature_names=["a"])
+
+
+def test_dataset_keeps_exact_labels_of_any_numeric_type():
+    for y in ([0.0, 1.0, 1.0], [False, True, True], np.array([0, 1, 1], dtype=np.int8)):
+        ds = Dataset(x=np.zeros((3, 1)), y=y, feature_names=["a"])
+        assert ds.y.dtype == np.dtype(int) and ds.y.tolist() == [0, 1, 1]
+
+
 # (text, delimiter, dropped column, whether the bulk parse accepts the file):
 # files on which load_feature_matrix must read as the csv reader alone does
 PARSE_CORPUS = {

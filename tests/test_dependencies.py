@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from shapreg import cli
-from shapreg.basis import design_matrix, phi
+from shapreg.basis import design_matrix
 from shapreg.games import (Basis, SetFunction, capacity_from_mobius, mobius_from_capacity,
                            mobius_from_shapley, shapley_from_mobius)
 
@@ -58,7 +58,6 @@ m = SetFunction(n=3, k=3, basis=Basis.MOBIUS, values=np.arange(1.0, 8.0))
 assert np.allclose(mobius_from_capacity(capacity_from_mobius(m)).values, m.values)
 assert np.allclose(mobius_from_shapley(shapley_from_mobius(m)).values, m.values)
 design_matrix(np.full((2, 3), 0.5), 3)
-phi([0, 1], [0.2, 0.7])
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
@@ -157,11 +156,10 @@ def _names(path: Path) -> set[str]:
 def test_a_design_is_an_array_past_design_matrix():
     """The solver, the capacity measures and every protocol handle a design
     as a plain ndarray: ``DesignMatrix`` is only what ``design_matrix``
-    returns (basis.py), an input ``loss_and_gradient`` accepts (train.py)
-    and a package export."""
+    returns (basis.py), neither a solver input nor a package export."""
     naming = sorted(path.name for path in (ROOT / "src" / "shapreg").glob("*.py")
                     if "DesignMatrix" in _names(path))
-    assert naming == ["__init__.py", "basis.py", "train.py"]
+    assert naming == ["basis.py"]
 
 
 def _defined(path: Path) -> set[str]:

@@ -9,8 +9,6 @@ from shapreg.games import (
     SetFunction,
     capacity_from_mobius,
     choquet_mobius,
-    coalition_index,
-    coalition_size,
     enumerate_coalitions,
     indices_of,
     interaction_inversion_weights,
@@ -66,18 +64,8 @@ def test_enumeration_rejects_bad_ranges(n, k):
         num_coalitions(n, k)
 
 
-def test_coalition_index_is_a_bijection():
-    n, k = 9, 3
-    index = coalition_index(n, k)
-    masks = enumerate_coalitions(n, k)
-    assert len(index) == num_coalitions(n, k)
-    for pos, mask in enumerate(masks):
-        assert index[mask] == pos
-        assert masks[index[mask]] == mask
-
-
 def test_canonical_order_is_size_major():
-    sizes = [coalition_size(m) for m in enumerate_coalitions(7, 4)]
+    sizes = [m.bit_count() for m in enumerate_coalitions(7, 4)]
     assert sizes == sorted(sizes)
 
 
@@ -89,7 +77,7 @@ def test_subset_table_columns(n, k):
     member) at column 2^a - a - 2 and B itself last.  The min-terms read the
     parent and top-member columns."""
     masks = enumerate_coalitions(n, k)
-    index = coalition_index(n, k)
+    index = {m: i for i, m in enumerate(masks)}
     for a, (block, table, depths) in enumerate(k_additive_maps(n, k).orders, start=1):
         members = np.array([indices_of(m) for m in masks[block]])
         assert table.shape == (len(members), 2**a - 1)
@@ -99,7 +87,7 @@ def test_subset_table_columns(n, k):
             parents = [index[mask_of(row[:-1])] for row in members]
             assert np.array_equal(table[:, 2**a - a - 2], parents)
         assert np.array_equal(table[:, -1], np.arange(block.start, block.stop))
-        assert np.array_equal(depths, [a - coalition_size(masks[c]) for c in table[0]])
+        assert np.array_equal(depths, [a - masks[c].bit_count() for c in table[0]])
 
 
 def test_structures_over_the_byte_budget_fail_before_allocating():
@@ -124,7 +112,7 @@ def brute_mobius(values_by_mask, n):
         total = 0.0
         for sub in range(mask + 1):
             if sub & mask == sub and sub != 0:
-                sign = (-1) ** (coalition_size(mask) - coalition_size(sub))
+                sign = (-1) ** (mask.bit_count() - sub.bit_count())
                 total += sign * values_by_mask[sub]
         out[mask] = total
     return out
@@ -133,10 +121,10 @@ def brute_mobius(values_by_mask, n):
 def test_mobius_of_additive_capacity():
     n = 3
     masks = enumerate_coalitions(n, n)
-    mu = make_sf(n, n, Basis.CAPACITY, [coalition_size(m) / n for m in masks])
+    mu = make_sf(n, n, Basis.CAPACITY, [m.bit_count() / n for m in masks])
     m = mobius_from_capacity(mu)
     for mask, v in zip(masks, m.values):
-        expected = 1 / 3 if coalition_size(mask) == 1 else 0.0
+        expected = 1 / 3 if mask.bit_count() == 1 else 0.0
         assert v == pytest.approx(expected, abs=1e-12)
 
 
@@ -389,16 +377,6 @@ def test_value_follows_the_canonical_order_at_12_4():
     for position, mask in enumerate(enumerate_coalitions(n, k)):
         assert sf.value(mask) == position
         assert sf.value(indices_of(mask)) == position
-
-
-def test_mutating_a_coalition_index_leaves_lookups_alone():
-    n, k = 5, 3
-    sf = make_sf(n, k, Basis.MOBIUS, np.arange(num_coalitions(n, k), dtype=float))
-    index = coalition_index(n, k)
-    index.clear()
-    index[mask_of([0, 1])] = 0
-    assert coalition_index(n, k) == {m: i for i, m in enumerate(enumerate_coalitions(n, k))}
-    assert sf.value([0, 1]) == enumerate_coalitions(n, k).index(mask_of([0, 1]))
 
 
 def test_min_terms_fill_a_given_buffer():

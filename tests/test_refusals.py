@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from shapreg.analysis import main_effects, sensitivity_to_label_flip
-from shapreg.basis import phi
 from shapreg.cv import k_sweep_benchmark, noise_robustness, stratified_folds
 from shapreg.data import DataError, Dataset, gen_random_noise, load_csv, undersample
 from shapreg.games import Basis, SetFunction, choquet_mobius, transposed_min_terms
@@ -35,9 +34,6 @@ def csv_file(tmp_path, text):
 REFUSALS = {
     "main_effects of no models": (
         lambda tmp: main_effects([]), ValueError, "need at least one model"),
-    "phi past the point": (
-        lambda tmp: phi([0, 5], np.zeros(3)), ValueError,
-        "coalition (0, 5) exceeds point dimension 3"),
     "one fold": (
         lambda tmp: stratified_folds(np.array([0, 1]), 1, 0), ValueError,
         "need at least 2 folds"),

@@ -44,7 +44,7 @@ def toy_dataset(n=4, big_n=60, seed=0, signal=True):
 def test_loss_at_zero_params_balanced():
     ds = toy_dataset(big_n=40, signal=False, seed=5)
     y = np.array([0, 1] * 20)
-    design = design_matrix(ds.x, 2)
+    design = design_matrix(ds.x, 2).values
     value, grad = loss_and_gradient(
         (0.0, np.zeros(design.shape[1])), design, y, FitConfig(penalty="l2", lam=1.0)
     )
@@ -60,7 +60,7 @@ def test_gradient_matches_central_differences():
         big_n = int(rng.integers(10, 51))
         x = rng.uniform(size=(big_n, n))
         y = rng.integers(0, 2, size=big_n)
-        design = design_matrix(x, min(2, n))
+        design = design_matrix(x, min(2, n)).values
         theta = rng.normal(size=design.shape[1] + 1) * 0.7
 
         _, grad = loss_and_gradient((theta[0], theta[1:]), design, y, config)
@@ -77,7 +77,7 @@ def test_gradient_matches_central_differences():
 
 def test_l2_penalty_adds_exactly():
     ds = toy_dataset(seed=2)
-    design = design_matrix(ds.x, 2)
+    design = design_matrix(ds.x, 2).values
     rng = np.random.default_rng(3)
     indices = rng.normal(size=design.shape[1])
     base, _ = loss_and_gradient((0.2, indices), design, ds.y, FitConfig(penalty="none"))
@@ -88,7 +88,7 @@ def test_l2_penalty_adds_exactly():
 
 def test_l1_loss_value_includes_penalty_gradient_smooth_only():
     ds = toy_dataset(seed=4)
-    design = design_matrix(ds.x, 2)
+    design = design_matrix(ds.x, 2).values
     indices = np.ones(design.shape[1])
     lam = 1.5
     plain, grad_plain = loss_and_gradient((0.0, indices), design, ds.y, FitConfig(penalty="none"))
@@ -100,11 +100,11 @@ def test_l1_loss_value_includes_penalty_gradient_smooth_only():
 
 def test_rejects_bad_labels_and_nan_design():
     ds = toy_dataset()
-    design = design_matrix(ds.x, 1)
+    design = design_matrix(ds.x, 1).values
     with pytest.raises(ValueError):
         loss_and_gradient((0.0, np.zeros(design.shape[1])), design,
                           np.full(ds.n_samples, 2), FitConfig())
-    bad = design.values.copy()
+    bad = design.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         loss_and_gradient((0.0, np.zeros(design.shape[1])), bad, ds.y, FitConfig())
