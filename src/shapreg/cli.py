@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -48,7 +49,7 @@ from .data import (
     load_feature_matrix,
     undersample,
 )
-from .model import ShapleyModel
+from .model import LOGIT_BLOCK, ShapleyModel
 from .train import PENALTIES, FitConfig, check_fit_size, fit
 
 EXIT_OK = 0
@@ -57,6 +58,11 @@ EXIT_DATA = 2
 EXIT_NO_CONVERGENCE = 3
 
 GENERATORS = {"random-noise": gen_random_noise, "pure-pairwise": gen_pure_pairwise}
+
+# Rows predict scores and writes at a time, so that the output it holds at
+# once is O(PREDICT_CHUNK), not O(rows); a whole number of scoring blocks, so
+# that only the file's last block is padded.
+PREDICT_CHUNK = 8 * LOGIT_BLOCK
 
 
 class UsageError(Exception):
@@ -90,11 +96,29 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_predictions(path: Path, rows) -> None:
-    """predictions.csv in one write: rows of a Python int, float and int,
-    rendered as _write_csv renders them (a float by its repr; no cell of
-    these types needs quoting)."""
-    _write_text(path, "row,probability,label_at_0.5\n"
-                + "".join([f"{i},{p!r},{label}\n" for i, p, label in rows]))
+    """predictions.csv from an iterable of rows of a Python int, float and
+    int, rendered as _write_csv renders them (a float by its repr; no cell
+    of these types needs quoting).  The rows are drawn PREDICT_CHUNK at a
+    time and each chunk's text goes out in one write, so a lazy ``rows``
+    is never held whole."""
+    rows = iter(rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("row,probability,label_at_0.5\n")
+        while chunk := [f"{i},{p!r},{label}\n"
+                        for i, p, label in itertools.islice(rows, PREDICT_CHUNK)]:
+            fh.write("".join(chunk))
+
+
+def _predicted_rows(model: ShapleyModel, x):
+    """(row number, P(y=1), label at 0.5) of each row of x, as a Python
+    int, float and int, scored PREDICT_CHUNK rows at a time.  A row's
+    probability does not depend on the rows scored with it (see
+    model.LOGIT_BLOCK), so the chunks give the whole-array values."""
+    for start in range(0, x.shape[0], PREDICT_CHUNK):
+        proba = model.predict_proba(x[start:start + PREDICT_CHUNK])
+        yield from zip(itertools.count(start), proba.tolist(),
+                       (proba >= 0.5).astype(int).tolist())
 
 
 def _json_text(payload) -> str:
@@ -278,11 +302,8 @@ def cmd_predict(args) -> int:
     model = _load_model(args.model)
     x = load_feature_matrix(args.dataset, args.delimiter, drop_column=args.label_column,
                             feature_names=model.feature_names)
-    proba = model.predict_proba(x)
-    labels = (proba >= 0.5).astype(int)
     out = Path(args.out_dir)
-    _write_predictions(out / "predictions.csv",
-                       zip(range(x.shape[0]), proba.tolist(), labels.tolist()))
+    _write_predictions(out / "predictions.csv", _predicted_rows(model, x))
     print(f"predict: {x.shape[0]} rows -> {out/'predictions.csv'}")
     return EXIT_OK
 

@@ -36,6 +36,9 @@ class Dataset:
             raise DataError(f"labels have shape {y.shape}, expected ({x.shape[0]},)")
         if x.shape[1] != len(self.feature_names):
             raise DataError("feature_names length does not match the matrix width")
+        repeated = _repeated(self.feature_names)
+        if repeated:
+            raise DataError(f"feature_names repeat the name(s) {repeated}")
         if not np.all(np.isfinite(x)):
             raise DataError("feature matrix contains NaN or infinite entries")
         if not np.all((y == 0) | (y == 1)):  # the raw values: a cast would truncate 0.7
@@ -64,6 +67,12 @@ class Dataset:
             name=self.name + name_suffix,
             provenance=dict(self.provenance),
         )
+
+
+def _repeated(names) -> list[str]:
+    """The names that appear more than once in ``names``, sorted."""
+    names = list(names)
+    return sorted({name for name in names if names.count(name) > 1})
 
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "?"}
@@ -100,15 +109,16 @@ def _read_table(path, delimiter: str, drop_column: str | None, drop_missing: boo
 
     The rows are first parsed in bulk (:func:`_bulk_parse`); a file that
     parse does not accept is read again cell by cell, so its errors name the
-    row and column.
+    row and column.  A UTF-8 byte-order mark, which spreadsheet exports
+    often begin with, is not part of the first column name.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        repeated = sorted({h for h in header if header.count(h) > 1})
+        repeated = _repeated(header)
         if repeated:
             raise DataError(f"{path}: header repeats the column name(s) {repeated}")
         drop = None

@@ -83,6 +83,10 @@ class ShapleyModel:
     point is bias + sum_A I(A) phi_A(x_normalized).  Prediction evaluates the
     same game through its Moebius coefficients ``mobius``, derived from the
     indices at construction: bias + sum_T m(T) min_{i in T} x_i.
+
+    Construction refuses a repeated feature name (no CSV header can name
+    its columns) and a non-finite bias, index or bound (from_json refuses
+    them), so every model that can be built can be saved, loaded and scored.
     """
 
     feature_names: list[str]
@@ -97,6 +101,10 @@ class ShapleyModel:
         idx = np.array(self.indices, dtype=float)
         norm = np.array(self.normalization, dtype=float)
         n = len(self.feature_names)
+        names = list(self.feature_names)
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"feature_names repeat the name(s) {repeated}")
         if idx.shape != (num_coalitions(n, self.k),):
             raise ValueError(
                 f"expected {num_coalitions(n, self.k)} indices for (n={n}, k={self.k}), "
@@ -104,6 +112,11 @@ class ShapleyModel:
             )
         if norm.shape != (n, 2):
             raise ValueError(f"normalization must have shape ({n}, 2), got {norm.shape}")
+        if not np.isfinite(self.bias):
+            raise ValueError(f"bias must be a finite number, got {self.bias!r}")
+        for name, values in (("indices", idx), ("normalization", norm)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite numbers")
         if np.any(norm[:, 0] > norm[:, 1]):
             raise ValueError("normalization requires min <= max per feature")
         mobius = k_additive_maps(n, self.k).to_mobius(idx)

@@ -87,6 +87,32 @@ def test_a_repeated_header_name_is_refused(tmp_path, header, label, repeated):
         load_feature_matrix(path)
 
 
+# (text, whether the bulk parse accepts it): a quoted cell sends a file to
+# the row-naming reader
+BOM_CASES = {
+    "label last, bulk parse": ("a,b,y\n1,2,0\n3,4,1\n", True),
+    "label last, row reader": ('a,b,y\n"1",2,0\n3,4,1\n', False),
+    "label first, bulk parse": ("y,a,b\n0,1,2\n1,3,4\n", True),
+    "label first, row reader": ('y,a,b\n0,"1",2\n1,3,4\n', False),
+}
+
+
+@pytest.mark.parametrize("text, bulk_accepts", BOM_CASES.values(), ids=list(BOM_CASES))
+def test_a_byte_order_mark_is_not_part_of_a_name(tmp_path, monkeypatch, text, bulk_accepts):
+    """A file that begins with a UTF-8 byte-order mark reads as the same
+    file without it, on either parse, for training and for prediction."""
+    want = load_csv(write(tmp_path, text, "plain.csv"), "y")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    bulk_results = _recording_bulk_parse(monkeypatch)
+    got = load_csv(marked, "y")
+    assert [r is not None for r in bulk_results] == [bulk_accepts]
+    assert got.feature_names == want.feature_names == ["a", "b"]
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    x = load_feature_matrix(marked, drop_column="y", feature_names=["a", "b"])
+    assert np.array_equal(x, want.x)
+
+
 def test_feature_matrix_checks_the_header_against_expected_names(tmp_path):
     path = write(tmp_path, "b,y,a\n1,case,2\n")
     x = load_feature_matrix(path, drop_column="y", feature_names=["b", "a"])

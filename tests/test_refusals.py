@@ -75,6 +75,21 @@ REFUSALS = {
     "normalization shape": (
         lambda tmp: ShapleyModel(["a", "b"], 1, 0.0, np.zeros(2), np.zeros((3, 2))),
         ValueError, "normalization must have shape (2, 2), got (3, 2)"),
+    "repeated model names": (
+        lambda tmp: ShapleyModel(["a", "a"], 1, 0.0, np.zeros(2), np.zeros((2, 2))),
+        ValueError, "feature_names repeat the name(s) ['a']"),
+    "model bias NaN, built": (
+        lambda tmp: ShapleyModel(["a", "b"], 1, float("nan"), np.zeros(2), np.zeros((2, 2))),
+        ValueError, "bias must be a finite number, got nan"),
+    "model index inf, built": (
+        lambda tmp: ShapleyModel(["a", "b"], 1, 0.0, [0.0, np.inf], np.zeros((2, 2))),
+        ValueError, "indices must be finite numbers"),
+    "model bound NaN, built": (
+        lambda tmp: ShapleyModel(["a", "b"], 1, 0.0, np.zeros(2), [[0.0, 1.0], [np.nan, 1.0]]),
+        ValueError, "normalization must be finite numbers"),
+    "repeated dataset names": (
+        lambda tmp: Dataset(x=np.zeros((3, 2)), y=np.zeros(3), feature_names=["a", "a"]),
+        DataError, "feature_names repeat the name(s) ['a']"),
     "model file n": (
         lambda tmp: ShapleyModel.from_json(MODEL_JSON.replace('"n": 2', '"n": 3')),
         ValueError, "inconsistent feature count in model file"),
